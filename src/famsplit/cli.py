@@ -29,14 +29,16 @@ from famsplit.evaluate import (
 from famsplit.manifest import (
     TEST_PER_FAMILY,
     TRAIN_PER_FAMILY,
+    SamplePool,
     load_pool,
     materialize_split,
     read_split,
     split_meta,
     write_split,
 )
-from famsplit.matrix import SynthParams, load_matrix, save_matrix, synth_matrix
+from famsplit.matrix import CrossErrorMatrix, SynthParams, load_matrix, save_matrix, synth_matrix
 from famsplit.search import (
+    BenchmarkSet,
     SearchConfig,
     benchmark_to_dict,
     derive_seed,
@@ -54,13 +56,27 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _run_manifest(command: str, flags: dict, inputs: dict[str, Path]) -> dict:
-    return {
-        "command": command,
-        "tool_version": __version__,
-        "flags": flags,
-        "inputs": {role: _sha256(path) for role, path in inputs.items()},
-    }
+# Path flags: inputs are recorded by content digest, outputs not at all, so
+# a rerun elsewhere writes the same bytes.
+_INPUT_PATHS = ("matrix", "benchmark", "pool", "predictions", "a", "b")
+_SPLIT_FILES = {"train": "train.tsv", "test": "test.tsv", "meta": "meta.json"}
+_UNRECORDED = ("command", "func", "out", "out_dir", "plot_data")
+
+
+def _run_manifest(args: argparse.Namespace) -> dict:
+    """Every non-path flag in declaration order, plus a sha256 per input role."""
+    flags: dict = {}
+    inputs: dict[str, str] = {}
+    for name, value in vars(args).items():
+        if name == "split_dir":
+            for role, filename in _SPLIT_FILES.items():
+                inputs[role] = _sha256(Path(value) / filename)
+        elif name in _INPUT_PATHS:
+            if value is not None:
+                inputs[name] = _sha256(Path(value))
+        elif name not in _UNRECORDED:
+            flags[name] = value
+    return {"command": args.command, "tool_version": __version__, "flags": flags, "inputs": inputs}
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -83,74 +99,44 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_matrix(matrix, out)
-    manifest = _run_manifest(
-        "synth",
-        {
-            "families": args.families,
-            "seed": args.seed,
-            "generality": list(args.generality),
-            "detectability": list(args.detectability),
-            "noise_sd": args.noise_sd,
-            "diag_floor": args.diag_floor,
-            "loner_fraction": args.loner_fraction,
-            "hermit_fraction": args.hermit_fraction,
-        },
-        {},
-    )
-    _write_json(out.with_name(out.name + ".manifest.json"), manifest)
+    _write_json(out.with_name(out.name + ".manifest.json"), _run_manifest(args))
     print(f"wrote {out} ({matrix.k} families)")
     return 0
 
 
-def _search_flags(args: argparse.Namespace) -> dict:
-    return {
-        "tau": args.tau,
-        "epsilon": args.epsilon,
-        "step": args.step,
-        "max_attempts": args.max_attempts,
-        "set_size": args.set_size,
-        "splits": args.splits,
-        "seed": args.seed,
-        "label": args.label,
-    }
-
-
-def cmd_search(args: argparse.Namespace) -> int:
-    matrix = load_matrix(args.matrix)
+def _search(matrix: CrossErrorMatrix, args: argparse.Namespace, tau: float, seed: int,
+            label: str | None, manifest: dict, out: Path) -> BenchmarkSet:
+    """Search one tier with the search flags in `args`; write its benchmark document."""
     config = SearchConfig(
-        tau=args.tau,
+        tau=tau,
         epsilon0=args.epsilon,
         step=args.step,
         max_attempts=args.max_attempts,
         set_size=args.set_size,
-        seed=args.seed,
+        seed=seed,
     )
-    bench = generate_benchmark(matrix, config, n_splits=args.splits, label=args.label)
+    bench = generate_benchmark(matrix, config, n_splits=args.splits, label=label)
     doc = benchmark_to_dict(bench)
-    doc["run_manifest"] = _run_manifest("search", _search_flags(args), {"matrix": Path(args.matrix)})
-    _write_json(Path(args.out), doc)
+    doc["run_manifest"] = manifest
+    _write_json(out, doc)
+    return bench
+
+
+def cmd_search(args: argparse.Namespace) -> int:
+    matrix = load_matrix(args.matrix)
+    bench = _search(matrix, args, args.tau, args.seed, args.label, _run_manifest(args),
+                    Path(args.out))
     eps = [s.epsilon_final for s in bench.splits]
     print(f"wrote {args.out}: {len(bench.splits)} {bench.difficulty_label} splits, "
           f"epsilon_final max {max(eps):g}")
     return 0
 
 
-def cmd_materialize(args: argparse.Namespace) -> int:
-    bench = load_benchmark(args.benchmark)
-    pool = load_pool(args.pool)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _run_manifest(
-        "materialize",
-        {
-            "train_per_family": args.train_per_family,
-            "test_per_family": args.test_per_family,
-            "seed": args.seed,
-        },
-        {"benchmark": Path(args.benchmark), "pool": Path(args.pool)},
-    )
+def _materialize(bench: BenchmarkSet, pool: SamplePool, args: argparse.Namespace, seed: int,
+                 out_dir: Path, manifest: dict) -> None:
+    """Write split-NN directories for every split of `bench` under `out_dir`."""
     for i, spec in enumerate(bench.splits):
-        split_seed = derive_seed(args.seed, _MATERIALIZE_SEED_BASE + i)
+        split_seed = derive_seed(seed, _MATERIALIZE_SEED_BASE + i)
         ms = materialize_split(
             pool,
             spec,
@@ -162,6 +148,14 @@ def cmd_materialize(args: argparse.Namespace) -> int:
         meta = split_meta(ms, spec, split_seed, args.train_per_family, args.test_per_family)
         meta["run_manifest"] = manifest
         write_split(ms, out_dir / ms.split_id, meta=meta)
+
+
+def cmd_materialize(args: argparse.Namespace) -> int:
+    bench = load_benchmark(args.benchmark)
+    pool = load_pool(args.pool)
+    out_dir = Path(args.out_dir)
+    manifest = _run_manifest(args)
+    _materialize(bench, pool, args, args.seed, out_dir, manifest)
     _write_json(out_dir / "run_manifest.json", manifest)
     print(f"materialized {len(bench.splits)} splits under {out_dir}")
     return 0
@@ -193,11 +187,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             (float(i), report.per_family_recall[family])
             for i, family in enumerate(matrix.families)
         ]
-    doc["run_manifest"] = _run_manifest(
-        "ablate",
-        {"mode": args.mode, "k": args.k, "agg": args.agg, "curve_ks": args.curve_ks},
-        {"matrix": Path(args.matrix)},
-    )
+    doc["run_manifest"] = _run_manifest(args)
     _write_json(Path(args.out), doc)
     if args.plot_data:
         plot_path = Path(args.plot_data)
@@ -214,7 +204,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     split = read_split(args.split_dir)
     preds = load_predictions(args.predictions, threshold=args.threshold)
     result = evaluate_predictions(split, preds)
-    split_dir = Path(args.split_dir)
     doc = {
         "split_id": split.split_id,
         "threshold": args.threshold,
@@ -222,16 +211,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "benign_accuracy": result.benign_accuracy,
         "malware_recall_mean": result.malware_recall_mean,
         "per_family_recall": result.per_family_recall,
-        "run_manifest": _run_manifest(
-            "evaluate",
-            {"threshold": args.threshold},
-            {
-                "train": split_dir / "train.tsv",
-                "test": split_dir / "test.tsv",
-                "meta": split_dir / "meta.json",
-                "predictions": Path(args.predictions),
-            },
-        ),
+        "run_manifest": _run_manifest(args),
     }
     _write_json(Path(args.out), doc)
     print(f"wrote {args.out}: overall_accuracy {result.overall_accuracy:.4f}")
@@ -251,11 +231,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "p_one_sided": result.p_one_sided,
         "summary_a": summarize(a),
         "summary_b": summarize(b),
-        "run_manifest": _run_manifest(
-            "compare",
-            {"metric": args.metric},
-            {"a": Path(args.a), "b": Path(args.b)},
-        ),
+        "run_manifest": _run_manifest(args),
     }
     _write_json(Path(args.out), doc)
     print(
@@ -276,40 +252,16 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     matrix = synth_matrix(params)
     matrix_path = out_dir / "matrix.csv"
     save_matrix(matrix, matrix_path)
-
-    flags = {
-        "families": args.families,
-        "seed": args.seed,
-        "splits": args.splits,
-        "set_size": args.set_size,
-        "epsilon": args.epsilon,
-        "step": args.step,
-        "max_attempts": args.max_attempts,
-        "agg": args.agg,
-        "train_per_family": args.train_per_family,
-        "test_per_family": args.test_per_family,
-    }
-    inputs = {"pool": Path(args.pool)} if args.pool else {}
-    manifest = _run_manifest("pipeline", flags, inputs)
+    manifest = _run_manifest(args)
     _write_json(matrix_path.with_name(matrix_path.name + ".manifest.json"), manifest)
 
     pool = load_pool(args.pool) if args.pool else None
     tiers = []
     for tier_index, (tau, label) in enumerate(STANDARD_TIERS):
         tier_seed = derive_seed(args.seed, tier_index)
-        config = SearchConfig(
-            tau=tau,
-            epsilon0=args.epsilon,
-            step=args.step,
-            max_attempts=args.max_attempts,
-            set_size=args.set_size,
-            seed=tier_seed,
-        )
-        bench = generate_benchmark(matrix, config, n_splits=args.splits, label=label)
         slug = _slug(label)
-        bench_doc = benchmark_to_dict(bench)
-        bench_doc["run_manifest"] = manifest
-        _write_json(out_dir / f"benchmark_{slug}.json", bench_doc)
+        bench = _search(matrix, args, tau, tier_seed, label, manifest,
+                        out_dir / f"benchmark_{slug}.json")
 
         validation = validate_benchmark(matrix, bench, args.agg)
         tiers.append(
@@ -339,19 +291,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             encoding="utf-8",
         )
         if pool is not None:
-            for i, spec in enumerate(bench.splits):
-                split_seed = derive_seed(tier_seed, _MATERIALIZE_SEED_BASE + i)
-                ms = materialize_split(
-                    pool,
-                    spec,
-                    train_per_family=args.train_per_family,
-                    test_per_family=args.test_per_family,
-                    seed=split_seed,
-                    split_id=f"split-{i:02d}",
-                )
-                meta = split_meta(ms, spec, split_seed, args.train_per_family, args.test_per_family)
-                meta["run_manifest"] = manifest
-                write_split(ms, out_dir / "splits" / slug / ms.split_id, meta=meta)
+            _materialize(bench, pool, args, tier_seed, out_dir / "splits" / slug, manifest)
 
     _write_json(out_dir / "validation.json", {"tiers": tiers, "run_manifest": manifest})
     _write_json(out_dir / "run_manifest.json", manifest)
