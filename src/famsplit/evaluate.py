@@ -163,12 +163,19 @@ def evaluate_predictions(ms: MaterializedSplit, preds: PredictionSet) -> EvalRes
 def load_predictions(path: str | Path, threshold: float = 0.5) -> PredictionSet:
     """Read a tab-separated "sample_id<TAB>score" file."""
     scores: dict[str, float] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
         parts = line.split("\t")
         if len(parts) != 2:
             raise PredictionError(f"{path}: line {lineno}: expected 2 fields, got {len(parts)}")
+        if parts[0] in scores:
+            first = next(n for n, seen in enumerate(lines, start=1)
+                         if seen.split("\t")[0] == parts[0])
+            raise PredictionError(
+                f"{path}: line {lineno}: duplicate sample id {parts[0]!r} (first on line {first})"
+            )
         try:
             scores[parts[0]] = float(parts[1])
         except ValueError:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,7 +72,11 @@ class MaterializedSplit:
         shared = train_ids & test_ids
         if shared:
             raise PoolError(f"{len(shared)} sample ids appear in both train and test")
-        for name, records in (("train", self.train), ("test", self.test)):
+        for name, records, ids in (("train", self.train, train_ids), ("test", self.test, test_ids)):
+            if len(ids) != len(records):
+                counts = Counter(r.sample_id for r in records)
+                repeated = next(sample_id for sample_id, n in counts.items() if n > 1)
+                raise PoolError(f"sample id {repeated!r} appears twice on the {name} side")
             malicious = sum(1 for r in records if r.label == "malicious")
             if 2 * malicious != len(records):
                 raise PoolError(

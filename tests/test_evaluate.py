@@ -201,3 +201,11 @@ def test_prediction_file_round_trip(tmp_path) -> None:
     bad.write_text("a\tnot-a-number\n")
     with pytest.raises(PredictionError):
         load_predictions(bad)
+
+
+def test_duplicate_prediction_ids_are_rejected(tmp_path) -> None:
+    path = tmp_path / "preds.tsv"
+    path.write_text("s1\t0.9\ns2\t0.5\ns1\t0.1\n")
+    with pytest.raises(PredictionError) as err:
+        load_predictions(path)
+    assert "line 3: duplicate sample id 's1' (first on line 1)" in str(err.value)

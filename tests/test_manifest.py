@@ -182,3 +182,22 @@ def test_split_round_trip_through_directory(tmp_path) -> None:
     assert loaded.split_id == ms.split_id
     assert loaded.train == ms.train
     assert loaded.test == ms.test
+
+
+def test_id_listed_under_two_train_families_is_rejected() -> None:
+    pool = build_pool({n: 2 for n in ("alpha", "beta", "gamma", "delta")})
+    pool.by_family["beta"][0] = pool.by_family["alpha"][0]
+    with pytest.raises(PoolError, match="'alpha-000000' appears twice on the train side"):
+        materialize_split(pool, toy_spec(), 2, 1, seed=0)
+
+
+def test_read_split_rejects_a_repeated_id(tmp_path) -> None:
+    pool = build_pool({n: 10 for n in ("alpha", "beta", "gamma", "delta")})
+    ms = materialize_split(pool, toy_spec(), 2, 2, seed=2, split_id="toy-split")
+    write_split(ms, tmp_path / "split")
+    test_path = tmp_path / "split" / "test.tsv"
+    lines = test_path.read_text().splitlines(keepends=True)
+    # One malicious and one benign line repeated, so the side stays balanced.
+    test_path.write_text("".join(lines) + lines[0] + lines[-1])
+    with pytest.raises(PoolError, match="appears twice on the test side"):
+        read_split(tmp_path / "split")
