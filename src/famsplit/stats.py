@@ -1,9 +1,10 @@
 """Exact Wilcoxon signed-rank comparison of paired per-split metrics.
 
-The p-values come from full enumeration of all 2^n sign assignments of the
-ranks (n = pairs with nonzero difference), so they are exact for the small
-split counts this toolkit produces. Zero differences are dropped (classic
-policy) and tied absolute differences receive midranks.
+The p-values are exact: a subset-sum dynamic program counts how many of the
+2^n sign assignments of the ranks (n = pairs with nonzero difference) give
+each positive-rank sum, in O(n * rank total) steps without listing the
+assignments. Zero differences are dropped (classic policy) and tied absolute
+differences receive midranks, counted in half-rank units.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 
 from famsplit.errors import ComparisonError
 
-EXACT_LIMIT = 25  # enumeration is 2^n terms; refuse beyond this
+EXACT_LIMIT = 25  # refuse more nonzero differences; the counting DP itself has no such limit
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ def wilcoxon_exact(a: Sequence[float], b: Sequence[float]) -> WilcoxonResult:
         raise ComparisonError("degenerate comparison: all paired differences are zero")
     if n > EXACT_LIMIT:
         raise ComparisonError(
-            f"{n} nonzero differences exceed the exact enumeration cap of {EXACT_LIMIT}"
+            f"{n} nonzero differences exceed the exact-test cap of {EXACT_LIMIT}"
         )
     ranks = _midranks([abs(d) for d in diffs])
     w_plus = sum(r for r, d in zip(ranks, diffs) if d > 0)

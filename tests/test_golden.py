@@ -32,8 +32,9 @@ def run(*argv) -> None:
 def write_outputs(root: Path) -> None:
     """Run every command once under `root`, each with fixed flags."""
     # Ten ids per family and spare benign, so every draw is a real shuffle.
+    families = synth_family_names(184)
     pool = SamplePool(
-        by_family={name: [f"{name}-{i:02d}" for i in range(10)] for name in synth_family_names(184)},
+        by_family={name: [f"{name}-{i:02d}" for i in range(10)] for name in families},
         benign=[(f"ben-tr-{i:03d}", "train") for i in range(96)]
         + [(f"ben-te-{i:03d}", "test") for i in range(24)],
     )
