@@ -49,6 +49,11 @@ def write_outputs(root: Path) -> None:
     matrix = root / "synth" / "matrix.csv"
     run("search", "--matrix", matrix, "--tau", 0.5, "--set-size", 3, "--splits", 2,
         "--seed", 5, "--out", root / "search.json")
+    # Stress scale: K=1000 bands hold far more entries than the paper's K=184.
+    run("synth", "--families", 1000, "--seed", 11, "--out", root / "synth-1000" / "matrix.csv")
+    for i, tau in enumerate((0.9, 0.5, 0.25)):
+        run("search", "--matrix", root / "synth-1000" / "matrix.csv", "--tau", tau,
+            "--splits", 2, "--seed", 20 + i, "--out", root / f"search-1000-{tau:g}.json")
     run("materialize", "--benchmark", root / "search.json", "--pool", root / "pool.tsv",
         "--train-per-family", 8, "--test-per-family", 2, "--seed", 4,
         "--out-dir", root / "materialize")
