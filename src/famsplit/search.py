@@ -4,8 +4,9 @@ A split pins every cross entry ``M[t][v]`` (t in the train set, v in the
 test set) inside a closeness band around a target recall ``tau``. Candidate
 pairs are drawn uniformly at random from the entries currently in band;
 when the search stalls the band half-width is relaxed by a fixed step,
-keeping accepted pairs and admitting only the new annulus of entries as
-fresh candidates.
+keeping accepted pairs and admitting the next level's entries as fresh
+candidates. Each split search finds each level's entries once, as a flat
+index array, and shares them across its restarts.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ import json
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from famsplit.errors import InfeasibleSearchError, MatrixFormatError
 from famsplit.matrix import CrossErrorMatrix
-
-NO_LOWER_BOUND = -1.0
 
 STANDARD_LABELS = {0.9: "Easy", 0.5: "Medium", 0.25: "Hard"}
 
@@ -105,77 +105,51 @@ def derive_seed(seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def candidate_pairs(
-    m: CrossErrorMatrix, tau: float, eps_lo: float, eps_hi: float
-) -> list[tuple[int, int]]:
-    """Off-diagonal index pairs with eps_lo < |M - tau| <= eps_hi, row-major.
-
-    A negative eps_lo means "no lower bound" (the full closed band).
-    """
-    if eps_hi <= 0.0:
-        raise InfeasibleSearchError(f"eps_hi must be positive, got {eps_hi}")
-    if eps_lo >= eps_hi:
-        raise InfeasibleSearchError(f"eps_lo {eps_lo} must be below eps_hi {eps_hi}")
-    dist = np.abs(m.values - tau)
-    mask = (dist > eps_lo) & (dist <= eps_hi)
-    np.fill_diagonal(mask, False)
-    return [(int(t), int(v)) for t, v in np.argwhere(mask)]
-
-
 def _eps_at(config: SearchConfig, level: int) -> float:
     # Recomputed from scratch so epsilon_final == epsilon0 + step * relaxations
     # holds exactly, without accumulated float drift.
     return config.epsilon0 + config.step * level
 
 
-def _search_pass(m: CrossErrorMatrix, config: SearchConfig, pass_seed: int) -> SplitSpec:
-    # One greedy pass. Each loop iteration draws one candidate uniformly
-    # (with replacement) and consumes one attempt; a draw is discarded when
-    # either family is already used or when any cross entry against the
-    # accepted sets would leave the current band. After max_attempts draws
-    # at one band width (or when the band holds no candidates at all) the
-    # band grows by `step`, accepted pairs are kept, and only the new
-    # annulus joins the candidate list.
+def _search_pass(
+    dist: np.ndarray, band: Callable[[int], np.ndarray], config: SearchConfig, pass_seed: int
+) -> tuple[list[int], list[int], int, int]:
+    # One greedy pass, returning (train, test, relaxations, attempts_total).
+    # Each draw takes one candidate uniformly (with replacement) and one
+    # attempt; it is discarded when either family is used or when any cross
+    # entry against the accepted sets would leave the band. After max_attempts
+    # draws at one level, or with no candidates at all, the band grows by
+    # `step`, accepted pairs are kept and the next level's entries join.
     rng = random.Random(pass_seed)
     eps_hi = _eps_at(config, 0)
-    candidates = candidate_pairs(m, config.tau, NO_LOWER_BOUND, eps_hi)
+    candidates = band(0)
     train: list[int] = []
     test: list[int] = []
     used: set[int] = set()
     relaxations = 0
     attempts_total = 0
     attempts_level = 0
-    values = m.values
     while len(train) < config.set_size:
-        if not candidates or attempts_level >= config.max_attempts:
-            eps_lo = eps_hi
+        if not len(candidates) or attempts_level >= config.max_attempts:
             relaxations += 1
             eps_hi = _eps_at(config, relaxations)
-            candidates.extend(candidate_pairs(m, config.tau, eps_lo, eps_hi))
+            candidates = band(relaxations)
             attempts_level = 0
             continue
-        t, v = candidates[rng.randrange(len(candidates))]
+        t, v = divmod(int(candidates[rng.randrange(len(candidates))]), len(dist))
         attempts_total += 1
         attempts_level += 1
         if t in used or v in used:
             continue
-        if any(abs(values[tj, v] - config.tau) > eps_hi for tj in train):
+        if any(dist[tj, v] > eps_hi for tj in train):
             continue
-        if any(abs(values[t, vj] - config.tau) > eps_hi for vj in test):
+        if any(dist[t, vj] > eps_hi for vj in test):
             continue
         train.append(t)
         test.append(v)
         used.add(t)
         used.add(v)
-    return SplitSpec(
-        train_families=tuple(m.families[t] for t in train),
-        test_families=tuple(m.families[v] for v in test),
-        tau=config.tau,
-        epsilon_final=eps_hi,
-        seed=config.seed,
-        relaxations=relaxations,
-        attempts_total=attempts_total,
-    )
+    return train, test, relaxations, attempts_total
 
 
 def search_split(
@@ -195,15 +169,40 @@ def search_split(
         )
     if restarts < 1:
         raise InfeasibleSearchError(f"restarts must be >= 1, got {restarts}")
-    best: SplitSpec | None = None
+    dist = np.abs(m.values - config.tau)
+    np.fill_diagonal(dist, np.inf)
+    entries = np.empty(0, dtype=np.intp)
+    ends: list[int] = []
+
+    def band(level: int) -> np.ndarray:
+        # Flat row-major indices t * K + v in band at `level`, level by level:
+        # level r adds eps(r - 1) < dist <= eps(r), found once per call.
+        nonlocal entries
+        while len(ends) <= level:
+            joins = dist <= _eps_at(config, len(ends))
+            if ends:
+                joins &= dist > _eps_at(config, len(ends) - 1)
+            entries = np.concatenate((entries, np.flatnonzero(joins)))
+            ends.append(len(entries))
+        return entries[: ends[level]]
+
+    best = None
     for r in range(restarts):
-        spec = _search_pass(m, config, derive_seed(config.seed, r))
-        if best is None or spec.epsilon_final < best.epsilon_final:
-            best = spec
-        if best.relaxations == 0:
+        result = _search_pass(dist, band, config, derive_seed(config.seed, r))
+        if best is None or _eps_at(config, result[2]) < _eps_at(config, best[2]):
+            best = result
+        if best[2] == 0:
             break
-    assert best is not None
-    return best
+    train, test, relaxations, attempts_total = best
+    return SplitSpec(
+        train_families=tuple(m.families[t] for t in train),
+        test_families=tuple(m.families[v] for v in test),
+        tau=config.tau,
+        epsilon_final=_eps_at(config, relaxations),
+        seed=config.seed,
+        relaxations=relaxations,
+        attempts_total=attempts_total,
+    )
 
 
 def split_max_deviation(m: CrossErrorMatrix, spec: SplitSpec) -> float:

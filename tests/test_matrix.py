@@ -172,7 +172,7 @@ def test_synth_rejects_bad_ranges() -> None:
 
 
 def test_paper_scale_bands_are_populated(paper_matrix) -> None:
-    # Exhaustive scan over all K^2 entries, independent of candidate_pairs.
+    # Exhaustive scan over all K^2 entries, independent of the search's band.
     values = paper_matrix.values
     k = paper_matrix.k
     for tau in (0.9, 0.5, 0.25):

@@ -1,24 +1,111 @@
 from __future__ import annotations
 
 import itertools
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from famsplit.errors import InfeasibleSearchError
-from famsplit.matrix import SynthParams, synth_matrix
+from famsplit.matrix import CrossErrorMatrix, SynthParams, synth_matrix
 from famsplit.search import (
-    NO_LOWER_BOUND,
+    SEARCH_RESTARTS,
     SearchConfig,
     SplitSpec,
     benchmark_to_dict,
-    candidate_pairs,
+    derive_seed,
     generate_benchmark,
     search_split,
     split_max_deviation,
 )
 
 from conftest import constant_matrix, make_matrix
+
+# Reference search: the list-of-tuples implementation that rebuilt each band
+# level on every pass, kept unchanged so the array-band search can be
+# required to return exactly what it returned.
+NO_LOWER_BOUND = -1.0
+
+
+def candidate_pairs(
+    m: CrossErrorMatrix, tau: float, eps_lo: float, eps_hi: float
+) -> list[tuple[int, int]]:
+    """Off-diagonal index pairs with eps_lo < |M - tau| <= eps_hi, row-major.
+
+    A negative eps_lo means "no lower bound" (the full closed band).
+    """
+    if eps_hi <= 0.0:
+        raise InfeasibleSearchError(f"eps_hi must be positive, got {eps_hi}")
+    if eps_lo >= eps_hi:
+        raise InfeasibleSearchError(f"eps_lo {eps_lo} must be below eps_hi {eps_hi}")
+    dist = np.abs(m.values - tau)
+    mask = (dist > eps_lo) & (dist <= eps_hi)
+    np.fill_diagonal(mask, False)
+    return [(int(t), int(v)) for t, v in np.argwhere(mask)]
+
+
+def _eps_at(config: SearchConfig, level: int) -> float:
+    return config.epsilon0 + config.step * level
+
+
+def _search_pass(m: CrossErrorMatrix, config: SearchConfig, pass_seed: int) -> SplitSpec:
+    rng = random.Random(pass_seed)
+    eps_hi = _eps_at(config, 0)
+    candidates = candidate_pairs(m, config.tau, NO_LOWER_BOUND, eps_hi)
+    train: list[int] = []
+    test: list[int] = []
+    used: set[int] = set()
+    relaxations = 0
+    attempts_total = 0
+    attempts_level = 0
+    values = m.values
+    while len(train) < config.set_size:
+        if not candidates or attempts_level >= config.max_attempts:
+            eps_lo = eps_hi
+            relaxations += 1
+            eps_hi = _eps_at(config, relaxations)
+            candidates.extend(candidate_pairs(m, config.tau, eps_lo, eps_hi))
+            attempts_level = 0
+            continue
+        t, v = candidates[rng.randrange(len(candidates))]
+        attempts_total += 1
+        attempts_level += 1
+        if t in used or v in used:
+            continue
+        if any(abs(values[tj, v] - config.tau) > eps_hi for tj in train):
+            continue
+        if any(abs(values[t, vj] - config.tau) > eps_hi for vj in test):
+            continue
+        train.append(t)
+        test.append(v)
+        used.add(t)
+        used.add(v)
+    return SplitSpec(
+        train_families=tuple(m.families[t] for t in train),
+        test_families=tuple(m.families[v] for v in test),
+        tau=config.tau,
+        epsilon_final=eps_hi,
+        seed=config.seed,
+        relaxations=relaxations,
+        attempts_total=attempts_total,
+    )
+
+
+def reference_search_split(
+    m: CrossErrorMatrix, config: SearchConfig, restarts: int = SEARCH_RESTARTS
+) -> SplitSpec:
+    best: SplitSpec | None = None
+    for r in range(restarts):
+        spec = _search_pass(m, config, derive_seed(config.seed, r))
+        if best is None or spec.epsilon_final < best.epsilon_final:
+            best = spec
+        if best.relaxations == 0:
+            break
+    assert best is not None
+    return best
 
 
 def min_feasible_grid_eps(values, tau, set_size, eps0=0.05, step=0.05):
@@ -49,9 +136,19 @@ def adversarial_matrix():
     return make_matrix(grid)
 
 
+def pairs_drawn(m: CrossErrorMatrix, config: SearchConfig, seeds: int = 200) -> set:
+    """Every (train, test) index pair a one-pair search returns over `seeds` seeds."""
+    index = {name: i for i, name in enumerate(m.families)}
+    found = set()
+    for seed in range(seeds):
+        spec = search_split(m, replace(config, seed=seed))
+        found.add((index[spec.train_families[0]], index[spec.test_families[0]]))
+    return found
+
+
 def test_candidate_pairs_exact_hits() -> None:
     m = make_matrix([[1.0, 0.5], [0.5, 1.0]])
-    assert candidate_pairs(m, 0.5, NO_LOWER_BOUND, 0.05) == [(0, 1), (1, 0)]
+    assert pairs_drawn(m, SearchConfig(tau=0.5, set_size=1)) == {(0, 1), (1, 0)}
 
 
 def test_candidate_pairs_threshold_arithmetic_at_paper_setting() -> None:
@@ -59,35 +156,63 @@ def test_candidate_pairs_threshold_arithmetic_at_paper_setting() -> None:
         [
             [1.00, 0.87, 0.96],
             [0.87, 1.00, 0.96],
-            [0.96, 0.87, 1.00],
+            [0.96, 0.87, 0.90],
         ]
     )
-    pairs = candidate_pairs(m, 0.9, NO_LOWER_BOUND, 0.05)
-    assert (0, 1) in pairs  # |0.87 - 0.9| = 0.03 <= 0.05
-    assert (0, 2) not in pairs  # |0.96 - 0.9| = 0.06 > 0.05
-    assert all(t != v for t, v in pairs)
+    # |0.87 - 0.9| = 0.03 <= 0.05 is in band, |0.96 - 0.9| = 0.06 > 0.05 is
+    # not, and the diagonal never is, even at exactly tau.
+    assert pairs_drawn(m, SearchConfig(tau=0.9, set_size=1)) == {(0, 1), (1, 0), (2, 1)}
 
 
 def test_candidate_pairs_annulus_matches_exhaustive_scan() -> None:
     rng = np.random.default_rng(99)
     grid = rng.uniform(0.0, 1.0, (6, 6))
-    m = make_matrix(grid)
     tau = 0.5
-    got = candidate_pairs(m, tau, 0.05, 0.10)
-    expected = []
+    grid[np.abs(grid - tau) <= 0.05] = 0.95  # empty first level: relax once
+    m = make_matrix(grid)
+    expected = set()
     for t in range(6):
         for v in range(6):
             if t != v and 0.05 < abs(grid[t][v] - tau) <= 0.10:
-                expected.append((t, v))
-    assert got == expected
+                expected.add((t, v))
+    assert expected
+    assert pairs_drawn(m, SearchConfig(tau=tau, set_size=1)) == expected
+    assert search_split(m, SearchConfig(tau=tau, set_size=1)).relaxations == 1
 
 
-def test_candidate_pairs_rejects_bad_band() -> None:
-    m = constant_matrix(3, 0.5)
-    with pytest.raises(InfeasibleSearchError):
-        candidate_pairs(m, 0.5, 0.1, 0.05)
-    with pytest.raises(InfeasibleSearchError):
-        candidate_pairs(m, 0.5, NO_LOWER_BOUND, 0.0)
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    k=st.integers(4, 30),
+    matrix_seed=st.integers(0, 2**32 - 1),
+    decimals=st.sampled_from([2, None]),
+    tau=st.sampled_from([0.9, 0.5, 0.25]) | st.floats(0.01, 0.99),
+    epsilon0=st.sampled_from([0.05, 0.02, 0.1]),
+    step=st.sampled_from([0.05, 0.01, 0.03]),
+    max_attempts=st.integers(1, 12),
+    seed=st.integers(0, 2**64 - 1),
+    restarts=st.integers(1, SEARCH_RESTARTS),
+    data=st.data(),
+)
+def test_search_split_matches_reference(
+    k, matrix_seed, decimals, tau, epsilon0, step, max_attempts, seed, restarts, data
+) -> None:
+    grid = np.random.default_rng(matrix_seed).uniform(0.0, 1.0, (k, k))
+    if decimals is not None:  # grid values put entries exactly on band edges
+        grid = np.round(grid, decimals)
+    m = make_matrix(grid)
+    config = SearchConfig(
+        tau=tau,
+        epsilon0=epsilon0,
+        step=step,
+        max_attempts=max_attempts,
+        set_size=data.draw(st.integers(1, k // 2), label="set_size"),
+        seed=seed,
+    )
+    spec = search_split(m, config, restarts)
+    assert spec == reference_search_split(m, config, restarts)
+    assert len(spec.train_families) == len(spec.test_families) == config.set_size
+    assert not set(spec.train_families) & set(spec.test_families)
+    assert split_max_deviation(m, spec) <= spec.epsilon_final
 
 
 def test_search_on_uniformly_feasible_matrix_never_relaxes() -> None:
@@ -145,9 +270,7 @@ def test_returned_split_stays_within_final_band() -> None:
         config = SearchConfig(tau=0.4, set_size=5, seed=trial)
         spec = search_split(m, config)
         assert split_max_deviation(m, spec) <= spec.epsilon_final
-        assert spec.epsilon_final == pytest.approx(
-            config.epsilon0 + config.step * spec.relaxations
-        )
+        assert spec.epsilon_final == config.epsilon0 + config.step * spec.relaxations
 
 
 def test_small_instance_oracle_property() -> None:
