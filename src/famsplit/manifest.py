@@ -12,7 +12,10 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from famsplit.errors import PoolError
 from famsplit.search import SplitSpec
@@ -32,14 +35,27 @@ class SamplePool:
     benign: list[tuple[str, str]]  # (sample_id, origin)
 
     def __post_init__(self) -> None:
-        for family, ids in self.by_family.items():
+        for family in self.by_family:
             if not family or family == "-":
                 raise PoolError(f"invalid family name {family!r}")
-            if len(set(ids)) != len(ids):
-                raise PoolError(f"duplicate sample id within family {family!r}")
-        benign_ids = [sample_id for sample_id, _ in self.benign]
-        if len(set(benign_ids)) != len(benign_ids):
-            raise PoolError("duplicate sample id within benign list")
+        places = [(f"family {family!r}", ids) for family, ids in self.by_family.items()]
+        places.append(("the benign list", [sample_id for sample_id, _ in self.benign]))
+        # No id may appear twice in the pool. Sorted string hashes prove that
+        # without a pool-sized hash table; equal hashes are checked exactly.
+        hashes = np.fromiter(
+            map(hash, chain.from_iterable(ids for _, ids in places)),
+            dtype=np.int64,
+            count=sum(len(ids) for _, ids in places),
+        )
+        hashes.sort()
+        if np.any(hashes[1:] == hashes[:-1]):
+            counts = Counter(chain.from_iterable(ids for _, ids in places))
+            repeated = next((sample_id for sample_id, n in counts.items() if n > 1), None)
+            if repeated is not None:
+                where = [place for place, ids in places for _ in range(ids.count(repeated))]
+                raise PoolError(
+                    f"duplicate sample id {repeated!r} in {where[0]} and in {where[1]}"
+                )
         for sample_id, origin in self.benign:
             if origin not in _ORIGINS:
                 raise PoolError(f"benign sample {sample_id!r} has origin {origin!r}")

@@ -141,9 +141,7 @@ def _search_pass(
         attempts_level += 1
         if t in used or v in used:
             continue
-        if any(dist[tj, v] > eps_hi for tj in train):
-            continue
-        if any(dist[t, vj] > eps_hi for vj in test):
+        if any(dist[tj, v] > eps_hi for tj in train) or any(dist[t, vj] > eps_hi for vj in test):
             continue
         train.append(t)
         test.append(v)
@@ -176,7 +174,8 @@ def search_split(
 
     def band(level: int) -> np.ndarray:
         # Flat row-major indices t * K + v in band at `level`, level by level:
-        # level r adds eps(r - 1) < dist <= eps(r), found once per call.
+        # level r adds eps(r - 1) < dist <= eps(r). Each level is found at
+        # most once per search_split call and shared by all of its passes.
         nonlocal entries
         while len(ends) <= level:
             joins = dist <= _eps_at(config, len(ends))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from famsplit import manifest
 from famsplit.errors import PoolError
 from famsplit.manifest import (
     MaterializedSplit,
@@ -91,6 +92,34 @@ def test_pool_rejects_duplicate_ids(tmp_path) -> None:
     path.write_text("aa01\tmalicious\talpha\t-\naa01\tmalicious\talpha\t-\n")
     with pytest.raises(PoolError, match="duplicate"):
         load_pool(path)
+
+
+@pytest.mark.parametrize(
+    ("by_family", "benign", "message"),
+    [
+        ({"a": ["x", "y"], "b": ["x", "z"]}, [("w", "train")], "in family 'a' and in family 'b'"),
+        ({"a": ["y", "x"]}, [("w", "train"), ("x", "test")], "in family 'a' and in the benign list"),
+        ({"a": ["y"]}, [("x", "train"), ("x", "test")], "in the benign list and in the benign list"),
+        ({"a": ["x", "y", "x"]}, [("w", "train")], "in family 'a' and in family 'a'"),
+    ],
+)
+def test_pool_rejects_an_id_listed_twice(by_family, benign, message) -> None:
+    with pytest.raises(PoolError, match=f"duplicate sample id 'x' {message}"):
+        SamplePool(by_family=by_family, benign=benign)
+
+
+def test_load_pool_rejects_an_id_under_a_family_and_benign(tmp_path) -> None:
+    path = tmp_path / "pool.tsv"
+    path.write_text("aa01\tmalicious\talpha\t-\nbb01\tmalicious\tbeta\t-\naa01\tbenign\t-\ttest\n")
+    with pytest.raises(PoolError, match="'aa01' in family 'alpha' and in the benign list"):
+        load_pool(path)
+
+
+def test_pool_accepts_distinct_ids_whose_hashes_collide(monkeypatch) -> None:
+    # Equal hashes only flag a possible repeat; distinct ids must still load.
+    monkeypatch.setattr(manifest, "hash", lambda sample_id: 0, raising=False)
+    pool = build_pool({"alpha": 3, "beta": 3})
+    assert sum(len(ids) for ids in pool.by_family.values()) == 6
 
 
 def test_materialize_toy_counts() -> None:
