@@ -11,9 +11,11 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,15 +31,23 @@ _ORIGINS = ("train", "test")
 
 @dataclass(frozen=True)
 class SamplePool:
-    """Family -> sample ids, plus origin-tagged benign ids."""
+    """Family -> sample ids, plus origin-tagged benign ids.
 
-    by_family: dict[str, list[str]]
-    benign: list[tuple[str, str]]  # (sample_id, origin)
+    The contents are stored read-only (a mapping of tuples and a tuple), so
+    the whole-pool id check below cannot be bypassed after construction.
+    """
+
+    by_family: Mapping[str, tuple[str, ...]]
+    benign: tuple[tuple[str, str], ...]  # (sample_id, origin)
 
     def __post_init__(self) -> None:
-        for family in self.by_family:
+        by_family = {}
+        for family, ids in self.by_family.items():
             if not family or family == "-":
                 raise PoolError(f"invalid family name {family!r}")
+            by_family[family] = tuple(ids)
+        object.__setattr__(self, "by_family", MappingProxyType(by_family))
+        object.__setattr__(self, "benign", tuple(self.benign))
         places = [(f"family {family!r}", ids) for family, ids in self.by_family.items()]
         places.append(("the benign list", [sample_id for sample_id, _ in self.benign]))
         # No id may appear twice in the pool. Sorted string hashes prove that
@@ -198,7 +208,7 @@ def materialize_split(
 
     rng = random.Random(seed)
 
-    def pick(ids: list[str], n: int) -> list[str]:
+    def pick(ids: Sequence[str], n: int) -> list[str]:
         shuffled = list(ids)
         rng.shuffle(shuffled)
         return shuffled[:n]

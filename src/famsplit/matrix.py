@@ -32,15 +32,16 @@ class CrossErrorMatrix:
         k = len(families)
         if k < 2:
             raise MatrixFormatError(f"need at least 2 families, got {k}")
-        seen: set[str] = set()
+        index: dict[str, int] = {}
         for i, name in enumerate(families):
             if not name:
                 raise MatrixFormatError(f"empty family name at index {i}")
             if "," in name or "\n" in name:
                 raise MatrixFormatError(f"family name {name!r} contains a delimiter")
-            if name in seen:
+            if name in index:
                 raise MatrixFormatError(f"duplicate family name {name!r}")
-            seen.add(name)
+            index[name] = i
+        object.__setattr__(self, "_index", index)  # name -> position, for index_of
         values = np.asarray(self.values, dtype=np.float64)
         if values.shape != (k, k):
             raise MatrixFormatError(
@@ -65,16 +66,20 @@ class CrossErrorMatrix:
 
     def index_of(self, family: str) -> int:
         try:
-            return self.families.index(family)
-        except ValueError:
+            return self._index[family]
+        except KeyError:
             raise MatrixFormatError(f"unknown family {family!r}") from None
 
 
 def load_matrix(path: str | Path) -> CrossErrorMatrix:
-    """Parse a matrix CSV (header line + one row per family)."""
+    """Parse a matrix CSV (header line + one row per family).
+
+    Cells use Python ``float()`` syntax. A row is parsed whole and checked
+    with one range test; only a row that fails is parsed again cell by
+    cell, so the error names its first bad cell.
+    """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.split("\n")
+    lines = path.read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -102,14 +107,22 @@ def load_matrix(path: str | Path) -> CrossErrorMatrix:
                 f"{path}: line {t} row name {cells[0]!r} does not match header "
                 f"name {families[t - 2]!r}"
             )
+        row = values[t - 2]
+        try:
+            row[:] = list(map(float, cells[1:]))
+            in_range = 0.0 <= row.min() and row.max() <= 1.0
+        except ValueError:
+            in_range = False
+        if in_range:
+            continue
         for v, cell in enumerate(cells[1:]):
             try:
-                values[t - 2, v] = float(cell)
+                row[v] = float(cell)
             except ValueError:
                 raise MatrixFormatError(
                     f"{path}: unparseable number {cell!r} at line {t}, column {v}"
                 ) from None
-            if not 0.0 <= values[t - 2, v] <= 1.0:
+            if not 0.0 <= row[v] <= 1.0:
                 raise MatrixFormatError(
                     f"{path}: entry {cell} at line {t}, column {v} outside [0, 1]"
                 )
@@ -119,11 +132,11 @@ def load_matrix(path: str | Path) -> CrossErrorMatrix:
 def save_matrix(m: CrossErrorMatrix, path: str | Path) -> None:
     """Write the canonical CSV form (fixed 6-digit decimals, LF newlines)."""
     path = Path(path)
-    lines = [",".join((HEADER_CELL, *m.families))]
-    for t, family in enumerate(m.families):
-        row = ",".join(f"{x:.6f}" for x in m.values[t])
-        lines.append(f"{family},{row}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row_format = ",".join(["%.6f"] * m.k)
+    with path.open("w", encoding="utf-8") as out:
+        out.write(",".join((HEADER_CELL, *m.families)) + "\n")
+        for family, row in zip(m.families, m.values):
+            out.write(f"{family},{row_format % tuple(row.tolist())}\n")
 
 
 def row_mean_recall(m: CrossErrorMatrix, family_index: int, include_self: bool = False) -> float:

@@ -119,10 +119,13 @@ def _search_pass(
     # attempt; it is discarded when either family is used or when any cross
     # entry against the accepted sets would leave the band. After max_attempts
     # draws at one level, or with no candidates at all, the band grows by
-    # `step`, accepted pairs are kept and the next level's entries join.
+    # `step`, accepted pairs are kept and the next level's entries join. Once
+    # the band holds every off-diagonal entry, relaxing adds nothing and any
+    # draw of two unused families is accepted, so the pass keeps drawing.
     rng = random.Random(pass_seed)
     eps_hi = _eps_at(config, 0)
     candidates = band(0)
+    off_diagonal = len(dist) * (len(dist) - 1)
     train: list[int] = []
     test: list[int] = []
     used: set[int] = set()
@@ -131,9 +134,10 @@ def _search_pass(
     attempts_level = 0
     while len(train) < config.set_size:
         if not len(candidates) or attempts_level >= config.max_attempts:
-            relaxations += 1
-            eps_hi = _eps_at(config, relaxations)
-            candidates = band(relaxations)
+            if len(candidates) < off_diagonal:
+                relaxations += 1
+                eps_hi = _eps_at(config, relaxations)
+                candidates = band(relaxations)
             attempts_level = 0
             continue
         t, v = divmod(int(candidates[rng.randrange(len(candidates))]), len(dist))

@@ -185,9 +185,9 @@ def test_materialize_at_paper_defaults_hits_paper_totals(tmp_path) -> None:
 def test_materialize_shortfall_names_family(benchmark_file, pool_file, tmp_path, capsys) -> None:
     pool = load_pool(pool_file)
     needed = json.loads(benchmark_file.read_text())["splits"][0]["train_families"][0]
-    pool.by_family[needed] = pool.by_family[needed][:3]
+    thin_pool = SamplePool({**pool.by_family, needed: pool.by_family[needed][:3]}, pool.benign)
     thin = tmp_path / "thin.tsv"
-    save_pool(pool, thin)
+    save_pool(thin_pool, thin)
     code = run(
         "materialize", "--benchmark", benchmark_file, "--pool", thin,
         "--train-per-family", "8", "--test-per-family", "2",

@@ -44,8 +44,8 @@ def test_minimal_pool_loads(tmp_path) -> None:
     )
     pool = load_pool(path)
     assert set(pool.by_family) == {"alpha", "beta"}
-    assert pool.by_family["alpha"] == ["aa01", "aa02"]
-    assert pool.benign == []
+    assert pool.by_family["alpha"] == ("aa01", "aa02")
+    assert pool.benign == ()
 
 
 def test_pool_at_paper_family_size(tmp_path) -> None:
@@ -214,10 +214,28 @@ def test_split_round_trip_through_directory(tmp_path) -> None:
 
 
 def test_id_listed_under_two_train_families_is_rejected() -> None:
-    pool = build_pool({n: 2 for n in ("alpha", "beta", "gamma", "delta")})
-    pool.by_family["beta"][0] = pool.by_family["alpha"][0]
+    train = (
+        SampleRecord("alpha-000000", "malicious", "alpha"),
+        SampleRecord("alpha-000000", "malicious", "beta"),
+        SampleRecord("ben-tr-000000", "benign", None),
+        SampleRecord("ben-tr-000001", "benign", None),
+    )
+    test = (
+        SampleRecord("gamma-000000", "malicious", "gamma"),
+        SampleRecord("ben-te-000000", "benign", None),
+    )
     with pytest.raises(PoolError, match="'alpha-000000' appears twice on the train side"):
-        materialize_split(pool, toy_spec(), 2, 1, seed=0)
+        MaterializedSplit("toy-split", train, test, {})
+
+
+def test_pool_contents_are_read_only() -> None:
+    pool = build_pool({"alpha": 2, "beta": 2})
+    with pytest.raises(TypeError):
+        pool.by_family["beta"] = pool.by_family["alpha"]
+    with pytest.raises(TypeError):
+        pool.by_family["beta"][0] = pool.by_family["alpha"][0]
+    with pytest.raises(TypeError):
+        pool.benign[0] = ("alpha-000000", "train")
 
 
 def test_read_split_rejects_a_repeated_id(tmp_path) -> None:

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from famsplit.errors import MatrixFormatError
 from famsplit.matrix import (
+    HEADER_CELL,
     CrossErrorMatrix,
     SynthParams,
     load_matrix,
@@ -15,6 +21,192 @@ from famsplit.matrix import (
 )
 
 from conftest import constant_matrix, make_matrix
+
+
+# Reference loader and writer: the cell-at-a-time implementations, kept
+# unchanged so the row-at-a-time ones can be required to give exactly their
+# bytes, values, error types and messages.
+def reference_load_matrix(path: str | Path) -> CrossErrorMatrix:
+    """Parse a matrix CSV (header line + one row per family)."""
+    path = Path(path)
+    text = path.read_text(encoding="utf-8")
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise MatrixFormatError(f"{path}: empty file")
+    header = lines[0].split(",")
+    if header[0] != HEADER_CELL:
+        raise MatrixFormatError(
+            f"{path}: line 1 must start with {HEADER_CELL!r}, got {header[0]!r}"
+        )
+    families = header[1:]
+    k = len(families)
+    if len(lines) - 1 != k:
+        raise MatrixFormatError(
+            f"{path}: header names {k} families but file has {len(lines) - 1} data rows"
+        )
+    values = np.empty((k, k), dtype=np.float64)
+    for t, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != k + 1:
+            raise MatrixFormatError(
+                f"{path}: line {t} has {len(cells) - 1} entries, expected {k}"
+            )
+        if cells[0] != families[t - 2]:
+            raise MatrixFormatError(
+                f"{path}: line {t} row name {cells[0]!r} does not match header "
+                f"name {families[t - 2]!r}"
+            )
+        for v, cell in enumerate(cells[1:]):
+            try:
+                values[t - 2, v] = float(cell)
+            except ValueError:
+                raise MatrixFormatError(
+                    f"{path}: unparseable number {cell!r} at line {t}, column {v}"
+                ) from None
+            if not 0.0 <= values[t - 2, v] <= 1.0:
+                raise MatrixFormatError(
+                    f"{path}: entry {cell} at line {t}, column {v} outside [0, 1]"
+                )
+    return CrossErrorMatrix(tuple(families), values)
+
+
+def reference_save_matrix(m: CrossErrorMatrix, path: str | Path) -> None:
+    """Write the canonical CSV form (fixed 6-digit decimals, LF newlines)."""
+    path = Path(path)
+    lines = [",".join((HEADER_CELL, *m.families))]
+    for t, family in enumerate(m.families):
+        row = ",".join(f"{x:.6f}" for x in m.values[t])
+        lines.append(f"{family},{row}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def load_outcome(load, path: Path) -> tuple:
+    """What a loader gives for a file: families and value bits, or the error."""
+    try:
+        m = load(path)
+    except Exception as exc:
+        shows_chain = exc.__cause__ is not None or (
+            exc.__context__ is not None and not exc.__suppress_context__
+        )
+        return type(exc), str(exc), shows_chain
+    return m.families, m.values.tobytes()
+
+
+# Cells float() accepts inside [0, 1], in canonical and other spellings.
+VALID_CELLS = st.one_of(
+    st.floats(0.0, 1.0).map("{:.6f}".format),
+    st.floats(0.0, 1.0).map(repr),
+    st.floats(0.0, 1.0).map("{:.3e}".format),
+    st.sampled_from(["0", "1", "-0", "-0.0", " 0.5", "+.5", "1e-1", "0.2_5", "1.0\t", "4e-7"]),
+)
+BAD_CELLS = [
+    "oops", "", "nan", "NaN", "inf", "-inf", "1.5", "-0.1", "0_5", "1e1", "0x1", ".", "0.5.5"
+]
+EDGE_VALUES = [0.0, -0.0, 1.0, 5e-7, 4.999999e-7, 2.5e-7, 1e-300, 5e-324, 0.9999995, 0.0000005]
+
+
+def matrix_csv(families: list[str], rows: list[str], newline: str = "\n") -> str:
+    lines = [",".join((HEADER_CELL, *families)), *rows]
+    return newline.join(lines) + newline
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    grid=st.integers(2, 40).flatmap(
+        lambda k: hnp.arrays(
+            np.float64, (k, k), elements=st.floats(0.0, 1.0) | st.sampled_from(EDGE_VALUES)
+        )
+    )
+)
+def test_save_load_save_is_byte_exact_and_matches_reference(tmp_path_factory, grid) -> None:
+    directory = tmp_path_factory.mktemp("roundtrip")
+    m = make_matrix(grid)
+    save_matrix(m, directory / "a.csv")
+    reference_save_matrix(m, directory / "ref.csv")
+    loaded = load_matrix(directory / "a.csv")
+    save_matrix(loaded, directory / "b.csv")
+    first = (directory / "a.csv").read_bytes()
+    assert first == (directory / "ref.csv").read_bytes()
+    assert first == (directory / "b.csv").read_bytes()
+    assert load_outcome(load_matrix, directory / "a.csv") == load_outcome(
+        reference_load_matrix, directory / "a.csv"
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(k=st.integers(2, 12), data=st.data(), newline=st.sampled_from(["\n", "\r\n"]))
+def test_load_matches_reference_on_valid_spellings(tmp_path_factory, k, data, newline) -> None:
+    families = [f"f{i}" for i in range(k)]
+    rows = [",".join((name, *(data.draw(VALID_CELLS) for _ in range(k)))) for name in families]
+    path = tmp_path_factory.mktemp("valid") / "m.csv"
+    path.write_bytes(matrix_csv(families, rows, newline).encode("utf-8"))
+    outcome = load_outcome(load_matrix, path)
+    assert outcome[0] == tuple(families)
+    assert outcome == load_outcome(reference_load_matrix, path)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    k=st.integers(2, 8),
+    data=st.data(),
+    bad=st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 7), st.sampled_from(BAD_CELLS)), max_size=3
+    ),
+    row_edit=st.sampled_from([None, "short", "long", "rename", "swap", "drop"]),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+def test_load_matches_reference_on_any_file(
+    tmp_path_factory, k, data, bad, row_edit, newline
+) -> None:
+    families = [f"f{i}" for i in range(k)]
+    cells = [[data.draw(VALID_CELLS) for _ in range(k)] for _ in range(k)]
+    for t, v, token in bad:
+        cells[t % k][v % k] = token
+    rows = [",".join((name, *row)) for name, row in zip(families, cells)]
+    t = data.draw(st.integers(0, k - 1), label="edited row")
+    if row_edit == "short":
+        rows[t] = rows[t].rsplit(",", 1)[0]
+    elif row_edit == "long":
+        rows[t] += ",0.5"
+    elif row_edit == "rename":
+        rows[t] = "x" + rows[t]
+    elif row_edit == "swap":
+        rows[t], rows[-1] = rows[-1], rows[t]
+    elif row_edit == "drop":
+        del rows[t]
+    path = tmp_path_factory.mktemp("load") / "m.csv"
+    path.write_bytes(matrix_csv(families, rows, newline).encode("utf-8"))
+    assert load_outcome(load_matrix, path) == load_outcome(reference_load_matrix, path)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["a,0.5,oops", "b,0.5,0.5"],
+        ["a,0.5,0.5", "b,nan,0.5"],
+        ["a,0.5,inf", "b,0.5,0.5"],
+        ["a,0.5,0.5", "b,-inf,0.5"],
+        ["a,0.5,1.000001", "b,0.5,0.5"],
+        ["a,0_5,0.5", "b,0.5,0.5"],
+        ["a, 0.5,0.5", "b,0.5,0.5"],
+        ["a,+.5,0.5", "b,0.5,0.5"],
+        ["a,1e-1,0.5", "b,0.5,0.5"],
+        ["a,0.5", "b,0.5,0.5"],
+        ["a,0.5,0.5,0.5", "b,0.5,0.5"],
+        ["a", "b,0.5,0.5"],
+        ["a,0.5,0.5", "c,0.5,0.5"],
+        ["a,1.5,oops", "b,0.5,0.5"],
+        ["a,oops,1.5", "b,0.5,0.5"],
+        ["a,0.5,0.5", "b,1.5,oops"],
+    ],
+)
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_load_matches_reference_on_edge_files(tmp_path, rows: list[str], newline: str) -> None:
+    path = tmp_path / "m.csv"
+    path.write_bytes(matrix_csv(["a", "b"], rows, newline).encode("utf-8"))
+    assert load_outcome(load_matrix, path) == load_outcome(reference_load_matrix, path)
 
 
 def test_load_minimal_two_family_csv(tmp_path) -> None:

@@ -26,7 +26,8 @@ from conftest import constant_matrix, make_matrix
 
 # Reference search: the list-of-tuples implementation that rebuilt each band
 # level on every pass, kept unchanged so the array-band search can be
-# required to return exactly what it returned.
+# required to return exactly what it returned. Its one later rule: a pass
+# whose band holds every off-diagonal entry keeps drawing instead of relaxing.
 NO_LOWER_BOUND = -1.0
 
 
@@ -64,6 +65,9 @@ def _search_pass(m: CrossErrorMatrix, config: SearchConfig, pass_seed: int) -> S
     values = m.values
     while len(train) < config.set_size:
         if not candidates or attempts_level >= config.max_attempts:
+            if len(candidates) == m.k * (m.k - 1):
+                attempts_level = 0
+                continue
             eps_lo = eps_hi
             relaxations += 1
             eps_hi = _eps_at(config, relaxations)
@@ -213,6 +217,16 @@ def test_search_split_matches_reference(
     assert len(spec.train_families) == len(spec.test_families) == config.set_size
     assert not set(spec.train_families) & set(spec.test_families)
     assert split_max_deviation(m, spec) <= spec.epsilon_final
+
+
+def test_search_stops_relaxing_once_the_band_holds_every_entry() -> None:
+    # Every off-diagonal |0 - 0.9| is in band from level 17 (eps 0.9000...01);
+    # with max_attempts=1 each later rejection used to relax again, to 64.
+    config = SearchConfig(tau=0.9, seed=1, max_attempts=1)
+    spec = search_split(constant_matrix(20, 0.0, diag=0.0), config)
+    assert spec.relaxations == 17
+    assert spec.epsilon_final == _eps_at(config, 17)
+    assert len(spec.train_families) == len(spec.test_families) == 10
 
 
 def test_search_on_uniformly_feasible_matrix_never_relaxes() -> None:
