@@ -1,6 +1,15 @@
 from __future__ import annotations
 
+import json
+import random
+from collections import Counter
+from collections.abc import Sequence
+from dataclasses import dataclass
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from famsplit import manifest
 from famsplit.errors import PoolError
@@ -248,3 +257,262 @@ def test_read_split_rejects_a_repeated_id(tmp_path) -> None:
     test_path.write_text("".join(lines) + lines[0] + lines[-1])
     with pytest.raises(PoolError, match="appears twice on the test side"):
         read_split(tmp_path / "split")
+
+
+# Reference materialize and read path: the record-per-sample implementation,
+# kept unchanged so the split sides can be required to hold exactly the ids
+# and families it produced, and to fail with its error types and messages.
+@dataclass(frozen=True)
+class ReferenceSampleRecord:
+    sample_id: str
+    label: str  # "benign" | "malicious"
+    family: str | None
+
+
+@dataclass(frozen=True)
+class ReferenceMaterializedSplit:
+    split_id: str
+    train: tuple[ReferenceSampleRecord, ...]
+    test: tuple[ReferenceSampleRecord, ...]
+    counts: dict
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "train", tuple(self.train))
+        object.__setattr__(self, "test", tuple(self.test))
+        train_ids = {r.sample_id for r in self.train}
+        test_ids = {r.sample_id for r in self.test}
+        shared = train_ids & test_ids
+        if shared:
+            raise PoolError(f"{len(shared)} sample ids appear in both train and test")
+        for name, records, ids in (("train", self.train, train_ids), ("test", self.test, test_ids)):
+            if len(ids) != len(records):
+                counts = Counter(r.sample_id for r in records)
+                repeated = next(sample_id for sample_id, n in counts.items() if n > 1)
+                raise PoolError(f"sample id {repeated!r} appears twice on the {name} side")
+            malicious = sum(1 for r in records if r.label == "malicious")
+            if 2 * malicious != len(records):
+                raise PoolError(
+                    f"{name} side is not benign-balanced: {malicious} malicious"
+                    f" of {len(records)} records"
+                )
+
+
+def _reference_check_family(pool: SamplePool, family: str, needed: int) -> None:
+    ids = pool.by_family.get(family)
+    if ids is None:
+        raise PoolError(f"family {family!r} missing from pool")
+    if len(ids) < needed:
+        raise PoolError(
+            f"family {family!r} has {len(ids)} samples, needs {needed}"
+            f" (short by {needed - len(ids)})"
+        )
+
+
+def reference_materialize_split(
+    pool: SamplePool,
+    spec: SplitSpec,
+    train_per_family: int = manifest.TRAIN_PER_FAMILY,
+    test_per_family: int = manifest.TEST_PER_FAMILY,
+    seed: int = 0,
+    split_id: str | None = None,
+) -> ReferenceMaterializedSplit:
+    if train_per_family < 1 or test_per_family < 1:
+        raise PoolError("per-family counts must be >= 1")
+    for family in spec.train_families:
+        _reference_check_family(pool, family, train_per_family)
+    for family in spec.test_families:
+        _reference_check_family(pool, family, test_per_family)
+    need_benign_train = len(spec.train_families) * train_per_family
+    need_benign_test = len(spec.test_families) * test_per_family
+    benign_train_ids = pool.benign_ids("train")
+    benign_test_ids = pool.benign_ids("test")
+    if len(benign_train_ids) < need_benign_train:
+        raise PoolError(
+            f"benign train pool has {len(benign_train_ids)} samples,"
+            f" needs {need_benign_train}"
+        )
+    if len(benign_test_ids) < need_benign_test:
+        raise PoolError(
+            f"benign test pool has {len(benign_test_ids)} samples, needs {need_benign_test}"
+        )
+
+    rng = random.Random(seed)
+
+    def pick(ids: Sequence[str], n: int) -> list[str]:
+        shuffled = list(ids)
+        rng.shuffle(shuffled)
+        return shuffled[:n]
+
+    train: list[ReferenceSampleRecord] = []
+    for family in spec.train_families:
+        train.extend(
+            ReferenceSampleRecord(sample_id, "malicious", family)
+            for sample_id in pick(pool.by_family[family], train_per_family)
+        )
+    train.extend(
+        ReferenceSampleRecord(sample_id, "benign", None)
+        for sample_id in pick(benign_train_ids, need_benign_train)
+    )
+    test: list[ReferenceSampleRecord] = []
+    for family in spec.test_families:
+        test.extend(
+            ReferenceSampleRecord(sample_id, "malicious", family)
+            for sample_id in pick(pool.by_family[family], test_per_family)
+        )
+    test.extend(
+        ReferenceSampleRecord(sample_id, "benign", None)
+        for sample_id in pick(benign_test_ids, need_benign_test)
+    )
+
+    per_family = {family: train_per_family for family in spec.train_families}
+    per_family.update({family: test_per_family for family in spec.test_families})
+    counts = {
+        "train_total": len(train),
+        "test_total": len(test),
+        "train_benign": need_benign_train,
+        "test_benign": need_benign_test,
+        "per_family": per_family,
+    }
+    if split_id is None:
+        split_id = f"tau-{spec.tau:g}-seed-{spec.seed}"
+    return ReferenceMaterializedSplit(
+        split_id=split_id, train=tuple(train), test=tuple(test), counts=counts
+    )
+
+
+def _reference_read_records(path: Path) -> list[ReferenceSampleRecord]:
+    records = []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise PoolError(f"{path}: line {lineno}: expected 3 fields, got {len(parts)}")
+        sample_id, label, family = parts
+        if label not in ("benign", "malicious"):
+            raise PoolError(f"{path}: line {lineno}: unknown label {label!r}")
+        records.append(ReferenceSampleRecord(sample_id, label, None if family == "-" else family))
+    return records
+
+
+def reference_read_split(directory: str | Path) -> ReferenceMaterializedSplit:
+    directory = Path(directory)
+    meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
+    return ReferenceMaterializedSplit(
+        split_id=meta["split_id"],
+        train=tuple(_reference_read_records(directory / "train.tsv")),
+        test=tuple(_reference_read_records(directory / "test.tsv")),
+        counts=meta["counts"],
+    )
+
+
+def reference_columns(records) -> tuple[tuple[str, ...], tuple[str | None, ...]]:
+    return tuple(r.sample_id for r in records), tuple(r.family for r in records)
+
+
+def side_columns(side) -> tuple[tuple[str, ...], tuple[str | None, ...]]:
+    return reference_columns(side)
+
+
+def split_outcome(make, *args, **kwargs):
+    """(split_id, train columns, test columns, counts), or the error's type and text."""
+    try:
+        ms = make(*args, **kwargs)
+    except Exception as err:  # noqa: BLE001 - the type is part of the outcome
+        return type(err), str(err)
+    columns = reference_columns if isinstance(ms, ReferenceMaterializedSplit) else side_columns
+    return ms.split_id, columns(ms.train), columns(ms.test), ms.counts
+
+
+@st.composite
+def pools_and_specs(draw):
+    """A small pool and a spec over its families (sometimes one it lacks)."""
+    names = [f"f{i}" for i in range(draw(st.integers(2, 6)))]
+    pool = build_pool(
+        {name: draw(st.integers(0, 6), label=f"size of {name}") for name in names},
+        benign_train=draw(st.integers(0, 30)),
+        benign_test=draw(st.integers(0, 15)),
+    )
+    order = draw(st.permutations([*names, "absent"]))
+    side = draw(st.integers(1, len(order) // 2))
+    spec = SplitSpec(tuple(order[:side]), tuple(order[side : 2 * side]), 0.5, 0.05, 3, 0, 1)
+    return pool, spec
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    pool_spec=pools_and_specs(),
+    train_per_family=st.integers(0, 5),
+    test_per_family=st.integers(0, 3),
+    seed=st.integers(0, 2**64),
+    split_id=st.none() | st.sampled_from(["s", "tau-x"]),
+)
+def test_materialize_matches_reference(
+    pool_spec, train_per_family, test_per_family, seed, split_id
+) -> None:
+    pool, spec = pool_spec
+    args = (pool, spec, train_per_family, test_per_family, seed, split_id)
+    outcome = split_outcome(materialize_split, *args)
+    assert outcome == split_outcome(reference_materialize_split, *args)
+    if len(outcome) == 2:
+        return
+    _, train, test, counts = outcome
+    # The paper's invariants on every split the pool can supply.
+    assert set(train[0]).isdisjoint(test[0])
+    for (ids, families), side_families, per_family in (
+        (train, spec.train_families, train_per_family),
+        (test, spec.test_families, test_per_family),
+    ):
+        assert len(set(ids)) == len(ids)
+        assert 2 * families.count(None) == len(families)
+        malicious = Counter(family for family in families if family is not None)
+        assert malicious == {family: per_family for family in side_families}
+    assert (counts["train_total"], counts["test_total"]) == (len(train[0]), len(test[0]))
+
+
+LINE_BREAKS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+ODD_LABELS = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8
+).filter(lambda label: label not in ("benign", "malicious"))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    name=st.sampled_from(["train.tsv", "test.tsv"]),
+    edit=st.sampled_from(
+        [None, "stray tab", "missing field", "empty line", "crlf", "line break", "unknown label"]
+    ),
+    data=st.data(),
+)
+def test_read_split_matches_reference_on_edited_files(
+    tmp_path_factory, seed, name, edit, data
+) -> None:
+    pool = build_pool({n: 6 for n in ("alpha", "beta", "gamma", "delta")})
+    ms = materialize_split(pool, toy_spec(), 3, 2, seed=seed, split_id="edited")
+    directory = tmp_path_factory.mktemp("split")
+    write_split(ms, directory)
+    path = directory / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = data.draw(st.integers(0, len(lines) - 1), label="edited line")
+    line = lines[row]
+    at = data.draw(st.integers(0, len(line)), label="position in line")
+    if edit == "stray tab":
+        lines[row] = line[:at] + "\t" + line[at:]
+    elif edit == "missing field":
+        fields = line.split("\t")
+        del fields[data.draw(st.integers(0, 2), label="dropped field")]
+        lines[row] = "\t".join(fields)
+    elif edit == "empty line":
+        lines.insert(row, "")
+    elif edit == "line break":
+        lines[row] = line[:at] + data.draw(st.sampled_from(LINE_BREAKS)) + line[at:]
+    elif edit == "unknown label":
+        sample_id, _, family = line.split("\t")
+        lines[row] = "\t".join((sample_id, data.draw(ODD_LABELS), family))
+    newline = "\r\n" if edit == "crlf" else "\n"
+    path.write_text(newline.join(lines) + newline, encoding="utf-8", newline="")
+    outcome = split_outcome(read_split, directory)
+    assert outcome == split_outcome(reference_read_split, directory)
+    if edit in (None, "empty line", "crlf"):
+        assert outcome == split_outcome(lambda: ms)
