@@ -10,8 +10,10 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
+import numpy as np
+
 from famsplit.errors import MatrixFormatError
-from famsplit.matrix import CrossErrorMatrix, row_mean_recall
+from famsplit.matrix import CrossErrorMatrix
 from famsplit.evaluate import Aggregation, surrogate_recall
 
 
@@ -30,8 +32,13 @@ class AblationReport:
     self_recall_min: float
 
 
+def _row_means(m: CrossErrorMatrix) -> list[float]:
+    """Every row's row_mean_recall, bit for bit, in one array expression."""
+    return m.values[~np.eye(m.k, dtype=bool)].reshape(m.k, m.k - 1).mean(axis=1).tolist()
+
+
 def _ranked_indices(m: CrossErrorMatrix, descending: bool) -> list[int]:
-    means = [row_mean_recall(m, t) for t in range(m.k)]
+    means = _row_means(m)
     sign = -1.0 if descending else 1.0
     return sorted(range(m.k), key=lambda t: (sign * means[t], t))
 

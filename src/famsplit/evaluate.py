@@ -8,7 +8,9 @@ benchmark's difficulty be validated without training anything.
 from __future__ import annotations
 
 import statistics
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Literal
 
@@ -126,37 +128,26 @@ def evaluate_predictions(ms: MaterializedSplit, preds: PredictionSet) -> EvalRes
     Accuracy is raw accuracy; on these splits the classes are exactly
     balanced, so it coincides with balanced accuracy.
     """
-    missing = [r.sample_id for r in ms.test if r.sample_id not in preds.scores]
+    ids, families = ms.test.ids, ms.test.families
+    scores, threshold = preds.scores, preds.threshold
+    missing = [sample_id for sample_id in ids if sample_id not in scores]
     if missing:
         shown = ", ".join(missing[:10])
         more = "" if len(missing) <= 10 else f" (+{len(missing) - 10} more)"
         raise PredictionError(f"missing predictions for {len(missing)} ids: {shown}{more}")
-    family_total: dict[str, int] = {}
-    family_hit: dict[str, int] = {}
-    benign_total = 0
-    benign_correct = 0
-    correct = 0
-    for record in ms.test:
-        flagged = preds.scores[record.sample_id] >= preds.threshold
-        if record.label == "malicious":
-            family = record.family or ""
-            family_total[family] = family_total.get(family, 0) + 1
-            if flagged:
-                family_hit[family] = family_hit.get(family, 0) + 1
-                correct += 1
-        else:
-            benign_total += 1
-            if not flagged:
-                benign_correct += 1
-                correct += 1
-    per_family = {
-        family: family_hit.get(family, 0) / total for family, total in family_total.items()
-    }
+    flagged = [scores[sample_id] >= threshold for sample_id in ids]
+    # Counters keep first-appearance order, which per_family_recall's keys
+    # (and so the evaluate report's bytes) follow. Benign samples count under None.
+    family_total = Counter(families)
+    family_hit = Counter(compress(families, flagged))
+    benign_total = family_total.pop(None)
+    benign_correct = benign_total - family_hit.pop(None, 0)
+    per_family = {family: family_hit[family] / total for family, total in family_total.items()}
     return EvalResult(
         per_family_recall=per_family,
-        benign_accuracy=benign_correct / benign_total if benign_total else 0.0,
-        overall_accuracy=correct / len(ms.test) if ms.test else 0.0,
-        malware_recall_mean=statistics.fmean(per_family.values()) if per_family else 0.0,
+        benign_accuracy=benign_correct / benign_total,
+        overall_accuracy=(sum(family_hit.values()) + benign_correct) / len(ids),
+        malware_recall_mean=statistics.fmean(per_family.values()),
     )
 
 

@@ -9,6 +9,7 @@ Malicious counts are matched 1:1 by benign samples on each side.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from collections import Counter
 from collections.abc import Mapping, Sequence
@@ -75,39 +76,55 @@ class SamplePool:
 
 
 @dataclass(frozen=True)
-class SampleRecord:
-    sample_id: str
-    label: str  # "benign" | "malicious"
-    family: str | None
+class SplitSide:
+    """One side of a split as parallel columns: sample ids and their families.
+
+    A family of None marks a benign sample, so each label is derived from its
+    family and the two cannot disagree.
+    """
+
+    ids: tuple[str, ...]
+    families: tuple[str | None, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "families", tuple(self.families))
+        if len(self.ids) != len(self.families):
+            raise PoolError(f"{len(self.ids)} sample ids but {len(self.families)} families")
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
 class MaterializedSplit:
-    """Concrete train/test record lists for one split."""
+    """Concrete train/test sample columns for one split."""
 
     split_id: str
-    train: tuple[SampleRecord, ...]
-    test: tuple[SampleRecord, ...]
+    train: SplitSide
+    test: SplitSide
     counts: dict
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "train", tuple(self.train))
-        object.__setattr__(self, "test", tuple(self.test))
-        train_ids = {r.sample_id for r in self.train}
-        test_ids = {r.sample_id for r in self.test}
+        sides = (("train", self.train), ("test", self.test))
+        for name, side in sides:
+            if not side.ids:
+                raise PoolError(f"{name} side has no records")
+        train_ids = set(self.train.ids)
+        test_ids = set(self.test.ids)
         shared = train_ids & test_ids
         if shared:
             raise PoolError(f"{len(shared)} sample ids appear in both train and test")
-        for name, records, ids in (("train", self.train, train_ids), ("test", self.test, test_ids)):
-            if len(ids) != len(records):
-                counts = Counter(r.sample_id for r in records)
+        for (name, side), ids in zip(sides, (train_ids, test_ids)):
+            if len(ids) != len(side.ids):
+                counts = Counter(side.ids)
                 repeated = next(sample_id for sample_id, n in counts.items() if n > 1)
                 raise PoolError(f"sample id {repeated!r} appears twice on the {name} side")
-            malicious = sum(1 for r in records if r.label == "malicious")
-            if 2 * malicious != len(records):
+            malicious = len(side.families) - side.families.count(None)
+            if 2 * malicious != len(side.ids):
                 raise PoolError(
                     f"{name} side is not benign-balanced: {malicious} malicious"
-                    f" of {len(records)} records"
+                    f" of {len(side.ids)} records"
                 )
 
 
@@ -141,6 +158,11 @@ def load_pool(path: str | Path) -> SamplePool:
             if origin not in _ORIGINS:
                 raise PoolError(f"{path}: line {lineno}: benign origin must be train|test")
             benign.append((sample_id, origin))
+    # Each list becomes a tuple and is dropped in turn, so SamplePool's tuple()
+    # is free and no second full copy of the pool is ever held.
+    for family in by_family:
+        by_family[family] = tuple(by_family[family])
+    benign = tuple(benign)
     return SamplePool(by_family=by_family, benign=benign)
 
 
@@ -213,26 +235,20 @@ def materialize_split(
         rng.shuffle(shuffled)
         return shuffled[:n]
 
-    train: list[SampleRecord] = []
-    for family in spec.train_families:
-        train.extend(
-            SampleRecord(sample_id, "malicious", family)
-            for sample_id in pick(pool.by_family[family], train_per_family)
-        )
-    train.extend(
-        SampleRecord(sample_id, "benign", None)
-        for sample_id in pick(benign_train_ids, need_benign_train)
-    )
-    test: list[SampleRecord] = []
-    for family in spec.test_families:
-        test.extend(
-            SampleRecord(sample_id, "malicious", family)
-            for sample_id in pick(pool.by_family[family], test_per_family)
-        )
-    test.extend(
-        SampleRecord(sample_id, "benign", None)
-        for sample_id in pick(benign_test_ids, need_benign_test)
-    )
+    def side(
+        side_families: tuple[str, ...], per_family: int, benign: list[str], need_benign: int
+    ) -> SplitSide:
+        ids: list[str] = []
+        families: list[str | None] = []
+        for family in side_families:
+            ids += pick(pool.by_family[family], per_family)
+            families += [family] * per_family
+        ids += pick(benign, need_benign)
+        families += [None] * need_benign
+        return SplitSide(ids, families)
+
+    train = side(spec.train_families, train_per_family, benign_train_ids, need_benign_train)
+    test = side(spec.test_families, test_per_family, benign_test_ids, need_benign_test)
 
     per_family = {family: train_per_family for family in spec.train_families}
     per_family.update({family: test_per_family for family in spec.test_families})
@@ -245,17 +261,13 @@ def materialize_split(
     }
     if split_id is None:
         split_id = f"tau-{spec.tau:g}-seed-{spec.seed}"
-    return MaterializedSplit(split_id=split_id, train=tuple(train), test=tuple(test), counts=counts)
+    return MaterializedSplit(split_id=split_id, train=train, test=test, counts=counts)
 
 
-def _records_to_lines(records: tuple[SampleRecord, ...]) -> str:
-    return (
-        "\n".join(
-            f"{r.sample_id}\t{r.label}\t{r.family if r.family is not None else '-'}"
-            for r in records
-        )
-        + "\n"
-    )
+def _side_text(side: SplitSide) -> str:
+    suffixes = {family: f"\tmalicious\t{family}\n" for family in set(side.families)}
+    suffixes[None] = "\tbenign\t-\n"
+    return "".join(map(operator.add, side.ids, map(suffixes.__getitem__, side.families)))
 
 
 def split_meta(ms: MaterializedSplit, spec: SplitSpec, seed: int,
@@ -278,16 +290,57 @@ def write_split(ms: MaterializedSplit, directory: str | Path, meta: dict | None 
     """Write train.tsv, test.tsv, and meta.json under `directory`."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "train.tsv").write_text(_records_to_lines(ms.train), encoding="utf-8")
-    (directory / "test.tsv").write_text(_records_to_lines(ms.test), encoding="utf-8")
+    (directory / "train.tsv").write_text(_side_text(ms.train), encoding="utf-8")
+    (directory / "test.tsv").write_text(_side_text(ms.test), encoding="utf-8")
     if meta is None:
         meta = {"split_id": ms.split_id, "counts": ms.counts}
     (directory / "meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
-def _read_records(path: Path) -> list[SampleRecord]:
-    records = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+# Every line break str.splitlines() honours besides "\n".
+_OTHER_LINE_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def _read_side(path: Path) -> SplitSide:
+    """Parse one split TSV into columns.
+
+    The text is split once into a flat field list, and columns are taken as
+    slices. That runs only when the text is proven well formed: "\n" is its
+    only line break and ends it, each line has exactly three fields (so a
+    stray tab cannot shift the columns), every label is known, and every
+    benign line, and only those, has family "-". Any other text goes to the
+    line parser, which reports the first fault by line number.
+    """
+    text = path.read_text(encoding="utf-8")
+    if text.endswith("\n") and not any(c in text for c in _OTHER_LINE_BREAKS):
+        n = text.count("\n")
+        # Each newline becomes a field of its own, so n newline fields at
+        # every fourth place leave exactly three fields on each line.
+        fields = text.replace("\n", "\t\n\t").split("\t")[:-1]
+        labels = fields[1::4]
+        families = fields[2::4]
+        benign = labels.count("benign")
+        # A "\tbenign\t-\n" match spans a whole line's label and family, so
+        # it counts the lines that are both benign and "-".
+        if (
+            len(fields) == 4 * n
+            and fields[3::4].count("\n") == n
+            and labels.count("malicious") == n - benign
+            and families.count("-") == benign == text.count("\tbenign\t-\n")
+            and "\tmalicious\t\n" not in text
+        ):
+            # One string object per family name, and None for benign.
+            canonical = {family: family for family in set(families)}
+            canonical["-"] = None
+            return SplitSide(fields[0::4], map(canonical.__getitem__, families))
+    return _read_side_by_line(path, text)
+
+
+def _read_side_by_line(path: Path, text: str) -> SplitSide:
+    ids: list[str] = []
+    families: list[str | None] = []
+    mismatch = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line:
             continue
         parts = line.split("\t")
@@ -296,17 +349,44 @@ def _read_records(path: Path) -> list[SampleRecord]:
         sample_id, label, family = parts
         if label not in _LABELS:
             raise PoolError(f"{path}: line {lineno}: unknown label {label!r}")
-        records.append(SampleRecord(sample_id, label, None if family == "-" else family))
-    return records
+        if mismatch is None:
+            if label == "malicious" and (family == "-" or not family):
+                mismatch = f"line {lineno}: malicious record without family"
+            elif label == "benign" and family != "-":
+                mismatch = f"line {lineno}: benign record with family {family!r}"
+        ids.append(sample_id)
+        families.append(None if family == "-" else family)
+    # Reported once every line has parsed: a line break inside a line can
+    # leave a three-field prefix with an empty family, and the fields error
+    # of the line's remainder names the real fault.
+    if mismatch is not None:
+        raise PoolError(f"{path}: {mismatch}")
+    return SplitSide(ids, families)
 
 
 def read_split(directory: str | Path) -> MaterializedSplit:
     """Load a split directory written by write_split."""
     directory = Path(directory)
-    meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
-    return MaterializedSplit(
+    meta_path = directory / "meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    if not isinstance(meta, dict) or not isinstance(meta.get("counts", {}), dict):
+        raise PoolError(f"{meta_path}: meta and its 'counts' must be JSON objects")
+    missing = [key for key in ("split_id", "counts") if key not in meta] or [
+        f"counts.{key}" for key in ("train_total", "test_total") if key not in meta["counts"]
+    ]
+    if missing:
+        raise PoolError(f"{meta_path}: missing key {missing[0]!r}")
+    ms = MaterializedSplit(
         split_id=meta["split_id"],
-        train=tuple(_read_records(directory / "train.tsv")),
-        test=tuple(_read_records(directory / "test.tsv")),
+        train=_read_side(directory / "train.tsv"),
+        test=_read_side(directory / "test.tsv"),
         counts=meta["counts"],
     )
+    for name, side in (("train", ms.train), ("test", ms.test)):
+        total = ms.counts[f"{name}_total"]
+        if total != len(side):
+            raise PoolError(
+                f"{meta_path}: counts.{name}_total is {total},"
+                f" but {name}.tsv holds {len(side)} records"
+            )
+    return ms

@@ -2,8 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from famsplit.ablation import ablation_report, select_top_k, select_worst_k, selection_curve
+from famsplit.ablation import (
+    _ranked_indices,
+    _row_means,
+    ablation_report,
+    select_top_k,
+    select_worst_k,
+    selection_curve,
+)
 from famsplit.errors import MatrixFormatError
 from famsplit.matrix import row_mean_recall
 
@@ -120,3 +130,30 @@ def test_selection_curve_spans_requested_ks(paper_matrix) -> None:
     points = selection_curve(paper_matrix, "top", (5, 10, 15), agg="mean")
     assert [k for k, _ in points] == [5, 10, 15]
     assert all(0.0 <= y <= 1.0 for _, y in points)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    grid=st.sampled_from([2, 3, 17, 40, 184, 1000]).flatmap(
+        lambda k: hnp.arrays(
+            np.float64,
+            (k, k),
+            # Few distinct values, so rows often tie exactly.
+            elements=st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]),
+        )
+    )
+)
+def test_row_means_are_row_mean_recall_bit_for_bit(grid) -> None:
+    m = make_matrix(grid)
+    reference = [row_mean_recall(m, t) for t in range(m.k)]
+    assert list(map(float.hex, _row_means(m))) == list(map(float.hex, reference))
+    for descending, sign in ((True, -1.0), (False, 1.0)):
+        expected = sorted(range(m.k), key=lambda t: (sign * reference[t], t))
+        assert _ranked_indices(m, descending) == expected
+
+
+@pytest.mark.parametrize("k", [3, 17, 184, 1000])
+def test_row_means_match_on_dense_random_matrices(k) -> None:
+    m = make_matrix(np.random.default_rng(k).random((k, k)))
+    reference = [row_mean_recall(m, t) for t in range(m.k)]
+    assert list(map(float.hex, _row_means(m))) == list(map(float.hex, reference))

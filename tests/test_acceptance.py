@@ -151,10 +151,10 @@ def test_criterion_6_materialization_counts() -> None:
     assert ms.counts["test_total"] == 40_000
     assert len(ms.train) == 160_000
     assert len(ms.test) == 40_000
-    assert sum(1 for r in ms.train if r.label == "benign") == 80_000
-    assert sum(1 for r in ms.test if r.label == "benign") == 20_000
-    train_ids = {r.sample_id for r in ms.train}
-    test_ids = {r.sample_id for r in ms.test}
+    assert ms.train.families.count(None) == 80_000
+    assert ms.test.families.count(None) == 20_000
+    train_ids = set(ms.train.ids)
+    test_ids = set(ms.test.ids)
     assert len(train_ids) == 160_000
     assert len(test_ids) == 40_000
     assert not train_ids & test_ids

@@ -11,7 +11,7 @@ from famsplit.evaluate import (
     surrogate_recall,
     validate_benchmark,
 )
-from famsplit.manifest import MaterializedSplit, SampleRecord
+from famsplit.manifest import MaterializedSplit, SplitSide
 from famsplit.search import SearchConfig, generate_benchmark
 
 from conftest import constant_matrix, make_matrix
@@ -100,29 +100,18 @@ def test_difficulty_tiers_are_strictly_ordered(paper_matrix) -> None:
 
 
 def toy_split():
-    train = [
-        SampleRecord("m1", "malicious", "alpha"),
-        SampleRecord("m2", "malicious", "alpha"),
-        SampleRecord("b1", "benign", None),
-        SampleRecord("b2", "benign", None),
-    ]
-    test = [
-        SampleRecord("t1", "malicious", "beta"),
-        SampleRecord("t2", "malicious", "beta"),
-        SampleRecord("t3", "malicious", "gamma"),
-        SampleRecord("t4", "malicious", "gamma"),
-        SampleRecord("u1", "benign", None),
-        SampleRecord("u2", "benign", None),
-        SampleRecord("u3", "benign", None),
-        SampleRecord("u4", "benign", None),
-    ]
+    train = SplitSide(("m1", "m2", "b1", "b2"), ("alpha", "alpha", None, None))
+    test = SplitSide(
+        ("t1", "t2", "t3", "t4", "u1", "u2", "u3", "u4"),
+        ("beta", "beta", "gamma", "gamma", None, None, None, None),
+    )
     counts = {"train_total": 4, "test_total": 8}
-    return MaterializedSplit("toy", tuple(train), tuple(test), counts)
+    return MaterializedSplit("toy", train, test, counts)
 
 
 def test_perfect_predictor_scores_one_everywhere() -> None:
     ms = toy_split()
-    scores = {r.sample_id: (1.0 if r.label == "malicious" else 0.0) for r in ms.test}
+    scores = {i: (0.0 if f is None else 1.0) for i, f in zip(ms.test.ids, ms.test.families)}
     result = evaluate_predictions(ms, PredictionSet(scores))
     assert result.overall_accuracy == 1.0
     assert result.benign_accuracy == 1.0
@@ -132,7 +121,7 @@ def test_perfect_predictor_scores_one_everywhere() -> None:
 
 def test_constant_alarm_predictor_hits_the_failure_mode() -> None:
     ms = toy_split()
-    result = evaluate_predictions(ms, PredictionSet({r.sample_id: 1.0 for r in ms.test}))
+    result = evaluate_predictions(ms, PredictionSet(dict.fromkeys(ms.test.ids, 1.0)))
     assert result.malware_recall_mean == 1.0
     assert result.benign_accuracy == 0.0
     assert result.overall_accuracy == 0.5
@@ -164,13 +153,13 @@ def test_overall_accuracy_matches_independent_recount() -> None:
 
     ms = toy_split()
     rng = random.Random(13)
-    scores = {r.sample_id: rng.random() for r in ms.test}
+    scores = {sample_id: rng.random() for sample_id in ms.test.ids}
     preds = PredictionSet(scores, threshold=0.5)
     result = evaluate_predictions(ms, preds)
     correct = 0
-    for r in ms.test:
-        predicted_malicious = scores[r.sample_id] >= 0.5
-        actually_malicious = r.label == "malicious"
+    for sample_id, family in zip(ms.test.ids, ms.test.families):
+        predicted_malicious = scores[sample_id] >= 0.5
+        actually_malicious = family is not None
         if predicted_malicious == actually_malicious:
             correct += 1
     assert result.overall_accuracy == correct / len(ms.test)
@@ -178,7 +167,7 @@ def test_overall_accuracy_matches_independent_recount() -> None:
 
 def test_missing_predictions_are_reported_by_id() -> None:
     ms = toy_split()
-    scores = {r.sample_id: 1.0 for r in ms.test if r.sample_id != "t3"}
+    scores = {sample_id: 1.0 for sample_id in ms.test.ids if sample_id != "t3"}
     with pytest.raises(PredictionError) as err:
         evaluate_predictions(ms, PredictionSet(scores))
     assert "t3" in str(err.value)

@@ -16,7 +16,7 @@ from famsplit.errors import PoolError
 from famsplit.manifest import (
     MaterializedSplit,
     SamplePool,
-    SampleRecord,
+    SplitSide,
     load_pool,
     materialize_split,
     read_split,
@@ -41,6 +41,12 @@ def build_pool(
 
 def toy_spec() -> SplitSpec:
     return SplitSpec(("alpha", "beta"), ("gamma", "delta"), 0.5, 0.05, 11, 0, 4)
+
+
+def written_split(directory: Path) -> Path:
+    pool = build_pool({n: 10 for n in ("alpha", "beta", "gamma", "delta")})
+    write_split(materialize_split(pool, toy_spec(), 8, 2, seed=2, split_id="toy"), directory)
+    return directory
 
 
 def test_minimal_pool_loads(tmp_path) -> None:
@@ -138,11 +144,11 @@ def test_materialize_toy_counts() -> None:
     assert ms.counts["test_total"] == 8
     assert len(ms.train) == 32
     assert len(ms.test) == 8
-    train_malicious = [r for r in ms.train if r.label == "malicious"]
+    train_malicious = [family for family in ms.train.families if family is not None]
     assert len(train_malicious) == 16
-    assert {r.family for r in train_malicious} == {"alpha", "beta"}
-    test_malicious = [r for r in ms.test if r.label == "malicious"]
-    assert {r.family for r in test_malicious} == {"gamma", "delta"}
+    assert set(train_malicious) == {"alpha", "beta"}
+    test_malicious = [family for family in ms.test.families if family is not None]
+    assert set(test_malicious) == {"gamma", "delta"}
 
 
 def test_materialize_is_deterministic_and_seed_sensitive() -> None:
@@ -153,21 +159,17 @@ def test_materialize_is_deterministic_and_seed_sensitive() -> None:
     assert a == b
     c = materialize_split(pool, spec, 8, 2, seed=6)
     assert c.counts == a.counts
-    assert [r.sample_id for r in c.train if r.label == "benign"] != [
-        r.sample_id for r in a.train if r.label == "benign"
-    ]
+    assert c.train.ids[16:] != a.train.ids[16:]  # the benign tail
 
 
 def test_materialize_has_no_leakage() -> None:
     pool = build_pool({n: 12 for n in ("alpha", "beta", "gamma", "delta")})
     spec = toy_spec()
     ms = materialize_split(pool, spec, 8, 2, seed=9)
-    train_ids = {r.sample_id for r in ms.train}
-    test_ids = {r.sample_id for r in ms.test}
-    assert not train_ids & test_ids
+    assert not set(ms.train.ids) & set(ms.test.ids)
     # No malicious record may sit on the wrong side of the family split.
-    assert all(r.family in spec.train_families for r in ms.train if r.label == "malicious")
-    assert all(r.family in spec.test_families for r in ms.test if r.label == "malicious")
+    assert set(ms.train.families) == {*spec.train_families, None}
+    assert set(ms.test.families) == {*spec.test_families, None}
 
 
 def test_materialize_errors_name_the_shortfall() -> None:
@@ -189,12 +191,13 @@ def test_materialize_errors_name_the_shortfall() -> None:
 
 
 def test_materialized_split_invariants_are_enforced() -> None:
-    record = SampleRecord("x", "malicious", "alpha")
-    benign = SampleRecord("y", "benign", None)
+    side = SplitSide(("x", "y"), ("alpha", None))
     with pytest.raises(PoolError, match="both train and test"):
-        MaterializedSplit("dup", (record, benign), (record, benign), {})
+        MaterializedSplit("dup", side, side, {})
     with pytest.raises(PoolError, match="not benign-balanced"):
-        MaterializedSplit("skew", (record,), (benign,), {})
+        MaterializedSplit("skew", SplitSide(("x",), ("alpha",)), SplitSide(("y",), (None,)), {})
+    with pytest.raises(PoolError, match="2 sample ids but 1 families"):
+        SplitSide(("x", "y"), ("alpha",))
 
 
 def test_write_split_produces_three_deterministic_files(tmp_path) -> None:
@@ -223,16 +226,11 @@ def test_split_round_trip_through_directory(tmp_path) -> None:
 
 
 def test_id_listed_under_two_train_families_is_rejected() -> None:
-    train = (
-        SampleRecord("alpha-000000", "malicious", "alpha"),
-        SampleRecord("alpha-000000", "malicious", "beta"),
-        SampleRecord("ben-tr-000000", "benign", None),
-        SampleRecord("ben-tr-000001", "benign", None),
+    train = SplitSide(
+        ("alpha-000000", "alpha-000000", "ben-tr-000000", "ben-tr-000001"),
+        ("alpha", "beta", None, None),
     )
-    test = (
-        SampleRecord("gamma-000000", "malicious", "gamma"),
-        SampleRecord("ben-te-000000", "benign", None),
-    )
+    test = SplitSide(("gamma-000000", "ben-te-000000"), ("gamma", None))
     with pytest.raises(PoolError, match="'alpha-000000' appears twice on the train side"):
         MaterializedSplit("toy-split", train, test, {})
 
@@ -410,8 +408,8 @@ def reference_columns(records) -> tuple[tuple[str, ...], tuple[str | None, ...]]
     return tuple(r.sample_id for r in records), tuple(r.family for r in records)
 
 
-def side_columns(side) -> tuple[tuple[str, ...], tuple[str | None, ...]]:
-    return reference_columns(side)
+def side_columns(side: SplitSide) -> tuple[tuple[str, ...], tuple[str | None, ...]]:
+    return side.ids, side.families
 
 
 def split_outcome(make, *args, **kwargs):
@@ -483,10 +481,11 @@ ODD_LABELS = st.text(
     edit=st.sampled_from(
         [None, "stray tab", "missing field", "empty line", "crlf", "line break", "unknown label"]
     ),
+    final_newline=st.booleans(),
     data=st.data(),
 )
 def test_read_split_matches_reference_on_edited_files(
-    tmp_path_factory, seed, name, edit, data
+    tmp_path_factory, seed, name, edit, final_newline, data
 ) -> None:
     pool = build_pool({n: 6 for n in ("alpha", "beta", "gamma", "delta")})
     ms = materialize_split(pool, toy_spec(), 3, 2, seed=seed, split_id="edited")
@@ -511,8 +510,92 @@ def test_read_split_matches_reference_on_edited_files(
         sample_id, _, family = line.split("\t")
         lines[row] = "\t".join((sample_id, data.draw(ODD_LABELS), family))
     newline = "\r\n" if edit == "crlf" else "\n"
-    path.write_text(newline.join(lines) + newline, encoding="utf-8", newline="")
+    text = newline.join(lines) + (newline if final_newline else "")
+    path.write_text(text, encoding="utf-8", newline="")
     outcome = split_outcome(read_split, directory)
     assert outcome == split_outcome(reference_read_split, directory)
     if edit in (None, "empty line", "crlf"):
         assert outcome == split_outcome(lambda: ms)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # A short line then a long one: the field count and the label column
+        # both come out right, only the line structure shows the shift.
+        lambda lines: "\n".join([lines[0].rsplit("\t", 1)[0], "x\t" + lines[1], *lines[2:]])
+        + "\n",
+        # A last line of one field and no newline.
+        lambda lines: "\n".join([*lines, "x"]),
+    ],
+)
+def test_read_split_matches_reference_where_only_line_structure_is_wrong(
+    tmp_path, edit
+) -> None:
+    directory = written_split(tmp_path / "split")
+    path = directory / "train.tsv"
+    path.write_text(edit(path.read_text().splitlines()))
+    outcome = split_outcome(read_split, directory)
+    assert outcome == split_outcome(reference_read_split, directory)
+    assert "expected 3 fields" in outcome[1]
+
+
+@pytest.mark.parametrize(
+    ("meta", "key"),
+    [
+        ({"split_id": "x"}, "'counts'"),
+        ({"counts": {"train_total": 32, "test_total": 8}}, "'split_id'"),
+        ({"split_id": "x", "counts": {"test_total": 8}}, "'counts.train_total'"),
+    ],
+)
+def test_read_split_names_a_missing_meta_key(tmp_path, meta, key) -> None:
+    directory = written_split(tmp_path / "split")
+    (directory / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(PoolError, match=rf"meta\.json: missing key {key}"):
+        read_split(directory)
+
+
+@pytest.mark.parametrize("meta", [[], 5, {"split_id": "x", "counts": 5}])
+def test_read_split_rejects_meta_that_is_not_an_object(tmp_path, meta) -> None:
+    directory = written_split(tmp_path / "split")
+    (directory / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(PoolError, match=r"meta\.json: meta and its 'counts' must be JSON objects"):
+        read_split(directory)
+
+
+@pytest.mark.parametrize("side", ["train", "test"])
+def test_read_split_rejects_totals_that_disagree_with_the_rows(tmp_path, side) -> None:
+    directory = written_split(tmp_path / "split")
+    meta = json.loads((directory / "meta.json").read_text())
+    meta["counts"][f"{side}_total"] += 2
+    (directory / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(PoolError, match=rf"counts\.{side}_total is \d+, but {side}\.tsv holds"):
+        read_split(directory)
+
+
+@pytest.mark.parametrize("side", ["train", "test"])
+def test_a_split_side_without_records_is_rejected(tmp_path, side) -> None:
+    directory = written_split(tmp_path / "split")
+    (directory / f"{side}.tsv").write_text("")
+    with pytest.raises(PoolError, match=f"{side} side has no records"):
+        read_split(directory)
+
+
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        ("x\tmalicious\t-", "line 3: malicious record without family"),
+        ("x\tmalicious\t", "line 3: malicious record without family"),
+        ("x\tbenign\tgamma", "line 3: benign record with family 'gamma'"),
+    ],
+)
+def test_read_split_rejects_a_label_that_disagrees_with_its_family(
+    tmp_path, line, message
+) -> None:
+    directory = written_split(tmp_path / "split")
+    path = directory / "test.tsv"
+    lines = path.read_text().splitlines()
+    lines[2] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(PoolError, match=message):
+        read_split(directory)
