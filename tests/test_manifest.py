@@ -71,6 +71,14 @@ def test_pool_at_paper_family_size(tmp_path) -> None:
     assert len(load_pool(path).by_family["alpha"]) == 10_000
 
 
+def test_benign_partitions_keep_pool_order() -> None:
+    rng = random.Random(4)
+    benign = [(f"ben-{i:03d}", rng.choice(("train", "test"))) for i in range(200)]
+    pool = SamplePool(by_family={}, benign=benign)
+    for origin in ("train", "test"):
+        assert list(pool.benign_ids(origin)) == [i for i, tag in benign if tag == origin]
+
+
 def test_pool_save_load_round_trip(tmp_path) -> None:
     pool = build_pool({"alpha": 3, "beta": 2}, benign_train=4, benign_test=2)
     first = tmp_path / "a.tsv"

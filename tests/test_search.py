@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import replace
 
@@ -9,15 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from famsplit.errors import InfeasibleSearchError
+from famsplit.errors import InfeasibleSearchError, MatrixFormatError
 from famsplit.matrix import CrossErrorMatrix, SynthParams, synth_matrix
 from famsplit.search import (
     SEARCH_RESTARTS,
     SearchConfig,
     SplitSpec,
+    benchmark_from_dict,
     benchmark_to_dict,
     derive_seed,
     generate_benchmark,
+    load_benchmark,
     search_split,
     split_max_deviation,
 )
@@ -333,3 +336,100 @@ def test_no_family_is_on_both_sides_of_any_split(paper_matrix) -> None:
         for spec in bench.splits:
             assert not set(spec.train_families) & set(spec.test_families)
             assert len(spec.train_families) == len(spec.test_families) == 10
+
+
+def test_benchmark_document_round_trips_a_generated_tier(paper_matrix, tmp_path) -> None:
+    bench = generate_benchmark(paper_matrix, SearchConfig(tau=0.5, seed=3), n_splits=3)
+    doc = benchmark_to_dict(bench)
+    assert benchmark_from_dict(doc) == bench
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    loaded = load_benchmark(path)
+    assert loaded == bench
+    assert benchmark_to_dict(loaded) == doc
+    assert list(doc) == ["difficulty_label", "tau", "epsilon0", "step", "max_attempts",
+                         "set_size", "seed", "splits"]
+
+
+def _small_benchmark_document() -> dict:
+    m = constant_matrix(6, 0.5)
+    return benchmark_to_dict(generate_benchmark(m, SearchConfig(tau=0.5, set_size=2), 2))
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["difficulty_label", "tau", "epsilon0", "step", "max_attempts", "set_size", "seed", "splits"],
+)
+def test_benchmark_document_missing_field_is_a_format_error(field) -> None:
+    doc = _small_benchmark_document()
+    del doc[field]
+    with pytest.raises(MatrixFormatError, match=f"missing field '{field}'"):
+        benchmark_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["train_families", "test_families", "epsilon_final", "relaxations", "attempts_total", "seed"],
+)
+def test_benchmark_document_missing_split_field_is_a_format_error(field) -> None:
+    doc = _small_benchmark_document()
+    del doc["splits"][1][field]
+    with pytest.raises(MatrixFormatError, match=f"missing field '{field}'"):
+        benchmark_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: [doc],
+        lambda doc: {**doc, "splits": 3},
+        lambda doc: {**doc, "splits": ["split"]},
+        lambda doc: {**doc, "splits": [None]},
+        lambda doc: {**doc, "tau": "0.5"},
+        lambda doc: {**doc, "set_size": None},
+        lambda doc: {**doc, "splits": [{**doc["splits"][0], "train_families": 5}]},
+    ],
+    ids=["list", "int-splits", "str-split", "null-split", "str-tau", "null-set-size",
+         "int-families"],
+)
+def test_wrong_typed_benchmark_document_is_a_format_error(edit) -> None:
+    with pytest.raises(MatrixFormatError, match="malformed benchmark document"):
+        benchmark_from_dict(edit(_small_benchmark_document()))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    k=st.integers(4, 24),
+    matrix_seed=st.integers(0, 2**32 - 1),
+    decimals=st.sampled_from([2, None]),
+    tau=st.sampled_from([0.9, 0.5, 0.25]) | st.floats(0.01, 0.99),
+    epsilon0=st.sampled_from([0.05, 0.02]),
+    step=st.sampled_from([0.05, 0.01]),
+    max_attempts=st.integers(1, 8),
+    seed=st.integers(0, 2**64 - 1),
+    n_splits=st.integers(1, 5),
+    data=st.data(),
+)
+def test_tier_splits_equal_independent_split_searches(
+    k, matrix_seed, decimals, tau, epsilon0, step, max_attempts, seed, n_splits, data
+) -> None:
+    # Split i of a tier is the search of split i alone, whatever the splits
+    # before it did: nothing a tier shares between its splits may leak.
+    grid = np.random.default_rng(matrix_seed).uniform(0.0, 1.0, (k, k))
+    if decimals is not None:
+        grid = np.round(grid, decimals)
+    m = make_matrix(grid)
+    config = SearchConfig(
+        tau=tau,
+        epsilon0=epsilon0,
+        step=step,
+        max_attempts=max_attempts,
+        set_size=data.draw(st.integers(1, k // 2), label="set_size"),
+        seed=seed,
+    )
+    bench = generate_benchmark(m, config, n_splits)
+    assert bench.config == config
+    assert bench.splits == tuple(
+        search_split(m, replace(config, seed=derive_seed(config.seed, i)))
+        for i in range(n_splits)
+    )
