@@ -25,11 +25,12 @@ class AblationReport:
     when the selection spans the whole matrix.
     """
 
+    # Field order is the ablate report's key order.
     selected_families: tuple[str, ...]
-    per_family_recall: dict[str, float]
     mean_off_selected: float | None
     std_off_selected: float | None
     self_recall_min: float
+    per_family_recall: dict[str, float]
 
 
 def _row_means(m: CrossErrorMatrix) -> list[float]:
@@ -73,10 +74,10 @@ def ablation_report(
     own = [recall for family, recall in per_family.items() if family in chosen]
     return AblationReport(
         selected_families=tuple(selected),
-        per_family_recall=per_family,
         mean_off_selected=statistics.fmean(off) if off else None,
         std_off_selected=statistics.pstdev(off) if off else None,
         self_recall_min=min(own),
+        per_family_recall=per_family,
     )
 
 

@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from famsplit import __version__
@@ -38,6 +39,7 @@ from famsplit.manifest import (
 )
 from famsplit.matrix import CrossErrorMatrix, SynthParams, load_matrix, save_matrix, synth_matrix
 from famsplit.search import (
+    STANDARD_LABELS,
     BenchmarkSet,
     SearchConfig,
     benchmark_to_dict,
@@ -46,8 +48,6 @@ from famsplit.search import (
     load_benchmark,
 )
 from famsplit.stats import load_metric_vector, summarize, wilcoxon_exact
-
-STANDARD_TIERS = ((0.9, "Easy"), (0.5, "Medium"), (0.25, "Hard"))
 
 _MATERIALIZE_SEED_BASE = 1_000_000  # offsets split seeds away from search seeds
 
@@ -164,18 +164,8 @@ def cmd_materialize(args: argparse.Namespace) -> int:
 def cmd_ablate(args: argparse.Namespace) -> int:
     matrix = load_matrix(args.matrix)
     select = select_top_k if args.mode == "top" else select_worst_k
-    selected = select(matrix, args.k)
-    report = ablation_report(matrix, selected, args.agg)
-    doc = {
-        "mode": args.mode,
-        "k": args.k,
-        "agg": args.agg,
-        "selected_families": list(report.selected_families),
-        "mean_off_selected": report.mean_off_selected,
-        "std_off_selected": report.std_off_selected,
-        "self_recall_min": report.self_recall_min,
-        "per_family_recall": report.per_family_recall,
-    }
+    report = ablation_report(matrix, select(matrix, args.k), args.agg)
+    doc = {"mode": args.mode, "k": args.k, "agg": args.agg, **asdict(report)}
     plot_rows: list[tuple[float, float]]
     if args.curve_ks:
         ks = [int(x) for x in args.curve_ks.split(",")]
@@ -207,10 +197,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     doc = {
         "split_id": split.split_id,
         "threshold": args.threshold,
-        "overall_accuracy": result.overall_accuracy,
-        "benign_accuracy": result.benign_accuracy,
-        "malware_recall_mean": result.malware_recall_mean,
-        "per_family_recall": result.per_family_recall,
+        **asdict(result),
         "run_manifest": _run_manifest(args),
     }
     _write_json(Path(args.out), doc)
@@ -225,10 +212,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     doc = {
         "metric": args.metric,
         "n_pairs": len(a),
-        "n_effective": result.n_effective,
-        "w_statistic": result.w_statistic,
-        "p_two_sided": result.p_two_sided,
-        "p_one_sided": result.p_one_sided,
+        **asdict(result),
         "summary_a": summarize(a),
         "summary_b": summarize(b),
         "run_manifest": _run_manifest(args),
@@ -239,10 +223,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         f"p_two_sided={result.p_two_sided:.6g}"
     )
     return 0
-
-
-def _slug(label: str) -> str:
-    return "".join(c if c.isalnum() else "-" for c in label.lower()).strip("-")
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
@@ -257,32 +237,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     pool = load_pool(args.pool) if args.pool else None
     tiers = []
-    for tier_index, (tau, label) in enumerate(STANDARD_TIERS):
+    for tier_index, (tau, label) in enumerate(STANDARD_LABELS.items()):
         tier_seed = derive_seed(args.seed, tier_index)
-        slug = _slug(label)
+        slug = label.lower()
         bench = _search(matrix, args, tau, tier_seed, label, manifest,
                         out_dir / f"benchmark_{slug}.json")
 
         validation = validate_benchmark(matrix, bench, args.agg)
-        tiers.append(
-            {
-                "difficulty_label": label,
-                "tau": tau,
-                "agg": args.agg,
-                "mean_recall": validation.mean_recall,
-                "total_flags": validation.total_flags,
-                "splits": [
-                    {
-                        "split_index": s.split_index,
-                        "epsilon_final": s.epsilon_final,
-                        "mean_recall": s.mean_recall,
-                        "flagged_families": list(s.flagged_families),
-                        "per_family_recall": s.per_family_recall,
-                    }
-                    for s in validation.splits
-                ],
-            }
-        )
+        tiers.append(asdict(validation))
         curve_path = out_dir / f"recall_curve_{slug}.tsv"
         curve_path.write_text(
             "".join(
@@ -298,6 +260,16 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     means = ", ".join(f"{t['difficulty_label']}={t['mean_recall']:.4f}" for t in tiers)
     print(f"pipeline complete under {out_dir}: mean surrogate recall {means}")
     return 0
+
+
+def _int_list(text: str) -> str:
+    """argparse type: comma-separated integers, kept as text for the run manifest."""
+    try:
+        list(map(int, text.split(",")))
+    except ValueError:
+        msg = f"expected comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("top", "worst"), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--agg", choices=("mean", "max", "min"), default="mean")
-    p.add_argument("--curve-ks", default=None, help="comma-separated K sweep, e.g. 5,10,15")
+    p.add_argument("--curve-ks", type=_int_list, default=None,
+                   help="comma-separated K sweep, e.g. 5,10,15")
     p.add_argument("--plot-data", default=None, help="optional TSV of (x, y) plot pairs")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)

@@ -41,10 +41,11 @@ class PredictionSet:
 
 @dataclass(frozen=True)
 class EvalResult:
-    per_family_recall: dict[str, float]
-    benign_accuracy: float
+    # Field order is the evaluate report's key order.
     overall_accuracy: float
+    benign_accuracy: float
     malware_recall_mean: float
+    per_family_recall: dict[str, float]
 
 
 def surrogate_recall(
@@ -67,24 +68,23 @@ def surrogate_recall(
 class SplitValidation:
     """Per-test-family surrogate recall of one split, with band violations."""
 
+    # Field order is the key order of a split in validation.json.
     split_index: int
-    tau: float
     epsilon_final: float
-    per_family_recall: dict[str, float]
     mean_recall: float
     flagged_families: tuple[str, ...]
+    per_family_recall: dict[str, float]
 
 
 @dataclass(frozen=True)
 class BenchmarkValidation:
+    # Field order is the key order of a tier in validation.json.
     difficulty_label: str
+    tau: float
     agg: Aggregation
-    splits: tuple[SplitValidation, ...]
     mean_recall: float
-
-    @property
-    def total_flags(self) -> int:
-        return sum(len(s.flagged_families) for s in self.splits)
+    total_flags: int
+    splits: tuple[SplitValidation, ...]
 
 
 def validate_split(
@@ -98,11 +98,10 @@ def validate_split(
     flagged = tuple(v for v, r in per_family.items() if not lo <= r <= hi)
     return SplitValidation(
         split_index=split_index,
-        tau=spec.tau,
         epsilon_final=spec.epsilon_final,
-        per_family_recall=per_family,
         mean_recall=statistics.fmean(per_family.values()),
         flagged_families=flagged,
+        per_family_recall=per_family,
     )
 
 
@@ -115,9 +114,11 @@ def validate_benchmark(
     )
     return BenchmarkValidation(
         difficulty_label=bench.difficulty_label,
+        tau=bench.config.tau,
         agg=agg,
-        splits=splits,
         mean_recall=statistics.fmean(s.mean_recall for s in splits),
+        total_flags=sum(len(s.flagged_families) for s in splits),
+        splits=splits,
     )
 
 
@@ -144,10 +145,10 @@ def evaluate_predictions(ms: MaterializedSplit, preds: PredictionSet) -> EvalRes
     benign_correct = benign_total - family_hit.pop(None, 0)
     per_family = {family: family_hit[family] / total for family, total in family_total.items()}
     return EvalResult(
-        per_family_recall=per_family,
-        benign_accuracy=benign_correct / benign_total,
         overall_accuracy=(sum(family_hit.values()) + benign_correct) / len(ids),
+        benign_accuracy=benign_correct / benign_total,
         malware_recall_mean=statistics.fmean(per_family.values()),
+        per_family_recall=per_family,
     )
 
 

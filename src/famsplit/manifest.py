@@ -67,12 +67,18 @@ class SamplePool:
                 raise PoolError(
                     f"duplicate sample id {repeated!r} in {where[0]} and in {where[1]}"
                 )
+        partitions: dict[str, list[str]] = {origin: [] for origin in _ORIGINS}
         for sample_id, origin in self.benign:
-            if origin not in _ORIGINS:
+            if origin not in partitions:
                 raise PoolError(f"benign sample {sample_id!r} has origin {origin!r}")
+            partitions[origin].append(sample_id)
+        object.__setattr__(
+            self, "_benign_ids", {origin: tuple(ids) for origin, ids in partitions.items()}
+        )
 
-    def benign_ids(self, origin: str) -> list[str]:
-        return [sample_id for sample_id, tag in self.benign if tag == origin]
+    def benign_ids(self, origin: str) -> tuple[str, ...]:
+        """The benign ids of one origin partition, in pool order."""
+        return self._benign_ids.get(origin, ())
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ test set) inside a closeness band around a target recall ``tau``. Candidate
 pairs are drawn uniformly at random from the entries currently in band;
 when the search stalls the band half-width is relaxed by a fixed step,
 keeping accepted pairs and admitting the next level's entries as fresh
-candidates. Each split search finds each level's entries once, as a flat
-index array, and shares them across its restarts.
+candidates. A tier finds each level's entries once, as a flat index array,
+and shares them across every restart of every split.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,7 @@ SEARCH_RESTARTS = 8
 class SearchConfig:
     """Search parameters; defaults match the standard benchmark recipe."""
 
+    # Field order is the benchmark document's key order.
     tau: float
     epsilon0: float = 0.05
     step: float = 0.05
@@ -111,8 +111,35 @@ def _eps_at(config: SearchConfig, level: int) -> float:
     return config.epsilon0 + config.step * level
 
 
+class _Band:
+    """In-band off-diagonal entries of one (matrix, tau, epsilon0, step).
+
+    `dist` is |M - tau| with the diagonal set to inf. `at(level)` returns
+    the flat row-major indices t * K + v in band at `level`, level by level:
+    level r adds eps(r - 1) < dist <= eps(r). Each level is found at most
+    once, so every pass of every split searched over one band shares it.
+    """
+
+    def __init__(self, m: CrossErrorMatrix, config: SearchConfig) -> None:
+        self.m = m
+        self.config = config
+        self.dist = np.abs(m.values - config.tau)
+        np.fill_diagonal(self.dist, np.inf)
+        self._entries = np.empty(0, dtype=np.intp)
+        self._ends: list[int] = []
+
+    def at(self, level: int) -> np.ndarray:
+        while len(self._ends) <= level:
+            joins = self.dist <= _eps_at(self.config, len(self._ends))
+            if self._ends:
+                joins &= self.dist > _eps_at(self.config, len(self._ends) - 1)
+            self._entries = np.concatenate((self._entries, np.flatnonzero(joins)))
+            self._ends.append(len(self._entries))
+        return self._entries[: self._ends[level]]
+
+
 def _search_pass(
-    dist: np.ndarray, band: Callable[[int], np.ndarray], config: SearchConfig, pass_seed: int
+    band: _Band, config: SearchConfig, pass_seed: int
 ) -> tuple[list[int], list[int], int, int]:
     # One greedy pass, returning (train, test, relaxations, attempts_total).
     # Each draw takes one candidate uniformly (with replacement) and one
@@ -123,8 +150,9 @@ def _search_pass(
     # the band holds every off-diagonal entry, relaxing adds nothing and any
     # draw of two unused families is accepted, so the pass keeps drawing.
     rng = random.Random(pass_seed)
+    dist = band.dist
     eps_hi = _eps_at(config, 0)
-    candidates = band(0)
+    candidates = band.at(0)
     off_diagonal = len(dist) * (len(dist) - 1)
     train: list[int] = []
     test: list[int] = []
@@ -137,7 +165,7 @@ def _search_pass(
             if len(candidates) < off_diagonal:
                 relaxations += 1
                 eps_hi = _eps_at(config, relaxations)
-                candidates = band(relaxations)
+                candidates = band.at(relaxations)
             attempts_level = 0
             continue
         t, v = divmod(int(candidates[rng.randrange(len(candidates))]), len(dist))
@@ -164,6 +192,12 @@ def search_split(
     once one completes without any relaxation, since no pass can do better.
     Deterministic for a fixed (matrix, config, restarts).
     """
+    return _search_band(_Band(m, config), config, restarts)
+
+
+def _search_band(band: _Band, config: SearchConfig, restarts: int = SEARCH_RESTARTS) -> SplitSpec:
+    # search_split over a band built with config's tau, epsilon0 and step.
+    m = band.m
     if m.k < 2 * config.set_size:
         raise InfeasibleSearchError(
             f"need at least {2 * config.set_size} families for set_size="
@@ -171,27 +205,9 @@ def search_split(
         )
     if restarts < 1:
         raise InfeasibleSearchError(f"restarts must be >= 1, got {restarts}")
-    dist = np.abs(m.values - config.tau)
-    np.fill_diagonal(dist, np.inf)
-    entries = np.empty(0, dtype=np.intp)
-    ends: list[int] = []
-
-    def band(level: int) -> np.ndarray:
-        # Flat row-major indices t * K + v in band at `level`, level by level:
-        # level r adds eps(r - 1) < dist <= eps(r). Each level is found at
-        # most once per search_split call and shared by all of its passes.
-        nonlocal entries
-        while len(ends) <= level:
-            joins = dist <= _eps_at(config, len(ends))
-            if ends:
-                joins &= dist > _eps_at(config, len(ends) - 1)
-            entries = np.concatenate((entries, np.flatnonzero(joins)))
-            ends.append(len(entries))
-        return entries[: ends[level]]
-
     best = None
     for r in range(restarts):
-        result = _search_pass(dist, band, config, derive_seed(config.seed, r))
+        result = _search_pass(band, config, derive_seed(config.seed, r))
         if best is None or _eps_at(config, result[2]) < _eps_at(config, best[2]):
             best = result
         if best[2] == 0:
@@ -225,17 +241,22 @@ def generate_benchmark(
     n_splits: int = 10,
     label: str | None = None,
 ) -> BenchmarkSet:
-    """Run n_splits independent searches; split i is seeded from (seed, i)."""
+    """Run n_splits independent searches; split i is seeded from (seed, i).
+
+    Split i equals search_split(m, config with seed derive_seed(seed, i));
+    the splits share one band, built once for the tier.
+    """
     if n_splits < 1:
         raise InfeasibleSearchError(f"n_splits must be >= 1, got {n_splits}")
-    splits = []
-    for i in range(n_splits):
-        split_config = replace(config, seed=derive_seed(config.seed, i))
-        splits.append(search_split(m, split_config))
+    band = _Band(m, config)
+    splits = tuple(
+        _search_band(band, replace(config, seed=derive_seed(config.seed, i)))
+        for i in range(n_splits)
+    )
     return BenchmarkSet(
         difficulty_label=label if label is not None else default_label(config.tau),
         config=config,
-        splits=tuple(splits),
+        splits=splits,
     )
 
 
@@ -243,12 +264,7 @@ def benchmark_to_dict(bench: BenchmarkSet) -> dict:
     """JSON-ready form of a benchmark set (no timestamps)."""
     return {
         "difficulty_label": bench.difficulty_label,
-        "tau": bench.config.tau,
-        "epsilon0": bench.config.epsilon0,
-        "step": bench.config.step,
-        "max_attempts": bench.config.max_attempts,
-        "set_size": bench.config.set_size,
-        "seed": bench.config.seed,
+        **asdict(bench.config),
         "splits": [
             {
                 "train_families": list(s.train_families),
@@ -265,19 +281,12 @@ def benchmark_to_dict(bench: BenchmarkSet) -> dict:
 
 def benchmark_from_dict(doc: dict) -> BenchmarkSet:
     try:
-        config = SearchConfig(
-            tau=doc["tau"],
-            epsilon0=doc["epsilon0"],
-            step=doc["step"],
-            max_attempts=doc["max_attempts"],
-            set_size=doc["set_size"],
-            seed=doc["seed"],
-        )
+        config = SearchConfig(**{f.name: doc[f.name] for f in fields(SearchConfig)})
         splits = tuple(
             SplitSpec(
                 train_families=tuple(s["train_families"]),
                 test_families=tuple(s["test_families"]),
-                tau=doc["tau"],
+                tau=config.tau,
                 epsilon_final=s["epsilon_final"],
                 seed=s["seed"],
                 relaxations=s["relaxations"],
@@ -290,10 +299,6 @@ def benchmark_from_dict(doc: dict) -> BenchmarkSet:
         raise MatrixFormatError(f"benchmark document missing field {exc}") from None
     except TypeError as exc:
         raise MatrixFormatError(f"malformed benchmark document: {exc}") from None
-
-
-def save_benchmark(bench: BenchmarkSet, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(benchmark_to_dict(bench), indent=2) + "\n", encoding="utf-8")
 
 
 def load_benchmark(path: str | Path) -> BenchmarkSet:

@@ -10,6 +10,7 @@ differences receive midranks, counted in half-rank units.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,8 +23,9 @@ EXACT_LIMIT = 25  # refuse more nonzero differences; the counting DP itself has 
 
 @dataclass(frozen=True)
 class WilcoxonResult:
-    w_statistic: float
+    # Field order is the compare report's key order.
     n_effective: int
+    w_statistic: float
     p_two_sided: float
     p_one_sided: float
 
@@ -87,8 +89,8 @@ def wilcoxon_exact(a: Sequence[float], b: Sequence[float]) -> WilcoxonResult:
     one_sided = sum(counts[s] for s in range(s_plus, total + 1))
     two_sided = sum(counts[s] for s in range(total + 1) if min(s, total - s) <= w_scaled)
     return WilcoxonResult(
-        w_statistic=w,
         n_effective=n,
+        w_statistic=w,
         p_two_sided=two_sided / assignments,
         p_one_sided=one_sided / assignments,
     )
@@ -111,6 +113,7 @@ def load_metric_vector(path: str | Path, metric: str) -> list[float]:
 
     Accepts a JSON array of numbers, a JSON array of report objects carrying
     the metric field, or an object with a "splits" or "per_split" array.
+    Every value must be a finite JSON number; true/false do not count.
     """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if isinstance(doc, dict):
@@ -123,12 +126,15 @@ def load_metric_vector(path: str | Path, metric: str) -> list[float]:
         raise ComparisonError(f"{path}: expected a non-empty array of results")
     values = []
     for i, item in enumerate(items):
-        if isinstance(item, (int, float)) and not isinstance(item, bool):
-            values.append(float(item))
-        elif isinstance(item, dict):
+        if isinstance(item, dict):
             if metric not in item:
                 raise ComparisonError(f"{path}: entry {i} has no metric {metric!r}")
-            values.append(float(item[metric]))
+            value, what = item[metric], f"metric {metric!r}"
         else:
-            raise ComparisonError(f"{path}: entry {i} is neither a number nor an object")
+            value, what = item, "value"
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ComparisonError(f"{path}: entry {i} {what} is not a number: {value!r}")
+        if not math.isfinite(value):
+            raise ComparisonError(f"{path}: entry {i} {what} is not finite: {value!r}")
+        values.append(float(value))
     return values

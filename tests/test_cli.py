@@ -234,6 +234,16 @@ def test_ablate_curve_mode(matrix_file, tmp_path) -> None:
     assert len((tmp_path / "curve.tsv").read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize("curve_ks", ["2,x", "5,,6", "", "1.5"])
+def test_ablate_malformed_curve_ks_is_a_usage_error(matrix_file, tmp_path, capsys, curve_ks) -> None:
+    with pytest.raises(SystemExit) as exc:
+        run("ablate", "--matrix", matrix_file, "--mode", "top", "--k", "5",
+            "--curve-ks", curve_ks, "--out", tmp_path / "x.json")
+    assert exc.value.code == 2
+    assert "--curve-ks: expected comma-separated integers" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.fixture()
 def split_dir(benchmark_file, pool_file, tmp_path) -> Path:
     out_dir = tmp_path / "mat"
@@ -313,6 +323,16 @@ def test_compare_identical_inputs_exit_one(tmp_path, capsys) -> None:
     code = run("compare", "--a", a, "--b", a, "--out", tmp_path / "cmp.json")
     assert code == 1
     assert "degenerate" in capsys.readouterr().err
+
+
+def test_compare_null_metric_is_a_domain_error(tmp_path, capsys) -> None:
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text('[{"m": 0.5}, {"m": null}]')
+    b.write_text('[{"m": 0.4}, {"m": 0.3}]')
+    code = run("compare", "--a", a, "--b", b, "--metric", "m", "--out", tmp_path / "cmp.json")
+    assert code == 1
+    assert "entry 1 metric 'm' is not a number: None" in capsys.readouterr().err
 
 
 def test_compare_ten_split_dominance(tmp_path) -> None:

@@ -167,3 +167,27 @@ def test_metric_vector_accepts_three_layouts(tmp_path) -> None:
     missing.write_text('[{"other": 1.0}]')
     with pytest.raises(ComparisonError, match="no metric"):
         load_metric_vector(missing, "m")
+
+
+@pytest.mark.parametrize(
+    "text, fault",
+    [
+        ('[{"m": 0.5}, {"m": null}]', "entry 1 metric 'm' is not a number: None"),
+        ('[{"m": "x"}]', "entry 0 metric 'm' is not a number: 'x'"),
+        ('[{"m": "0.3"}]', "entry 0 metric 'm' is not a number: '0.3'"),
+        ('[{"m": true}]', "entry 0 metric 'm' is not a number: True"),
+        ('[{"m": [0.5]}]', "entry 0 metric 'm' is not a number: [0.5]"),
+        ('{"splits": [{"m": 0.5}, {"m": NaN}]}', "entry 1 metric 'm' is not finite: nan"),
+        ('[{"m": -Infinity}]', "entry 0 metric 'm' is not finite: -inf"),
+        ('[0.5, NaN]', "entry 1 value is not finite: nan"),
+        ('[0.5, Infinity]', "entry 1 value is not finite: inf"),
+        ('[0.5, false]', "entry 1 value is not a number: False"),
+        ('[0.5, "0.5"]', "entry 1 value is not a number: '0.5'"),
+    ],
+)
+def test_metric_vector_rejects_non_finite_or_non_numeric_values(tmp_path, text, fault) -> None:
+    path = tmp_path / "metrics.json"
+    path.write_text(text)
+    with pytest.raises(ComparisonError) as err:
+        load_metric_vector(path, "m")
+    assert str(err.value) == f"{path}: {fault}"
