@@ -115,7 +115,8 @@ def load_metric_vector(path: str | Path, metric: str) -> list[float]:
     the metric field, or an object with a "splits" or "per_split" array.
     Every value must be a finite JSON number; true/false do not count.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    # Integers parse as floats, so one too large for a float reads as inf.
+    doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
     if isinstance(doc, dict):
         items = doc.get("splits", doc.get("per_split"))
         if items is None:

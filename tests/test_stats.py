@@ -181,6 +181,8 @@ def test_metric_vector_accepts_three_layouts(tmp_path) -> None:
         ('[{"m": -Infinity}]', "entry 0 metric 'm' is not finite: -inf"),
         ('[0.5, NaN]', "entry 1 value is not finite: nan"),
         ('[0.5, Infinity]', "entry 1 value is not finite: inf"),
+        ("[0.5, 1" + "0" * 400 + "]", "entry 1 value is not finite: inf"),
+        ('[{"m": 1' + "0" * 400 + "}]", "entry 0 metric 'm' is not finite: inf"),
         ('[0.5, false]', "entry 1 value is not a number: False"),
         ('[0.5, "0.5"]', "entry 1 value is not a number: '0.5'"),
     ],
