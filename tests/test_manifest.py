@@ -79,6 +79,48 @@ def test_benign_partitions_keep_pool_order() -> None:
         assert list(pool.benign_ids(origin)) == [i for i, tag in benign if tag == origin]
 
 
+def pool_lines_with_interleaved_benign(seed: int) -> tuple[list[str], list[str]]:
+    """Family lines, then benign lines whose train and test origins interleave."""
+    families = [
+        f"{name}-{i:02d}\tmalicious\t{name}\t-"
+        for name in ("alpha", "beta", "gamma", "delta")
+        for i in range(10)
+    ]
+    rng = random.Random(seed)
+    benign = [f"ben-{i:03d}\tbenign\t-\t{rng.choice(('train', 'test'))}" for i in range(90)]
+    return families, benign
+
+
+@pytest.mark.parametrize("layout_seed", [1, 2, 3])
+def test_interleaved_benign_lines_materialize_like_grouped_blocks(tmp_path, layout_seed) -> None:
+    families, benign = pool_lines_with_interleaved_benign(layout_seed)
+    grouped = [line for origin in ("train", "test") for line in benign if line.endswith(origin)]
+    interleaved_path = tmp_path / "interleaved.tsv"
+    interleaved_path.write_text("\n".join(families + benign) + "\n")
+    grouped_path = tmp_path / "grouped.tsv"
+    grouped_path.write_text("\n".join(families + grouped) + "\n")
+    interleaved = load_pool(interleaved_path)
+    grouped_pool = load_pool(grouped_path)
+    for seed in range(8):
+        args = (toy_spec(), 8, 2, seed, "layout")
+        outcome = split_outcome(materialize_split, interleaved, *args)
+        assert len(outcome) == 4
+        assert outcome == split_outcome(materialize_split, grouped_pool, *args)
+
+
+def test_pool_save_load_round_trip_keeps_benign_partitions(tmp_path) -> None:
+    families, benign = pool_lines_with_interleaved_benign(5)
+    first = tmp_path / "a.tsv"
+    first.write_text("\n".join(families + benign) + "\n")
+    second = tmp_path / "b.tsv"
+    save_pool(load_pool(first), second)
+    loaded = load_pool(second)
+    for origin in ("train", "test"):
+        expected = [line.split("\t")[0] for line in benign if line.endswith(origin)]
+        assert list(loaded.benign_ids(origin)) == expected
+    assert loaded.by_family == load_pool(first).by_family
+
+
 def test_pool_save_load_round_trip(tmp_path) -> None:
     pool = build_pool({"alpha": 3, "beta": 2}, benign_train=4, benign_test=2)
     first = tmp_path / "a.tsv"
