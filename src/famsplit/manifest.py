@@ -1,8 +1,8 @@
 """Materialize abstract family splits into concrete balanced sample lists.
 
-Pools map each malware family to its sample ids and carry one benign list
-whose entries are tagged with their origin partition (train or test), so a
-split never draws its test benign from the train benign population.
+Pools map each malware family to its sample ids and each benign origin
+partition (train or test) to its benign ids, so a split never draws its test
+benign from the train benign population.
 Malicious counts are matched 1:1 by benign samples on each side.
 """
 
@@ -32,14 +32,16 @@ _ORIGINS = ("train", "test")
 
 @dataclass(frozen=True)
 class SamplePool:
-    """Family -> sample ids, plus origin-tagged benign ids.
+    """Family -> sample ids, and benign origin ("train" or "test") -> sample ids.
 
-    The contents are stored read-only (a mapping of tuples and a tuple), so
-    the whole-pool id check below cannot be bypassed after construction.
+    `benign` has the shape of `by_family` and always holds both origins, each
+    partition in pool order. The contents are stored read-only (mappings of
+    tuples), so the whole-pool id check below cannot be bypassed after
+    construction.
     """
 
     by_family: Mapping[str, tuple[str, ...]]
-    benign: tuple[tuple[str, str], ...]  # (sample_id, origin)
+    benign: Mapping[str, tuple[str, ...]]
 
     def __post_init__(self) -> None:
         by_family = {}
@@ -47,10 +49,14 @@ class SamplePool:
             if not family or family == "-":
                 raise PoolError(f"invalid family name {family!r}")
             by_family[family] = tuple(ids)
+        for origin in self.benign:
+            if origin not in _ORIGINS:
+                raise PoolError(f"benign origin must be train|test, got {origin!r}")
+        benign = {origin: tuple(self.benign.get(origin, ())) for origin in _ORIGINS}
         object.__setattr__(self, "by_family", MappingProxyType(by_family))
-        object.__setattr__(self, "benign", tuple(self.benign))
-        places = [(f"family {family!r}", ids) for family, ids in self.by_family.items()]
-        places.append(("the benign list", [sample_id for sample_id, _ in self.benign]))
+        object.__setattr__(self, "benign", MappingProxyType(benign))
+        places = [(f"family {family!r}", ids) for family, ids in by_family.items()]
+        places += [("the benign list", ids) for ids in benign.values()]
         # No id may appear twice in the pool. Sorted string hashes prove that
         # without a pool-sized hash table; equal hashes are checked exactly.
         hashes = np.fromiter(
@@ -67,18 +73,10 @@ class SamplePool:
                 raise PoolError(
                     f"duplicate sample id {repeated!r} in {where[0]} and in {where[1]}"
                 )
-        partitions: dict[str, list[str]] = {origin: [] for origin in _ORIGINS}
-        for sample_id, origin in self.benign:
-            if origin not in partitions:
-                raise PoolError(f"benign sample {sample_id!r} has origin {origin!r}")
-            partitions[origin].append(sample_id)
-        object.__setattr__(
-            self, "_benign_ids", {origin: tuple(ids) for origin, ids in partitions.items()}
-        )
 
     def benign_ids(self, origin: str) -> tuple[str, ...]:
         """The benign ids of one origin partition, in pool order."""
-        return self._benign_ids.get(origin, ())
+        return self.benign.get(origin, ())
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,7 @@ def load_pool(path: str | Path) -> SamplePool:
     """Parse a line-delimited pool file (see save_pool for the format)."""
     path = Path(path)
     by_family: dict[str, list[str]] = {}
-    benign: list[tuple[str, str]] = []
+    benign: dict[str, list[str]] = {origin: [] for origin in _ORIGINS}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line:
             continue
@@ -163,27 +161,31 @@ def load_pool(path: str | Path) -> SamplePool:
                 raise PoolError(f"{path}: line {lineno}: benign record with family {family!r}")
             if origin not in _ORIGINS:
                 raise PoolError(f"{path}: line {lineno}: benign origin must be train|test")
-            benign.append((sample_id, origin))
+            benign[origin].append(sample_id)
     # Each list becomes a tuple and is dropped in turn, so SamplePool's tuple()
     # is free and no second full copy of the pool is ever held.
-    for family in by_family:
-        by_family[family] = tuple(by_family[family])
-    benign = tuple(benign)
+    for ids_by_key in (by_family, benign):
+        for key in ids_by_key:
+            ids_by_key[key] = tuple(ids_by_key[key])
     return SamplePool(by_family=by_family, benign=benign)
 
 
 def save_pool(pool: SamplePool, path: str | Path) -> None:
-    """Write the canonical pool layout: family blocks first, then benign.
+    """Write the canonical pool layout: family blocks, then train and test benign.
 
     One record per line: sample_id<TAB>label<TAB>family_or_dash<TAB>origin,
     where origin is train|test for benign records and "-" for malicious.
     """
-    lines = []
-    for family, ids in pool.by_family.items():
-        for sample_id in ids:
-            lines.append(f"{sample_id}\tmalicious\t{family}\t-")
-    for sample_id, origin in pool.benign:
-        lines.append(f"{sample_id}\tbenign\t-\t{origin}")
+    lines = [
+        f"{sample_id}\tmalicious\t{family}\t-"
+        for family, ids in pool.by_family.items()
+        for sample_id in ids
+    ]
+    lines += [
+        f"{sample_id}\tbenign\t-\t{origin}"
+        for origin, ids in pool.benign.items()
+        for sample_id in ids
+    ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -216,23 +218,17 @@ def materialize_split(
     """
     if train_per_family < 1 or test_per_family < 1:
         raise PoolError("per-family counts must be >= 1")
-    for family in spec.train_families:
-        _check_family(pool, family, train_per_family)
-    for family in spec.test_families:
-        _check_family(pool, family, test_per_family)
-    need_benign_train = len(spec.train_families) * train_per_family
-    need_benign_test = len(spec.test_families) * test_per_family
-    benign_train_ids = pool.benign_ids("train")
-    benign_test_ids = pool.benign_ids("test")
-    if len(benign_train_ids) < need_benign_train:
-        raise PoolError(
-            f"benign train pool has {len(benign_train_ids)} samples,"
-            f" needs {need_benign_train}"
-        )
-    if len(benign_test_ids) < need_benign_test:
-        raise PoolError(
-            f"benign test pool has {len(benign_test_ids)} samples, needs {need_benign_test}"
-        )
+    sides = (
+        ("train", spec.train_families, train_per_family),
+        ("test", spec.test_families, test_per_family),
+    )
+    for _, side_families, per_family in sides:
+        for family in side_families:
+            _check_family(pool, family, per_family)
+    for origin, side_families, per_family in sides:
+        need, have = len(side_families) * per_family, len(pool.benign[origin])
+        if have < need:
+            raise PoolError(f"benign {origin} pool has {have} samples, needs {need}")
 
     rng = random.Random(seed)
 
@@ -241,30 +237,21 @@ def materialize_split(
         rng.shuffle(shuffled)
         return shuffled[:n]
 
-    def side(
-        side_families: tuple[str, ...], per_family: int, benign: list[str], need_benign: int
-    ) -> SplitSide:
+    def side(origin: str, side_families: tuple[str, ...], per_family: int) -> SplitSide:
         ids: list[str] = []
         families: list[str | None] = []
         for family in side_families:
             ids += pick(pool.by_family[family], per_family)
             families += [family] * per_family
-        ids += pick(benign, need_benign)
-        families += [None] * need_benign
+        need = len(ids)  # benign matches the malicious ids 1:1
+        ids += pick(pool.benign[origin], need)
+        families += [None] * need
         return SplitSide(ids, families)
 
-    train = side(spec.train_families, train_per_family, benign_train_ids, need_benign_train)
-    test = side(spec.test_families, test_per_family, benign_test_ids, need_benign_test)
-
-    per_family = {family: train_per_family for family in spec.train_families}
-    per_family.update({family: test_per_family for family in spec.test_families})
-    counts = {
-        "train_total": len(train),
-        "test_total": len(test),
-        "train_benign": need_benign_train,
-        "test_benign": need_benign_test,
-        "per_family": per_family,
-    }
+    train, test = (side(*entry) for entry in sides)
+    counts = {f"{origin}_total": 2 * len(fams) * n for origin, fams, n in sides}
+    counts.update({f"{origin}_benign": len(fams) * n for origin, fams, n in sides})
+    counts["per_family"] = {family: n for _, fams, n in sides for family in fams}
     if split_id is None:
         split_id = f"tau-{spec.tau:g}-seed-{spec.seed}"
     return MaterializedSplit(split_id=split_id, train=train, test=test, counts=counts)

@@ -134,8 +134,10 @@ def test_criterion_6_materialization_counts() -> None:
     families = [f"fam{i:02d}" for i in range(20)]
     pool = SamplePool(
         by_family={name: [f"{name}-{i:05d}" for i in range(10_000)] for name in families},
-        benign=[(f"ben-tr-{i:06d}", "train") for i in range(80_000)]
-        + [(f"ben-te-{i:06d}", "test") for i in range(20_000)],
+        benign={
+            "train": [f"ben-tr-{i:06d}" for i in range(80_000)],
+            "test": [f"ben-te-{i:06d}" for i in range(20_000)],
+        },
     )
     spec = SplitSpec(
         train_families=tuple(families[:10]),
@@ -189,8 +191,10 @@ def test_criterion_8_pipeline_determinism(tmp_path) -> None:
     matrix = synth_matrix(SynthParams(k=24, seed=11))
     pool = SamplePool(
         by_family={name: [f"{name}-{i:04x}" for i in range(12)] for name in matrix.families},
-        benign=[(f"ben-tr-{i:04x}", "train") for i in range(64)]
-        + [(f"ben-te-{i:04x}", "test") for i in range(16)],
+        benign={
+            "train": [f"ben-tr-{i:04x}" for i in range(64)],
+            "test": [f"ben-te-{i:04x}" for i in range(16)],
+        },
     )
     pool_path = tmp_path / "pool.tsv"
     save_pool(pool, pool_path)

@@ -29,8 +29,10 @@ def pool_file(tmp_path_factory, matrix_file) -> Path:
     families = load_matrix(matrix_file).families
     pool = SamplePool(
         by_family={name: [f"{name}-{i:04x}" for i in range(12)] for name in families},
-        benign=[(f"ben-tr-{i:04x}", "train") for i in range(64)]
-        + [(f"ben-te-{i:04x}", "test") for i in range(16)],
+        benign={
+            "train": [f"ben-tr-{i:04x}" for i in range(64)],
+            "test": [f"ben-te-{i:04x}" for i in range(16)],
+        },
     )
     path = tmp_path_factory.mktemp("pool") / "pool.tsv"
     save_pool(pool, path)
@@ -164,8 +166,10 @@ def test_materialize_at_paper_defaults_hits_paper_totals(tmp_path) -> None:
     bench_path.write_text(json.dumps(bench_doc))
     pool = SamplePool(
         by_family={name: [f"{name}-{i:05d}" for i in range(10_000)] for name in families},
-        benign=[(f"ben-tr-{i:06d}", "train") for i in range(80_000)]
-        + [(f"ben-te-{i:06d}", "test") for i in range(20_000)],
+        benign={
+            "train": [f"ben-tr-{i:06d}" for i in range(80_000)],
+            "test": [f"ben-te-{i:06d}" for i in range(20_000)],
+        },
     )
     pool_path = tmp_path / "pool.tsv"
     save_pool(pool, pool_path)

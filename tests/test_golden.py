@@ -35,8 +35,10 @@ def write_outputs(root: Path) -> None:
     families = synth_family_names(184)
     pool = SamplePool(
         by_family={name: [f"{name}-{i:02d}" for i in range(10)] for name in families},
-        benign=[(f"ben-tr-{i:03d}", "train") for i in range(96)]
-        + [(f"ben-te-{i:03d}", "test") for i in range(24)],
+        benign={
+            "train": [f"ben-tr-{i:03d}" for i in range(96)],
+            "test": [f"ben-te-{i:03d}" for i in range(24)],
+        },
     )
     save_pool(pool, root / "pool.tsv")
     run("pipeline", "--out-dir", root / "pipeline", "--families", 184, "--seed", 7,

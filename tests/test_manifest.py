@@ -34,8 +34,10 @@ def build_pool(
     by_family = {
         name: [f"{name}-{i:06x}" for i in range(count)] for name, count in families.items()
     }
-    benign = [(f"ben-tr-{i:06x}", "train") for i in range(benign_train)]
-    benign += [(f"ben-te-{i:06x}", "test") for i in range(benign_test)]
+    benign = {
+        "train": [f"ben-tr-{i:06x}" for i in range(benign_train)],
+        "test": [f"ben-te-{i:06x}" for i in range(benign_test)],
+    }
     return SamplePool(by_family=by_family, benign=benign)
 
 
@@ -60,7 +62,7 @@ def test_minimal_pool_loads(tmp_path) -> None:
     pool = load_pool(path)
     assert set(pool.by_family) == {"alpha", "beta"}
     assert pool.by_family["alpha"] == ("aa01", "aa02")
-    assert pool.benign == ()
+    assert pool.benign == {"train": (), "test": ()}
 
 
 def test_pool_at_paper_family_size(tmp_path) -> None:
@@ -71,10 +73,12 @@ def test_pool_at_paper_family_size(tmp_path) -> None:
     assert len(load_pool(path).by_family["alpha"]) == 10_000
 
 
-def test_benign_partitions_keep_pool_order() -> None:
+def test_benign_partitions_keep_pool_order(tmp_path) -> None:
     rng = random.Random(4)
     benign = [(f"ben-{i:03d}", rng.choice(("train", "test"))) for i in range(200)]
-    pool = SamplePool(by_family={}, benign=benign)
+    path = tmp_path / "pool.tsv"
+    path.write_text("".join(f"{i}\tbenign\t-\t{tag}\n" for i, tag in benign))
+    pool = load_pool(path)
     for origin in ("train", "test"):
         assert list(pool.benign_ids(origin)) == [i for i, tag in benign if tag == origin]
 
@@ -162,10 +166,10 @@ def test_pool_rejects_duplicate_ids(tmp_path) -> None:
 @pytest.mark.parametrize(
     ("by_family", "benign", "message"),
     [
-        ({"a": ["x", "y"], "b": ["x", "z"]}, [("w", "train")], "in family 'a' and in family 'b'"),
-        ({"a": ["y", "x"]}, [("w", "train"), ("x", "test")], "in family 'a' and in the benign list"),
-        ({"a": ["y"]}, [("x", "train"), ("x", "test")], "in the benign list and in the benign list"),
-        ({"a": ["x", "y", "x"]}, [("w", "train")], "in family 'a' and in family 'a'"),
+        ({"a": ["x", "y"], "b": ["x", "z"]}, {"train": ["w"]}, "in family 'a' and in family 'b'"),
+        ({"a": ["y", "x"]}, {"train": ["w"], "test": ["x"]}, "in family 'a' and in the benign list"),
+        ({"a": ["y"]}, {"train": ["x"], "test": ["x"]}, "in the benign list and in the benign list"),
+        ({"a": ["x", "y", "x"]}, {"train": ["w"]}, "in family 'a' and in family 'a'"),
     ],
 )
 def test_pool_rejects_an_id_listed_twice(by_family, benign, message) -> None:
@@ -292,7 +296,29 @@ def test_pool_contents_are_read_only() -> None:
     with pytest.raises(TypeError):
         pool.by_family["beta"][0] = pool.by_family["alpha"][0]
     with pytest.raises(TypeError):
-        pool.benign[0] = ("alpha-000000", "train")
+        pool.benign["train"] = pool.benign["test"]
+
+
+@pytest.mark.parametrize("origin", ["validation", "Train", "-", ""])
+def test_pool_rejects_a_benign_origin_other_than_train_or_test(origin) -> None:
+    with pytest.raises(PoolError, match=f"benign origin must be train\\|test, got '{origin}'"):
+        SamplePool(by_family={"a": ["x"]}, benign={"train": ["w"], origin: ["y"]})
+
+
+def test_pool_benign_is_a_read_only_copy_holding_both_origins() -> None:
+    train_ids = ["w", "v"]
+    benign = {"train": train_ids}
+    pool = SamplePool(by_family={"a": ["x"]}, benign=benign)
+    train_ids.append("u")
+    benign["test"] = ["y"]
+    assert pool.benign == {"train": ("w", "v"), "test": ()}
+    assert pool.benign_ids("test") == ()
+    with pytest.raises(TypeError):
+        pool.benign["test"] = ("y",)
+    with pytest.raises(TypeError):
+        pool.benign["train"][0] = "y"
+    with pytest.raises(TypeError):
+        del pool.benign["train"]
 
 
 def test_read_split_rejects_a_repeated_id(tmp_path) -> None:
