@@ -176,16 +176,9 @@ def save_pool(pool: SamplePool, path: str | Path) -> None:
     One record per line: sample_id<TAB>label<TAB>family_or_dash<TAB>origin,
     where origin is train|test for benign records and "-" for malicious.
     """
-    lines = [
-        f"{sample_id}\tmalicious\t{family}\t-"
-        for family, ids in pool.by_family.items()
-        for sample_id in ids
-    ]
-    lines += [
-        f"{sample_id}\tbenign\t-\t{origin}"
-        for origin, ids in pool.benign.items()
-        for sample_id in ids
-    ]
+    blocks = [(ids, f"\tmalicious\t{family}\t-") for family, ids in pool.by_family.items()]
+    blocks += [(ids, f"\tbenign\t-\t{origin}") for origin, ids in pool.benign.items()]
+    lines = [sample_id + suffix for ids, suffix in blocks for sample_id in ids]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from sys import float_info
 
 import numpy as np
 
@@ -47,10 +49,10 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.tau < 1.0:
             raise InfeasibleSearchError(f"tau must be in (0, 1), got {self.tau}")
-        if self.epsilon0 <= 0.0:
-            raise InfeasibleSearchError(f"epsilon0 must be positive, got {self.epsilon0}")
-        if self.step <= 0.0:
-            raise InfeasibleSearchError(f"step must be positive, got {self.step}")
+        for name, value in (("epsilon0", self.epsilon0), ("step", self.step)):
+            # A NaN band admits no entry at any level, and an infinite one is not JSON.
+            if not 0.0 < value < math.inf:
+                raise InfeasibleSearchError(f"{name} must be positive and finite, got {value}")
         if self.max_attempts < 1:
             raise InfeasibleSearchError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.set_size < 1:
@@ -279,22 +281,35 @@ def benchmark_to_dict(bench: BenchmarkSet) -> dict:
     }
 
 
+# The JSON value each benchmark document field must hold, by its annotation.
+# The float bound rejects NaN, infinities and integers too large for a float.
+_JSON_TYPES = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= float_info.max),
+    "str": ("a string", lambda v: type(v) is str),
+    "tuple[str, ...]": (
+        "a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v)
+    ),
+}
+
+
+def _checked(obj: dict, checks: list) -> dict:
+    # All are looked up before any is checked, so a missing field is named first.
+    values = {name: obj[name] for name, _ in checks}
+    for name, (expected, has_type) in checks:
+        if not has_type(values[name]):
+            raise MatrixFormatError(f"malformed benchmark document: {name!r} must be {expected}")
+    return values
+
+
 def benchmark_from_dict(doc: dict) -> BenchmarkSet:
+    config_checks = [(f.name, _JSON_TYPES[f.type]) for f in fields(SearchConfig)]
+    split_checks = [(f.name, _JSON_TYPES[f.type]) for f in fields(SplitSpec) if f.name != "tau"]
     try:
-        config = SearchConfig(**{f.name: doc[f.name] for f in fields(SearchConfig)})
-        splits = tuple(
-            SplitSpec(
-                train_families=tuple(s["train_families"]),
-                test_families=tuple(s["test_families"]),
-                tau=config.tau,
-                epsilon_final=s["epsilon_final"],
-                seed=s["seed"],
-                relaxations=s["relaxations"],
-                attempts_total=s["attempts_total"],
-            )
-            for s in doc["splits"]
-        )
-        return BenchmarkSet(doc["difficulty_label"], config, splits)
+        config = SearchConfig(**_checked(doc, config_checks))
+        splits = [SplitSpec(tau=config.tau, **_checked(s, split_checks)) for s in doc["splits"]]
+        label = _checked(doc, [("difficulty_label", _JSON_TYPES["str"])])["difficulty_label"]
+        return BenchmarkSet(label, config, splits)
     except KeyError as exc:
         raise MatrixFormatError(f"benchmark document missing field {exc}") from None
     except TypeError as exc:

@@ -87,6 +87,17 @@ def test_search_produces_hard_splits(matrix_file, tmp_path) -> None:
     assert "run_manifest" in doc
 
 
+def test_search_infinite_epsilon_fails_cleanly(matrix_file, tmp_path, capsys) -> None:
+    out = tmp_path / "inf.json"
+    code = run(
+        "search", "--matrix", matrix_file, "--tau", "0.5", "--epsilon", "inf",
+        "--set-size", "3", "--splits", "1", "--out", out,
+    )
+    assert code == 1
+    assert "epsilon0 must be positive and finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_search_infeasible_set_size_fails_cleanly(tmp_path, capsys) -> None:
     small = tmp_path / "m8.csv"
     assert run("synth", "--families", "8", "--seed", "1", "--out", small) == 0

@@ -248,6 +248,14 @@ def test_paper_difficulty_configs_are_valid() -> None:
         assert config.tau == tau
 
 
+@pytest.mark.parametrize("field", ["epsilon0", "step"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -0.05])
+def test_search_config_requires_a_positive_finite_band(field, value) -> None:
+    # A NaN band never admits an entry, so a search over it would relax forever.
+    with pytest.raises(InfeasibleSearchError, match=f"{field} must be positive and finite"):
+        SearchConfig(tau=0.5, **{field: value})
+
+
 def test_adversarial_matrix_relaxes_to_the_oracle_level() -> None:
     m = adversarial_matrix()
     oracle_eps = min_feasible_grid_eps(m.values, tau=0.5, set_size=2)
@@ -395,6 +403,43 @@ def test_benchmark_document_missing_split_field_is_a_format_error(field) -> None
 def test_wrong_typed_benchmark_document_is_a_format_error(edit) -> None:
     with pytest.raises(MatrixFormatError, match="malformed benchmark document"):
         benchmark_from_dict(edit(_small_benchmark_document()))
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "expected"),
+    [
+        ("difficulty_label", 7, "a string"),
+        ("tau", True, "a finite number"),
+        ("epsilon0", float("nan"), "a finite number"),
+        pytest.param("step", 10**400, "a finite number", id="step-400-digit-int"),
+        ("max_attempts", 2.5, "an integer"),
+        ("set_size", True, "an integer"),
+        ("seed", 3.0, "an integer"),
+        ("train_families", "ab", "a list of strings"),
+        ("test_families", ["fam00", 1], "a list of strings"),
+        ("test_families", ("fam00", "fam01"), "a list of strings"),
+        ("epsilon_final", "0.05", "a finite number"),
+        ("epsilon_final", float("inf"), "a finite number"),
+        ("relaxations", None, "an integer"),
+        ("attempts_total", False, "an integer"),
+    ],
+)
+def test_benchmark_document_field_of_the_wrong_json_type_is_named(field, value, expected) -> None:
+    doc = _small_benchmark_document()
+    if field in doc:
+        doc[field] = value
+    else:
+        doc["splits"][1][field] = value
+    with pytest.raises(MatrixFormatError, match=f"document: '{field}' must be {expected}$"):
+        benchmark_from_dict(doc)
+
+
+def test_benchmark_document_names_a_missing_field_before_a_wrong_typed_one() -> None:
+    doc = _small_benchmark_document()
+    doc["tau"] = "0.5"
+    del doc["seed"]
+    with pytest.raises(MatrixFormatError, match="missing field 'seed'"):
+        benchmark_from_dict(doc)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
