@@ -222,6 +222,24 @@ def test_search_split_matches_reference(
     assert split_max_deviation(m, spec) <= spec.epsilon_final
 
 
+@pytest.mark.parametrize("matrix_seed", [1, 2, 7])
+def test_paper_scale_tiers_match_reference_searches(matrix_seed) -> None:
+    # The property test above stays at K <= 30 and a few attempts per level.
+    # Here, at K=184 with the default max_attempts, passes draw thousands of
+    # candidates, run levels to their cap, relax, and restart.
+    m = synth_matrix(SynthParams(k=184, seed=matrix_seed))
+    relaxations = 0
+    for tau in (0.9, 0.5, 0.25):
+        config = SearchConfig(tau=tau, seed=matrix_seed)
+        bench = generate_benchmark(m, config)
+        assert bench.splits == tuple(
+            reference_search_split(m, replace(config, seed=derive_seed(config.seed, i)))
+            for i in range(10)
+        )
+        relaxations += sum(s.relaxations for s in bench.splits)
+    assert relaxations > 0
+
+
 def test_search_stops_relaxing_once_the_band_holds_every_entry() -> None:
     # Every off-diagonal |0 - 0.9| is in band from level 17 (eps 0.9000...01);
     # with max_attempts=1 each later rejection used to relax again, to 64.
