@@ -33,6 +33,14 @@ STANDARD_LABELS = {0.9: "Easy", 0.5: "Medium", 0.25: "Hard"}
 # that failure mode while leaving each pass's behavior untouched.
 SEARCH_RESTARTS = 8
 
+# A pass draws with one 32-bit stream word per randrange call, which needs
+# fewer than 2**32 candidates: K * (K - 1) < 2**32 holds up to K = 65,536.
+_MAX_FAMILIES = 65_536
+# Stream words a pass takes at a time: most passes end within a few dozen
+# draws, while one that relaxes spends max_attempts draws on each level.
+_FIRST_CHUNK = 64
+_MAX_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -123,6 +131,10 @@ class _Band:
     """
 
     def __init__(self, m: CrossErrorMatrix, config: SearchConfig) -> None:
+        if m.k > _MAX_FAMILIES:
+            raise InfeasibleSearchError(
+                f"the search takes at most {_MAX_FAMILIES} families, matrix has {m.k}"
+            )
         self.m = m
         self.config = config
         self.dist = np.abs(m.values - config.tau)
@@ -140,6 +152,12 @@ class _Band:
         return self._entries[: self._ends[level]]
 
 
+def _stream_words(rng: random.Random, count: int) -> np.ndarray:
+    # rng's next `count` 32-bit Mersenne Twister outputs, in order: getrandbits
+    # fills its result from the least significant word up.
+    return np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), dtype="<u4")
+
+
 def _search_pass(
     band: _Band, config: SearchConfig, pass_seed: int
 ) -> tuple[list[int], list[int], int, int]:
@@ -151,37 +169,59 @@ def _search_pass(
     # `step`, accepted pairs are kept and the next level's entries join. Once
     # the band holds every off-diagonal entry, relaxing adds nothing and any
     # draw of two unused families is accepted, so the pass keeps drawing.
+    #
+    # The draws are the rng.randrange(n) calls over the n candidates, taken
+    # a chunk of stream words at a time. For n < 2**32, randrange returns
+    # w >> shift for the next word w where that is below n, with shift =
+    # 32 - n.bit_length(). A chunk's draws are checked at once; accepting a
+    # pair only shrinks what later draws at the same band may accept, so only
+    # the draws that passed are checked again. Words left when a level ends
+    # are the next level's draws.
     rng = random.Random(pass_seed)
     dist = band.dist
-    eps_hi = _eps_at(config, 0)
-    candidates = band.at(0)
-    off_diagonal = len(dist) * (len(dist) - 1)
+    k = len(dist)
+    off_diagonal = k * (k - 1)
     train: list[int] = []
     test: list[int] = []
-    used: set[int] = set()
+    # The largest dist each family would bring in as a train row (against the
+    # accepted test columns) or as a test column (against the accepted train
+    # rows), or inf once it is used: accepting (t, v) sets row t and column v
+    # to inf, and dist's inf diagonal does so for column t and row v.
+    row_worst = np.zeros(k)
+    col_worst = np.zeros(k)
     relaxations = 0
     attempts_total = 0
-    attempts_level = 0
-    while len(train) < config.set_size:
-        if not len(candidates) or attempts_level >= config.max_attempts:
-            if len(candidates) < off_diagonal:
-                relaxations += 1
-                eps_hi = _eps_at(config, relaxations)
-                candidates = band.at(relaxations)
-            attempts_level = 0
-            continue
-        t, v = divmod(int(candidates[rng.randrange(len(candidates))]), len(dist))
-        attempts_total += 1
-        attempts_level += 1
-        if t in used or v in used:
-            continue
-        if any(dist[tj, v] > eps_hi for tj in train) or any(dist[t, vj] > eps_hi for vj in test):
-            continue
-        train.append(t)
-        test.append(v)
-        used.add(t)
-        used.add(v)
-    return train, test, relaxations, attempts_total
+    words = np.empty(0, dtype=np.uint32)
+    chunk = _FIRST_CHUNK
+    while True:
+        eps_hi = _eps_at(config, relaxations)
+        candidates = band.at(relaxations)
+        n = len(candidates)
+        shift = 32 - n.bit_length()
+        left = config.max_attempts if n else 0
+        while left:
+            if not len(words):
+                words = _stream_words(rng, chunk)
+                chunk = min(2 * chunk, _MAX_CHUNK)
+            draws = words >> shift
+            at = (draws < n).nonzero()[0][:left]  # the word of each draw
+            t, v = np.divmod(candidates[draws[at]], k)
+            hits = (np.maximum(row_worst[t], col_worst[v]) <= eps_hi).nonzero()[0]
+            for j, tj, vj in zip(hits.tolist(), t[hits].tolist(), v[hits].tolist()):
+                if row_worst[tj] > eps_hi or col_worst[vj] > eps_hi:
+                    continue
+                train.append(tj)
+                test.append(vj)
+                if len(train) == config.set_size:
+                    return train, test, relaxations, attempts_total + j + 1
+                np.maximum(row_worst, dist[:, vj], out=row_worst)
+                np.maximum(col_worst, dist[tj], out=col_worst)
+                row_worst[tj] = col_worst[vj] = np.inf
+            attempts_total += len(at)
+            left -= len(at)
+            words = words[at[-1] + 1 :] if not left else words[:0]
+        if n < off_diagonal:
+            relaxations += 1
 
 
 def search_split(
@@ -302,18 +342,43 @@ def _checked(obj: dict, checks: list) -> dict:
     return values
 
 
+def _check_split(i: int, split: dict, config: SearchConfig) -> None:
+    # What every searched split satisfies; bare SplitSpecs are not held to it.
+    def bad(field: str, problem: str) -> MatrixFormatError:
+        return MatrixFormatError(f"malformed benchmark document: split {i} {field!r} {problem}")
+
+    for side in ("train_families", "test_families"):
+        if len(split[side]) != config.set_size:
+            raise bad(side, f"has {len(split[side])} families, set_size is {config.set_size}")
+    if split["relaxations"] < 0:
+        raise bad("relaxations", f"must be >= 0, got {split['relaxations']}")
+    if split["attempts_total"] < config.set_size:
+        # Each accepted pair took one draw.
+        raise bad("attempts_total", f"must be >= set_size {config.set_size}, "
+                                    f"got {split['attempts_total']}")
+    expected = _eps_at(config, split["relaxations"])
+    if split["epsilon_final"] != expected:
+        raise bad("epsilon_final", f"must be epsilon0 + step * relaxations = {expected!r}, "
+                                   f"got {split['epsilon_final']!r}")
+
+
 def benchmark_from_dict(doc: dict) -> BenchmarkSet:
     config_checks = [(f.name, _JSON_TYPES[f.type]) for f in fields(SearchConfig)]
     split_checks = [(f.name, _JSON_TYPES[f.type]) for f in fields(SplitSpec) if f.name != "tau"]
     try:
         config = SearchConfig(**_checked(doc, config_checks))
-        splits = [SplitSpec(tau=config.tau, **_checked(s, split_checks)) for s in doc["splits"]]
+        splits = [_checked(s, split_checks) for s in doc["splits"]]
         label = _checked(doc, [("difficulty_label", _JSON_TYPES["str"])])["difficulty_label"]
-        return BenchmarkSet(label, config, splits)
+        if not splits:
+            raise MatrixFormatError("malformed benchmark document: 'splits' is empty")
+        for i, split in enumerate(splits):
+            _check_split(i, split, config)
     except KeyError as exc:
         raise MatrixFormatError(f"benchmark document missing field {exc}") from None
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
+        # OverflowError: a relaxations count too large to scale step by.
         raise MatrixFormatError(f"malformed benchmark document: {exc}") from None
+    return BenchmarkSet(label, config, [SplitSpec(tau=config.tau, **s) for s in splits])
 
 
 def load_benchmark(path: str | Path) -> BenchmarkSet:

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from famsplit.errors import InfeasibleSearchError, MatrixFormatError
 from famsplit.matrix import CrossErrorMatrix, SynthParams, synth_matrix
 from famsplit.search import (
+    _MAX_FAMILIES,
     SEARCH_RESTARTS,
     SearchConfig,
     SplitSpec,
@@ -24,6 +26,7 @@ from famsplit.search import (
     search_split,
     split_max_deviation,
 )
+from famsplit.search import _Band, _stream_words
 
 from conftest import constant_matrix, make_matrix
 
@@ -220,6 +223,33 @@ def test_search_split_matches_reference(
     assert len(spec.train_families) == len(spec.test_families) == config.set_size
     assert not set(spec.train_families) & set(spec.test_families)
     assert split_max_deviation(m, spec) <= spec.epsilon_final
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 2**32 - 1) | st.sampled_from([1, 2, 3, 2**16, 2**31, 2**31 + 1, 2**32 - 1]),
+    first=st.integers(1, 4096),
+)
+def test_mapped_stream_words_are_randrange_draws(seed, n, first) -> None:
+    # The search reads its draws from chunks of stream words; taken in two
+    # chunks, the words mapped to draws below n must be randrange(n)'s values.
+    rng = random.Random(seed)
+    words = np.concatenate((_stream_words(rng, first), _stream_words(rng, 6000)))
+    draws = words >> (32 - n.bit_length())
+    draws = draws[draws < n].tolist()
+    reference = random.Random(seed)
+    assert len(draws) >= 2000
+    assert draws == [reference.randrange(n) for _ in draws]
+
+
+def test_family_limit_keeps_every_candidate_count_below_2_to_the_32() -> None:
+    # One 32-bit word per draw holds for n < 2**32 candidates; a band holds
+    # at most K * (K - 1), which the limit keeps below that.
+    assert _MAX_FAMILIES * (_MAX_FAMILIES - 1) < 2**32 <= (_MAX_FAMILIES + 1) * _MAX_FAMILIES
+    too_many = SimpleNamespace(k=_MAX_FAMILIES + 1)  # no 65,537-wide matrix is built
+    with pytest.raises(InfeasibleSearchError, match="at most 65536 families, matrix has 65537"):
+        _Band(too_many, SearchConfig(tau=0.5))
 
 
 @pytest.mark.parametrize("matrix_seed", [1, 2, 7])
@@ -458,6 +488,51 @@ def test_benchmark_document_names_a_missing_field_before_a_wrong_typed_one() -> 
     del doc["seed"]
     with pytest.raises(MatrixFormatError, match="missing field 'seed'"):
         benchmark_from_dict(doc)
+
+
+def _set_size_3_document() -> dict:
+    m = constant_matrix(12, 0.5)
+    return benchmark_to_dict(generate_benchmark(m, SearchConfig(tau=0.5, set_size=3), 2))
+
+
+@pytest.mark.parametrize(
+    ("edit", "expected"),
+    [
+        ({"train_families": ["fam00"]}, "split 1 'train_families' has 1 families, set_size is 3"),
+        ({"test_families": []}, "split 1 'test_families' has 0 families, set_size is 3"),
+        ({"relaxations": -1}, "split 1 'relaxations' must be >= 0, got -1"),
+        ({"attempts_total": 2}, "split 1 'attempts_total' must be >= set_size 3, got 2"),
+        ({"epsilon_final": 0.7},
+         r"split 1 'epsilon_final' must be epsilon0 \+ step \* relaxations = 0.05, got 0.7"),
+        ({"relaxations": 1}, r"relaxations = 0.1, got 0.05"),
+        # eps(2) is 0.05 + 0.05 * 2 == 0.15000000000000002 in floats, and JSON
+        # round-trips it exactly, so the loader compares without a tolerance.
+        ({"relaxations": 2, "epsilon_final": 0.15}, r"relaxations = 0.15000000000000002, got 0.15"),
+        ({"relaxations": 10**400}, "int too large to convert to float"),
+    ],
+    ids=["one-train-family", "no-test-families", "negative-relaxations", "too-few-attempts",
+         "epsilon-at-no-relaxation", "epsilon-below-relaxation", "epsilon-off-by-rounding",
+         "huge-relaxations"],
+)
+def test_inconsistent_benchmark_split_is_a_format_error(edit, expected) -> None:
+    doc = _set_size_3_document()
+    doc["splits"][1].update(edit)
+    with pytest.raises(MatrixFormatError, match=f"malformed benchmark document: .*{expected}$"):
+        benchmark_from_dict(doc)
+
+
+def test_benchmark_document_without_splits_is_a_format_error() -> None:
+    doc = _set_size_3_document()
+    doc["splits"] = []
+    with pytest.raises(MatrixFormatError, match="'splits' is empty"):
+        benchmark_from_dict(doc)
+
+
+def test_benchmark_document_loads_a_relaxed_split_at_its_exact_band() -> None:
+    doc = _set_size_3_document()
+    doc["splits"][1].update(relaxations=2, epsilon_final=0.05 + 0.05 * 2, attempts_total=3)
+    spec = benchmark_from_dict(json.loads(json.dumps(doc))).splits[1]
+    assert (spec.relaxations, spec.epsilon_final, spec.attempts_total) == (2, 0.15000000000000002, 3)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
