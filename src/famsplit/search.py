@@ -198,7 +198,7 @@ def _search_pass(
         candidates = band.at(relaxations)
         n = len(candidates)
         shift = 32 - n.bit_length()
-        left = config.max_attempts if n else 0
+        left = config.max_attempts if n else 0  # draws this level may still take
         while left:
             if not len(words):
                 words = _stream_words(rng, chunk)

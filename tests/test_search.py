@@ -444,9 +444,10 @@ def test_benchmark_document_missing_split_field_is_a_format_error(field) -> None
         lambda doc: {**doc, "tau": "0.5"},
         lambda doc: {**doc, "set_size": None},
         lambda doc: {**doc, "splits": [{**doc["splits"][0], "train_families": 5}]},
+        lambda doc: {**doc, "splits": []},
     ],
     ids=["list", "int-splits", "str-split", "null-split", "str-tau", "null-set-size",
-         "int-families"],
+         "int-families", "no-splits"],
 )
 def test_wrong_typed_benchmark_document_is_a_format_error(edit) -> None:
     with pytest.raises(MatrixFormatError, match="malformed benchmark document"):
@@ -518,13 +519,6 @@ def test_inconsistent_benchmark_split_is_a_format_error(edit, expected) -> None:
     doc = _set_size_3_document()
     doc["splits"][1].update(edit)
     with pytest.raises(MatrixFormatError, match=f"malformed benchmark document: .*{expected}$"):
-        benchmark_from_dict(doc)
-
-
-def test_benchmark_document_without_splits_is_a_format_error() -> None:
-    doc = _set_size_3_document()
-    doc["splits"] = []
-    with pytest.raises(MatrixFormatError, match="'splits' is empty"):
         benchmark_from_dict(doc)
 
 
