@@ -9,6 +9,7 @@ from famsplit.ablation import ablation_report, select_worst_k
 from famsplit.cli import main
 from famsplit.manifest import load_pool, save_pool, SamplePool
 from famsplit.matrix import load_matrix
+from famsplit.search import SearchConfig, benchmark_to_dict, generate_benchmark
 
 from test_stats import brute_force_wilcoxon
 
@@ -73,6 +74,17 @@ def test_synth_is_repeatable(tmp_path) -> None:
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_synth_and_pipeline_write_the_same_matrix(tmp_path) -> None:
+    synth = tmp_path / "m.csv"
+    assert run("synth", "--families", "30", "--seed", "4", "--out", synth) == 0
+    code = run(
+        "pipeline", "--families", "30", "--seed", "4", "--splits", "1", "--set-size", "2",
+        "--out-dir", tmp_path / "p",
+    )
+    assert code == 0
+    assert synth.read_bytes() == (tmp_path / "p" / "matrix.csv").read_bytes()
+
+
 def test_search_produces_hard_splits(matrix_file, tmp_path) -> None:
     out = tmp_path / "bench.json"
     code = run(
@@ -119,6 +131,21 @@ def test_search_is_repeatable(matrix_file, tmp_path) -> None:
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_default_search_document_is_the_library_benchmark(tmp_path) -> None:
+    matrix = tmp_path / "m60.csv"
+    out = tmp_path / "bench.json"
+    assert run("synth", "--families", "60", "--seed", "2", "--out", matrix) == 0
+    assert run("search", "--matrix", matrix, "--tau", "0.5", "--seed", "9", "--out", out) == 0
+    doc = json.loads(out.read_text())
+    manifest = doc.pop("run_manifest")
+    bench = generate_benchmark(load_matrix(matrix), SearchConfig(0.5, seed=9))
+    assert doc == json.loads(json.dumps(benchmark_to_dict(bench)))
+    assert manifest["flags"] == {
+        "tau": 0.5, "epsilon": 0.05, "step": 0.05, "max_attempts": 1000,
+        "set_size": 10, "splits": 10, "seed": 9, "label": None,
+    }
 
 
 def test_materialize_writes_expected_counts(benchmark_file, pool_file, tmp_path) -> None:
