@@ -14,7 +14,7 @@ import numpy as np
 
 from famsplit.errors import MatrixFormatError
 from famsplit.matrix import CrossErrorMatrix
-from famsplit.evaluate import Aggregation, surrogate_recall
+from famsplit.evaluate import Aggregation, surrogate_recalls
 
 
 @dataclass(frozen=True)
@@ -44,18 +44,20 @@ def _ranked_indices(m: CrossErrorMatrix, descending: bool) -> list[int]:
     return sorted(range(m.k), key=lambda t: (sign * means[t], t))
 
 
-def select_top_k(m: CrossErrorMatrix, k: int) -> list[str]:
-    """The k families with the highest mean recall against other families."""
+def _take(m: CrossErrorMatrix, order: list[int], k: int) -> list[str]:
     if not 1 <= k <= m.k:
         raise MatrixFormatError(f"k must be in [1, {m.k}], got {k}")
-    return [m.families[t] for t in _ranked_indices(m, descending=True)[:k]]
+    return [m.families[t] for t in order[:k]]
+
+
+def select_top_k(m: CrossErrorMatrix, k: int) -> list[str]:
+    """The k families with the highest mean recall against other families."""
+    return _take(m, _ranked_indices(m, descending=True), k)
 
 
 def select_worst_k(m: CrossErrorMatrix, k: int) -> list[str]:
     """The k families with the lowest mean recall against other families."""
-    if not 1 <= k <= m.k:
-        raise MatrixFormatError(f"k must be in [1, {m.k}], got {k}")
-    return [m.families[t] for t in _ranked_indices(m, descending=False)[:k]]
+    return _take(m, _ranked_indices(m, descending=False), k)
 
 
 def ablation_report(
@@ -64,12 +66,11 @@ def ablation_report(
     """Surrogate recall of a model trained on `selected`, over every family."""
     if not selected:
         raise MatrixFormatError("selection must not be empty")
-    for family in selected:
-        m.index_of(family)
-    per_family = {
-        family: surrogate_recall(m, selected, family, agg) for family in m.families
-    }
     chosen = set(selected)
+    if len(chosen) != len(selected):
+        repeated = next(f for i, f in enumerate(selected) if f in selected[:i])
+        raise MatrixFormatError(f"selection repeats family {repeated!r}")
+    per_family = surrogate_recalls(m, selected, m.families, agg)
     off = [recall for family, recall in per_family.items() if family not in chosen]
     own = [recall for family, recall in per_family.items() if family in chosen]
     return AblationReport(
@@ -90,9 +91,8 @@ def selection_curve(
     """(k, mean surrogate recall over all families) points for a K sweep."""
     if mode not in ("top", "worst"):
         raise MatrixFormatError(f"mode must be 'top' or 'worst', got {mode!r}")
-    select = select_top_k if mode == "top" else select_worst_k
-    points = []
-    for k in ks:
-        report = ablation_report(m, select(m, k), agg)
-        points.append((k, statistics.fmean(report.per_family_recall.values())))
-    return points
+    order = _ranked_indices(m, descending=mode == "top")
+    return [
+        (k, statistics.fmean(surrogate_recalls(m, _take(m, order, k), m.families, agg).values()))
+        for k in ks
+    ]

@@ -18,15 +18,13 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import get_args
 
 from famsplit import __version__
 from famsplit.ablation import ablation_report, select_top_k, select_worst_k, selection_curve
 from famsplit.errors import FamsplitError
-from famsplit.evaluate import (
-    evaluate_predictions,
-    load_predictions,
-    validate_benchmark,
-)
+from famsplit.evaluate import (Aggregation, PredictionSet, evaluate_predictions, load_predictions,
+                               validate_benchmark)
 from famsplit.manifest import (
     TEST_PER_FAMILY,
     TRAIN_PER_FAMILY,
@@ -284,21 +282,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", type=int, required=True, help="family count K (>= 2)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="matrix CSV output path")
-    p.add_argument("--generality", type=float, nargs=2, default=[0.3, 1.0], metavar=("LO", "HI"))
-    p.add_argument("--detectability", type=float, nargs=2, default=[0.3, 1.0], metavar=("LO", "HI"))
-    p.add_argument("--noise-sd", type=float, default=0.02)
-    p.add_argument("--diag-floor", type=float, default=0.99)
-    p.add_argument("--loner-fraction", type=float, default=0.1)
-    p.add_argument("--hermit-fraction", type=float, default=0.1)
+    for flag, default in (("--generality", SynthParams.generality_range),
+                          ("--detectability", SynthParams.detectability_range)):
+        p.add_argument(flag, type=float, nargs=2, default=list(default), metavar=("LO", "HI"))
+    p.add_argument("--noise-sd", type=float, default=SynthParams.noise_sd)
+    p.add_argument("--diag-floor", type=float, default=SynthParams.diag_floor)
+    p.add_argument("--loner-fraction", type=float, default=SynthParams.loner_fraction)
+    p.add_argument("--hermit-fraction", type=float, default=SynthParams.hermit_fraction)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("search", help="search disjoint train/test family splits")
     p.add_argument("--matrix", required=True)
     p.add_argument("--tau", type=float, required=True, help="target recall threshold in (0,1)")
-    p.add_argument("--epsilon", type=float, default=0.05, help="initial band half-width")
-    p.add_argument("--step", type=float, default=0.05, help="relaxation increment")
-    p.add_argument("--max-attempts", type=int, default=1000)
-    p.add_argument("--set-size", type=int, default=10)
+    p.add_argument("--epsilon", type=float, default=SearchConfig.epsilon0, help="initial band half-width")
+    p.add_argument("--step", type=float, default=SearchConfig.step, help="relaxation increment")
+    p.add_argument("--max-attempts", type=int, default=SearchConfig.max_attempts)
+    p.add_argument("--set-size", type=int, default=SearchConfig.set_size)
     p.add_argument("--splits", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--label", default=None, help="difficulty label (default from tau)")
@@ -318,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--mode", choices=("top", "worst"), required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--agg", choices=("mean", "max", "min"), default="mean")
+    p.add_argument("--agg", choices=get_args(Aggregation), default="mean")
     p.add_argument("--curve-ks", type=_int_list, default=None,
                    help="comma-separated K sweep, e.g. 5,10,15")
     p.add_argument("--plot-data", default=None, help="optional TSV of (x, y) plot pairs")
@@ -328,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score predictions against a materialized split")
     p.add_argument("--split-dir", required=True)
     p.add_argument("--predictions", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=PredictionSet.threshold)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
@@ -344,11 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", type=int, default=184)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--splits", type=int, default=10)
-    p.add_argument("--set-size", type=int, default=10)
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--max-attempts", type=int, default=1000)
-    p.add_argument("--agg", choices=("mean", "max", "min"), default="mean")
+    p.add_argument("--set-size", type=int, default=SearchConfig.set_size)
+    p.add_argument("--epsilon", type=float, default=SearchConfig.epsilon0)
+    p.add_argument("--step", type=float, default=SearchConfig.step)
+    p.add_argument("--max-attempts", type=int, default=SearchConfig.max_attempts)
+    p.add_argument("--agg", choices=get_args(Aggregation), default="mean")
     p.add_argument("--pool", default=None, help="optional pool file; also materialize splits")
     p.add_argument("--train-per-family", type=int, default=TRAIN_PER_FAMILY)
     p.add_argument("--test-per-family", type=int, default=TEST_PER_FAMILY)

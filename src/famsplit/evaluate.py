@@ -7,12 +7,15 @@ benchmark's difficulty be validated without training anything.
 
 from __future__ import annotations
 
+import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence, get_args
+
+import numpy as np
 
 from famsplit.errors import MatrixFormatError, PredictionError
 from famsplit.manifest import MaterializedSplit
@@ -20,8 +23,6 @@ from famsplit.matrix import CrossErrorMatrix
 from famsplit.search import BenchmarkSet, SplitSpec
 
 Aggregation = Literal["mean", "max", "min"]
-
-_AGGREGATORS = {"mean": statistics.fmean, "max": max, "min": min}
 
 
 @dataclass(frozen=True)
@@ -48,20 +49,25 @@ class EvalResult:
     per_family_recall: dict[str, float]
 
 
-def surrogate_recall(
-    m: CrossErrorMatrix,
-    trained: Iterable[str],
-    target: str,
-    agg: Aggregation = "mean",
-) -> float:
-    """Aggregate of M[t][target] over the trained families."""
-    if agg not in _AGGREGATORS:
+def surrogate_recalls(
+    m: CrossErrorMatrix, trained: Iterable[str], targets: Sequence[str], agg: Aggregation = "mean"
+) -> dict[str, float]:
+    """Aggregate of M[t][v] over the trained families t, per target v, from one block.
+
+    The mean is fsum / n, `statistics.fmean` bit for bit; max and min keep the
+    first of equal extremes, as the built-ins do, so a -0.0 before a 0.0 survives.
+    """
+    if agg not in get_args(Aggregation):
         raise MatrixFormatError(f"unknown aggregation {agg!r}")
-    col = m.index_of(target)
+    cols = [m.index_of(v) for v in targets]
     rows = [m.index_of(t) for t in trained]
     if not rows:
         raise MatrixFormatError("trained set must not be empty")
-    return float(_AGGREGATORS[agg](m.values[t, col] for t in rows))
+    block = m.values[np.ix_(rows, cols)]
+    if agg == "mean":
+        return dict(zip(targets, (math.fsum(col) / len(rows) for col in block.T.tolist())))
+    first = block.argmax(axis=0) if agg == "max" else block.argmin(axis=0)
+    return dict(zip(targets, block[first, range(len(cols))].tolist()))
 
 
 @dataclass(frozen=True)
@@ -90,9 +96,7 @@ class BenchmarkValidation:
 def validate_split(
     m: CrossErrorMatrix, spec: SplitSpec, split_index: int, agg: Aggregation = "mean"
 ) -> SplitValidation:
-    per_family = {
-        v: surrogate_recall(m, spec.train_families, v, agg) for v in spec.test_families
-    }
+    per_family = surrogate_recalls(m, spec.train_families, spec.test_families, agg)
     lo = spec.tau - spec.epsilon_final
     hi = spec.tau + spec.epsilon_final
     flagged = tuple(v for v, r in per_family.items() if not lo <= r <= hi)
@@ -152,7 +156,7 @@ def evaluate_predictions(ms: MaterializedSplit, preds: PredictionSet) -> EvalRes
     )
 
 
-def load_predictions(path: str | Path, threshold: float = 0.5) -> PredictionSet:
+def load_predictions(path: str | Path, threshold: float = PredictionSet.threshold) -> PredictionSet:
     """Read a tab-separated "sample_id<TAB>score" file."""
     scores: dict[str, float] = {}
     lines = Path(path).read_text(encoding="utf-8").splitlines()

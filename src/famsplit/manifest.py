@@ -74,10 +74,6 @@ class SamplePool:
                     f"duplicate sample id {repeated!r} in {where[0]} and in {where[1]}"
                 )
 
-    def benign_ids(self, origin: str) -> tuple[str, ...]:
-        """The benign ids of one origin partition, in pool order."""
-        return self.benign.get(origin, ())
-
 
 @dataclass(frozen=True)
 class SplitSide:

@@ -102,6 +102,14 @@ def test_report_rejects_unknown_family() -> None:
         ablation_report(m, [])
 
 
+def test_report_rejects_a_repeated_family() -> None:
+    m = constant_matrix(4, 0.5)
+    with pytest.raises(MatrixFormatError, match="selection repeats family 'fam00'"):
+        ablation_report(m, ["fam00", "fam00", "fam01"])
+    with pytest.raises(MatrixFormatError, match="selection repeats family 'fam02'"):
+        ablation_report(m, ["fam01", "fam02", "fam03", "fam02"])
+
+
 def test_worst_ten_on_planted_matrix_barely_generalizes(paper_matrix) -> None:
     worst = select_worst_k(paper_matrix, 10)
     report = ablation_report(paper_matrix, worst, agg="max")

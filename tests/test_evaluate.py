@@ -2,30 +2,34 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from famsplit.errors import MatrixFormatError, PredictionError
 from famsplit.evaluate import (
     PredictionSet,
     evaluate_predictions,
     load_predictions,
-    surrogate_recall,
+    surrogate_recalls,
     validate_benchmark,
 )
 from famsplit.manifest import MaterializedSplit, SplitSide
 from famsplit.search import SearchConfig, generate_benchmark
 
 from conftest import constant_matrix, make_matrix
+from test_surrogate import exact, reference_surrogate_recall
 
 
 def test_surrogate_singleton_is_the_matrix_entry() -> None:
     m = make_matrix([[1.0, 0.3], [0.8, 1.0]])
     for agg in ("mean", "max", "min"):
-        assert surrogate_recall(m, ["fam00"], "fam01", agg) == pytest.approx(0.3)
+        assert surrogate_recalls(m, ["fam00"], ["fam01"], agg) == {"fam01": pytest.approx(0.3)}
 
 
 def test_surrogate_constant_matrix() -> None:
     m = constant_matrix(5, 0.45, diag=0.45)
-    assert surrogate_recall(m, list(m.families[:3]), "fam04") == pytest.approx(0.45)
+    recalls = surrogate_recalls(m, list(m.families[:3]), m.families[3:])
+    assert recalls == {"fam03": pytest.approx(0.45), "fam04": pytest.approx(0.45)}
 
 
 def test_surrogate_two_element_aggregations() -> None:
@@ -35,19 +39,40 @@ def test_surrogate_two_element_aggregations() -> None:
         [0.0, 0.0, 1.0],
     ]
     m = make_matrix(grid, families=("a", "b", "c"))
-    assert surrogate_recall(m, ["a", "b"], "c", "mean") == pytest.approx(0.5)
-    assert surrogate_recall(m, ["a", "b"], "c", "max") == pytest.approx(0.8)
-    assert surrogate_recall(m, ["a", "b"], "c", "min") == pytest.approx(0.2)
+    assert surrogate_recalls(m, ["a", "b"], ["c"], "mean") == {"c": pytest.approx(0.5)}
+    assert surrogate_recalls(m, ["a", "b"], ["c"], "max") == {"c": pytest.approx(0.8)}
+    assert surrogate_recalls(m, ["a", "b"], ["c"], "min") == {"c": pytest.approx(0.2)}
+
+
+def test_surrogate_mean_is_exactly_rounded_and_extremes_keep_the_first_zero() -> None:
+    # Column 3 holds 0.7, 0.1, 0.1, 0.1: a left-to-right or pairwise sum
+    # gives 0.24999999999999997, fsum / n gives 0.25. Columns 4 and 5 tie
+    # -0.0 with 0.0; max and min keep whichever comes first, as built-ins do.
+    grid = np.eye(6)
+    grid[:3, 3] = [0.7, 0.1, 0.1]
+    grid[3, 3] = 0.1
+    grid[:4, 4] = [-0.0, 0.0, 0.0, 0.0]
+    grid[:4, 5] = [0.0, -0.0, -0.0, -0.0]
+    m = make_matrix(grid)
+    trained = m.families[:4]
+    assert surrogate_recalls(m, trained, ["fam03"], "mean") == {"fam03": 0.25}
+    extremes = {agg: surrogate_recalls(m, trained, m.families[4:], agg) for agg in ("max", "min")}
+    assert {agg: [v.hex() for v in r.values()] for agg, r in extremes.items()} == {
+        "max": ["-0x0.0p+0", "0x0.0p+0"],
+        "min": ["-0x0.0p+0", "0x0.0p+0"],
+    }
 
 
 def test_surrogate_rejects_bad_inputs() -> None:
     m = constant_matrix(3, 0.5)
-    with pytest.raises(MatrixFormatError):
-        surrogate_recall(m, [], "fam00")
-    with pytest.raises(MatrixFormatError):
-        surrogate_recall(m, ["fam00"], "ghost")
-    with pytest.raises(MatrixFormatError):
-        surrogate_recall(m, ["fam00"], "fam01", "median")
+    with pytest.raises(MatrixFormatError, match="trained set must not be empty"):
+        surrogate_recalls(m, [], ["fam00"])
+    with pytest.raises(MatrixFormatError, match="unknown family 'ghost'"):
+        surrogate_recalls(m, ["fam00"], ["fam01", "ghost"])
+    with pytest.raises(MatrixFormatError, match="unknown family 'ghost'"):
+        surrogate_recalls(m, ["fam00", "ghost"], ["fam01"])
+    with pytest.raises(MatrixFormatError, match="unknown aggregation 'median'"):
+        surrogate_recalls(m, ["fam00"], ["fam01"], "median")
 
 
 def test_aggregation_ordering_property() -> None:
@@ -55,11 +80,25 @@ def test_aggregation_ordering_property() -> None:
     grid = rng.uniform(0.0, 1.0, (8, 8))
     m = make_matrix(grid)
     trained = list(m.families[:4])
-    for target in m.families[4:]:
-        lo = surrogate_recall(m, trained, target, "min")
-        mid = surrogate_recall(m, trained, target, "mean")
-        hi = surrogate_recall(m, trained, target, "max")
-        assert lo <= mid <= hi
+    targets = m.families[4:]
+    lo, mid, hi = (surrogate_recalls(m, trained, targets, agg) for agg in ("min", "mean", "max"))
+    for target in targets:
+        assert lo[target] <= mid[target] <= hi[target]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data(), k=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+def test_surrogate_recalls_match_the_reference_with_repeats(data, k, seed, ties) -> None:
+    rng = np.random.default_rng(seed)
+    grid = rng.choice(np.array([0.0, -0.0, 0.5, 1.0]), (k, k)) if ties else rng.random((k, k))
+    m = make_matrix(grid)
+    names = st.sampled_from(m.families)
+    trained = data.draw(st.lists(names, min_size=1, max_size=2 * k))
+    targets = data.draw(st.lists(names, max_size=2 * k))
+    for agg in ("mean", "max", "min"):
+        expected = {v: reference_surrogate_recall(m, trained, v, agg) for v in targets}
+        got = surrogate_recalls(m, trained, targets, agg)
+        assert exact(got) == exact(expected)
 
 
 def test_validate_constant_matrix_benchmark_is_flag_free() -> None:

@@ -80,7 +80,7 @@ def test_benign_partitions_keep_pool_order(tmp_path) -> None:
     path.write_text("".join(f"{i}\tbenign\t-\t{tag}\n" for i, tag in benign))
     pool = load_pool(path)
     for origin in ("train", "test"):
-        assert list(pool.benign_ids(origin)) == [i for i, tag in benign if tag == origin]
+        assert list(pool.benign[origin]) == [i for i, tag in benign if tag == origin]
 
 
 def pool_lines_with_interleaved_benign(seed: int) -> tuple[list[str], list[str]]:
@@ -121,7 +121,7 @@ def test_pool_save_load_round_trip_keeps_benign_partitions(tmp_path) -> None:
     loaded = load_pool(second)
     for origin in ("train", "test"):
         expected = [line.split("\t")[0] for line in benign if line.endswith(origin)]
-        assert list(loaded.benign_ids(origin)) == expected
+        assert list(loaded.benign[origin]) == expected
     assert loaded.by_family == load_pool(first).by_family
 
 
@@ -312,7 +312,7 @@ def test_pool_benign_is_a_read_only_copy_holding_both_origins() -> None:
     train_ids.append("u")
     benign["test"] = ["y"]
     assert pool.benign == {"train": ("w", "v"), "test": ()}
-    assert pool.benign_ids("test") == ()
+    assert pool.benign["test"] == ()
     with pytest.raises(TypeError):
         pool.benign["test"] = ("y",)
     with pytest.raises(TypeError):
@@ -398,8 +398,8 @@ def reference_materialize_split(
         _reference_check_family(pool, family, test_per_family)
     need_benign_train = len(spec.train_families) * train_per_family
     need_benign_test = len(spec.test_families) * test_per_family
-    benign_train_ids = pool.benign_ids("train")
-    benign_test_ids = pool.benign_ids("test")
+    benign_train_ids = pool.benign["train"]
+    benign_test_ids = pool.benign["test"]
     if len(benign_train_ids) < need_benign_train:
         raise PoolError(
             f"benign train pool has {len(benign_train_ids)} samples,"
