@@ -34,7 +34,7 @@ class AblationReport:
 
 
 def _row_means(m: CrossErrorMatrix) -> list[float]:
-    """Every row's row_mean_recall, bit for bit, in one array expression."""
+    """Each row's mean recall against the other families (diagonal excluded)."""
     return m.values[~np.eye(m.k, dtype=bool)].reshape(m.k, m.k - 1).mean(axis=1).tolist()
 
 

@@ -26,6 +26,7 @@ from famsplit.errors import FamsplitError
 from famsplit.evaluate import (Aggregation, PredictionSet, evaluate_predictions, load_predictions,
                                validate_benchmark)
 from famsplit.manifest import (
+    SPLIT_FILES,
     TEST_PER_FAMILY,
     TRAIN_PER_FAMILY,
     SamplePool,
@@ -57,7 +58,6 @@ def _sha256(path: Path) -> str:
 # Path flags: inputs are recorded by content digest, outputs not at all, so
 # a rerun elsewhere writes the same bytes.
 _INPUT_PATHS = ("matrix", "benchmark", "pool", "predictions", "a", "b")
-_SPLIT_FILES = {"train": "train.tsv", "test": "test.tsv", "meta": "meta.json"}
 _UNRECORDED = ("command", "func", "out", "out_dir", "plot_data")
 
 
@@ -67,7 +67,7 @@ def _run_manifest(args: argparse.Namespace) -> dict:
     inputs: dict[str, str] = {}
     for name, value in vars(args).items():
         if name == "split_dir":
-            for role, filename in _SPLIT_FILES.items():
+            for role, filename in SPLIT_FILES.items():
                 inputs[role] = _sha256(Path(value) / filename)
         elif name in _INPUT_PATHS:
             if value is not None:
@@ -80,6 +80,21 @@ def _run_manifest(args: argparse.Namespace) -> dict:
 def _write_json(path: Path, doc: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
+def _save_matrix(matrix: CrossErrorMatrix, path: Path, manifest: dict) -> None:
+    """Write the matrix CSV and, beside it, its run manifest."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_matrix(matrix, path)
+    _write_json(path.with_name(path.name + ".manifest.json"), manifest)
+
+
+def _report(args: argparse.Namespace, doc: dict, summary: str) -> int:
+    """Embed the run manifest in `doc`, write it to --out, and print `summary`."""
+    doc["run_manifest"] = _run_manifest(args)
+    _write_json(Path(args.out), doc)
+    print(f"wrote {args.out}: {summary}")
+    return 0
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -95,16 +110,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
     )
     matrix = synth_matrix(params)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_matrix(matrix, out)
-    _write_json(out.with_name(out.name + ".manifest.json"), _run_manifest(args))
+    _save_matrix(matrix, out, _run_manifest(args))
     print(f"wrote {out} ({matrix.k} families)")
     return 0
 
 
 def _search(matrix: CrossErrorMatrix, args: argparse.Namespace, tau: float, seed: int,
-            label: str | None, manifest: dict, out: Path) -> BenchmarkSet:
-    """Search one tier with the search flags in `args`; write its benchmark document."""
+            label: str | None) -> BenchmarkSet:
+    """Search one tier with the search flags in `args`."""
     config = SearchConfig(
         tau=tau,
         epsilon0=args.epsilon,
@@ -113,21 +126,14 @@ def _search(matrix: CrossErrorMatrix, args: argparse.Namespace, tau: float, seed
         set_size=args.set_size,
         seed=seed,
     )
-    bench = generate_benchmark(matrix, config, n_splits=args.splits, label=label)
-    doc = benchmark_to_dict(bench)
-    doc["run_manifest"] = manifest
-    _write_json(out, doc)
-    return bench
+    return generate_benchmark(matrix, config, n_splits=args.splits, label=label)
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    matrix = load_matrix(args.matrix)
-    bench = _search(matrix, args, args.tau, args.seed, args.label, _run_manifest(args),
-                    Path(args.out))
-    eps = [s.epsilon_final for s in bench.splits]
-    print(f"wrote {args.out}: {len(bench.splits)} {bench.difficulty_label} splits, "
-          f"epsilon_final max {max(eps):g}")
-    return 0
+    bench = _search(load_matrix(args.matrix), args, args.tau, args.seed, args.label)
+    eps = max(s.epsilon_final for s in bench.splits)
+    summary = f"{len(bench.splits)} {bench.difficulty_label} splits, epsilon_final max {eps:g}"
+    return _report(args, benchmark_to_dict(bench), summary)
 
 
 def _materialize(bench: BenchmarkSet, pool: SamplePool, args: argparse.Namespace, seed: int,
@@ -164,27 +170,19 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     select = select_top_k if args.mode == "top" else select_worst_k
     report = ablation_report(matrix, select(matrix, args.k), args.agg)
     doc = {"mode": args.mode, "k": args.k, "agg": args.agg, **asdict(report)}
-    plot_rows: list[tuple[float, float]]
     if args.curve_ks:
         ks = [int(x) for x in args.curve_ks.split(",")]
         curve = selection_curve(matrix, args.mode, ks, args.agg)
         doc["curve"] = [[k, mean] for k, mean in curve]
         plot_rows = [(float(k), mean) for k, mean in curve]
     else:
-        plot_rows = [
-            (float(i), report.per_family_recall[family])
-            for i, family in enumerate(matrix.families)
-        ]
-    doc["run_manifest"] = _run_manifest(args)
-    _write_json(Path(args.out), doc)
+        plot_rows = [(float(i), report.per_family_recall[f]) for i, f in enumerate(matrix.families)]
+    _report(args, doc, f"{args.mode}-{args.k} selection")
     if args.plot_data:
         plot_path = Path(args.plot_data)
         plot_path.parent.mkdir(parents=True, exist_ok=True)
-        plot_path.write_text(
-            "".join(f"{x:g}\t{y:.6f}\n" for x, y in plot_rows), encoding="utf-8"
-        )
+        plot_path.write_text("".join(f"{x:g}\t{y:.6f}\n" for x, y in plot_rows), encoding="utf-8")
         _write_json(plot_path.with_name(plot_path.name + ".manifest.json"), doc["run_manifest"])
-    print(f"wrote {args.out}: {args.mode}-{args.k} selection")
     return 0
 
 
@@ -192,62 +190,39 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     split = read_split(args.split_dir)
     preds = load_predictions(args.predictions, threshold=args.threshold)
     result = evaluate_predictions(split, preds)
-    doc = {
-        "split_id": split.split_id,
-        "threshold": args.threshold,
-        **asdict(result),
-        "run_manifest": _run_manifest(args),
-    }
-    _write_json(Path(args.out), doc)
-    print(f"wrote {args.out}: overall_accuracy {result.overall_accuracy:.4f}")
-    return 0
+    doc = {"split_id": split.split_id, "threshold": args.threshold, **asdict(result)}
+    return _report(args, doc, f"overall_accuracy {result.overall_accuracy:.4f}")
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     a = load_metric_vector(args.a, args.metric)
     b = load_metric_vector(args.b, args.metric)
     result = wilcoxon_exact(a, b)
-    doc = {
-        "metric": args.metric,
-        "n_pairs": len(a),
-        **asdict(result),
-        "summary_a": summarize(a),
-        "summary_b": summarize(b),
-        "run_manifest": _run_manifest(args),
-    }
-    _write_json(Path(args.out), doc)
-    print(
-        f"wrote {args.out}: n_effective={result.n_effective} "
-        f"p_two_sided={result.p_two_sided:.6g}"
-    )
-    return 0
+    doc = {"metric": args.metric, "n_pairs": len(a), **asdict(result),
+           "summary_a": summarize(a), "summary_b": summarize(b)}
+    summary = f"n_effective={result.n_effective} p_two_sided={result.p_two_sided:.6g}"
+    return _report(args, doc, summary)
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    params = SynthParams(k=args.families, seed=args.seed)
-    matrix = synth_matrix(params)
-    matrix_path = out_dir / "matrix.csv"
-    save_matrix(matrix, matrix_path)
     manifest = _run_manifest(args)
-    _write_json(matrix_path.with_name(matrix_path.name + ".manifest.json"), manifest)
+    matrix = synth_matrix(SynthParams(k=args.families, seed=args.seed))
+    _save_matrix(matrix, out_dir / "matrix.csv", manifest)
 
     pool = load_pool(args.pool) if args.pool else None
     tiers = []
     for tier_index, (tau, label) in enumerate(STANDARD_LABELS.items()):
         tier_seed = derive_seed(args.seed, tier_index)
         slug = label.lower()
-        bench = _search(matrix, args, tau, tier_seed, label, manifest,
-                        out_dir / f"benchmark_{slug}.json")
+        bench = _search(matrix, args, tau, tier_seed, label)
+        _write_json(out_dir / f"benchmark_{slug}.json",
+                    {**benchmark_to_dict(bench), "run_manifest": manifest})
 
         validation = validate_benchmark(matrix, bench, args.agg)
         tiers.append(asdict(validation))
-        curve_path = out_dir / f"recall_curve_{slug}.tsv"
-        curve_path.write_text(
-            "".join(
-                f"{s.split_index}\t{s.mean_recall:.6f}\n" for s in validation.splits
-            ),
+        (out_dir / f"recall_curve_{slug}.tsv").write_text(
+            "".join(f"{s.split_index}\t{s.mean_recall:.6f}\n" for s in validation.splits),
             encoding="utf-8",
         )
         if pool is not None:
@@ -260,13 +235,27 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """argparse type: an integer >= `low`, so a bad value is a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
 def _int_list(text: str) -> str:
-    """argparse type: comma-separated integers, kept as text for the run manifest."""
+    """argparse type: comma-separated integers >= 1, kept as text for the run manifest."""
     try:
-        list(map(int, text.split(",")))
+        smallest = min(map(int, text.split(",")))
     except ValueError:
-        msg = f"expected comma-separated integers, got {text!r}"
-        raise argparse.ArgumentTypeError(msg) from None
+        smallest = 0
+    if smallest < 1:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers >= 1, got {text!r}")
     return text
 
 
@@ -279,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic cross-generalization matrix")
-    p.add_argument("--families", type=int, required=True, help="family count K (>= 2)")
+    p.add_argument("--families", type=_at_least(2), required=True, help="family count K (>= 2)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="matrix CSV output path")
     for flag, default in (("--generality", SynthParams.generality_range),
@@ -297,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=SearchConfig.epsilon0, help="initial band half-width")
     p.add_argument("--step", type=float, default=SearchConfig.step, help="relaxation increment")
     p.add_argument("--max-attempts", type=int, default=SearchConfig.max_attempts)
-    p.add_argument("--set-size", type=int, default=SearchConfig.set_size)
-    p.add_argument("--splits", type=int, default=10)
+    p.add_argument("--set-size", type=_at_least(1), default=SearchConfig.set_size)
+    p.add_argument("--splits", type=_at_least(1), default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--label", default=None, help="difficulty label (default from tau)")
     p.add_argument("--out", required=True)
@@ -316,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="top-K / worst-K baseline selection report")
     p.add_argument("--matrix", required=True)
     p.add_argument("--mode", choices=("top", "worst"), required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_at_least(1), required=True)
     p.add_argument("--agg", choices=get_args(Aggregation), default="mean")
     p.add_argument("--curve-ks", type=_int_list, default=None,
                    help="comma-separated K sweep, e.g. 5,10,15")
@@ -340,10 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="synth -> search x3 difficulties -> validate")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--families", type=int, default=184)
+    p.add_argument("--families", type=_at_least(2), default=184)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--splits", type=int, default=10)
-    p.add_argument("--set-size", type=int, default=SearchConfig.set_size)
+    p.add_argument("--splits", type=_at_least(1), default=10)
+    p.add_argument("--set-size", type=_at_least(1), default=SearchConfig.set_size)
     p.add_argument("--epsilon", type=float, default=SearchConfig.epsilon0)
     p.add_argument("--step", type=float, default=SearchConfig.step)
     p.add_argument("--max-attempts", type=int, default=SearchConfig.max_attempts)
@@ -356,22 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    if args.command in ("synth", "pipeline") and args.families < 2:
-        parser.error("--families must be at least 2")
-    if args.command == "ablate" and args.k < 1:
-        parser.error("--k must be at least 1")
-    if args.command in ("search", "pipeline"):
-        if args.splits < 1:
-            parser.error("--splits must be at least 1")
-        if args.set_size < 1:
-            parser.error("--set-size must be at least 1")
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _validate_flags(parser, args)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (FamsplitError, OSError, json.JSONDecodeError) as exc:

@@ -24,4 +24,4 @@ class PredictionError(FamsplitError):
 
 
 class ComparisonError(FamsplitError):
-    """Metric vectors cannot be compared (mismatch, degenerate, or too long)."""
+    """Metric vectors are malformed or cannot be compared (length mismatch, empty, all equal)."""

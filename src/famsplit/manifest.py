@@ -28,6 +28,8 @@ TEST_PER_FAMILY = 2000
 
 _LABELS = ("benign", "malicious")
 _ORIGINS = ("train", "test")
+# The files of a split directory, by role: what write_split writes and read_split reads.
+SPLIT_FILES = MappingProxyType({"train": "train.tsv", "test": "test.tsv", "meta": "meta.json"})
 
 
 @dataclass(frozen=True)
@@ -269,14 +271,14 @@ def split_meta(ms: MaterializedSplit, spec: SplitSpec, seed: int,
 
 
 def write_split(ms: MaterializedSplit, directory: str | Path, meta: dict | None = None) -> None:
-    """Write train.tsv, test.tsv, and meta.json under `directory`."""
+    """Write the SPLIT_FILES (train.tsv, test.tsv, and meta.json) under `directory`."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "train.tsv").write_text(_side_text(ms.train), encoding="utf-8")
-    (directory / "test.tsv").write_text(_side_text(ms.test), encoding="utf-8")
+    (directory / SPLIT_FILES["train"]).write_text(_side_text(ms.train), encoding="utf-8")
+    (directory / SPLIT_FILES["test"]).write_text(_side_text(ms.test), encoding="utf-8")
     if meta is None:
         meta = {"split_id": ms.split_id, "counts": ms.counts}
-    (directory / "meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    (directory / SPLIT_FILES["meta"]).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
 # Every line break str.splitlines() honours besides "\n".
@@ -349,7 +351,7 @@ def _read_side_by_line(path: Path, text: str) -> SplitSide:
 def read_split(directory: str | Path) -> MaterializedSplit:
     """Load a split directory written by write_split."""
     directory = Path(directory)
-    meta_path = directory / "meta.json"
+    meta_path = directory / SPLIT_FILES["meta"]
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     if not isinstance(meta, dict) or not isinstance(meta.get("counts", {}), dict):
         raise PoolError(f"{meta_path}: meta and its 'counts' must be JSON objects")
@@ -360,8 +362,8 @@ def read_split(directory: str | Path) -> MaterializedSplit:
         raise PoolError(f"{meta_path}: missing key {missing[0]!r}")
     ms = MaterializedSplit(
         split_id=meta["split_id"],
-        train=_read_side(directory / "train.tsv"),
-        test=_read_side(directory / "test.tsv"),
+        train=_read_side(directory / SPLIT_FILES["train"]),
+        test=_read_side(directory / SPLIT_FILES["test"]),
         counts=meta["counts"],
     )
     for name, side in (("train", ms.train), ("test", ms.test)):
@@ -369,6 +371,6 @@ def read_split(directory: str | Path) -> MaterializedSplit:
         if total != len(side):
             raise PoolError(
                 f"{meta_path}: counts.{name}_total is {total},"
-                f" but {name}.tsv holds {len(side)} records"
+                f" but {SPLIT_FILES[name]} holds {len(side)} records"
             )
     return ms

@@ -139,18 +139,6 @@ def save_matrix(m: CrossErrorMatrix, path: str | Path) -> None:
             out.write(f"{family},{row_format % tuple(row.tolist())}\n")
 
 
-def row_mean_recall(m: CrossErrorMatrix, family_index: int, include_self: bool = False) -> float:
-    """Mean recall of one training family's row, diagonal excluded by default."""
-    if not 0 <= family_index < m.k:
-        raise IndexError(f"family index {family_index} out of range for K={m.k}")
-    row = m.values[family_index]
-    if include_self:
-        return float(row.mean())
-    mask = np.ones(m.k, dtype=bool)
-    mask[family_index] = False
-    return float(row[mask].mean())
-
-
 @dataclass(frozen=True)
 class SynthParams:
     """Knobs for the planted-structure synthetic matrix generator.

@@ -266,13 +266,6 @@ def _search_band(band: _Band, config: SearchConfig, restarts: int = SEARCH_RESTA
     )
 
 
-def split_max_deviation(m: CrossErrorMatrix, spec: SplitSpec) -> float:
-    """Largest |M[t][v] - tau| over all cross pairs of the split."""
-    rows = [m.index_of(f) for f in spec.train_families]
-    cols = [m.index_of(f) for f in spec.test_families]
-    return float(np.abs(m.values[np.ix_(rows, cols)] - spec.tau).max())
-
-
 def default_label(tau: float) -> str:
     return STANDARD_LABELS.get(tau, f"tau-{tau:g}")
 

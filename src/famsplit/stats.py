@@ -18,8 +18,6 @@ from typing import Sequence
 
 from famsplit.errors import ComparisonError
 
-EXACT_LIMIT = 25  # refuse more nonzero differences; the counting DP itself has no such limit
-
 
 @dataclass(frozen=True)
 class WilcoxonResult:
@@ -71,10 +69,6 @@ def wilcoxon_exact(a: Sequence[float], b: Sequence[float]) -> WilcoxonResult:
     n = len(diffs)
     if n == 0:
         raise ComparisonError("degenerate comparison: all paired differences are zero")
-    if n > EXACT_LIMIT:
-        raise ComparisonError(
-            f"{n} nonzero differences exceed the exact-test cap of {EXACT_LIMIT}"
-        )
     ranks = _midranks([abs(d) for d in diffs])
     w_plus = sum(r for r, d in zip(ranks, diffs) if d > 0)
     w_minus = sum(r for r, d in zip(ranks, diffs) if d < 0)

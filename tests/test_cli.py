@@ -276,7 +276,7 @@ def test_ablate_curve_mode(matrix_file, tmp_path) -> None:
     assert len((tmp_path / "curve.tsv").read_text().splitlines()) == 3
 
 
-@pytest.mark.parametrize("curve_ks", ["2,x", "5,,6", "", "1.5"])
+@pytest.mark.parametrize("curve_ks", ["2,x", "5,,6", "", "1.5", "0,3"])
 def test_ablate_malformed_curve_ks_is_a_usage_error(matrix_file, tmp_path, capsys, curve_ks) -> None:
     with pytest.raises(SystemExit) as exc:
         run("ablate", "--matrix", matrix_file, "--mode", "top", "--k", "5",
@@ -284,6 +284,34 @@ def test_ablate_malformed_curve_ks_is_a_usage_error(matrix_file, tmp_path, capsy
     assert exc.value.code == 2
     assert "--curve-ks: expected comma-separated integers" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
+
+
+def test_ablate_curve_k_above_the_family_count_is_a_domain_error(matrix_file, tmp_path, capsys) -> None:
+    code = run("ablate", "--matrix", matrix_file, "--mode", "top", "--k", "5",
+               "--curve-ks", "3,25", "--out", tmp_path / "x.json")
+    assert code == 1
+    assert "k must be in [1, 24], got 25" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--families", "1", "--out", "{out}"],
+    ["pipeline", "--families", "1", "--out-dir", "{out}"],
+    ["ablate", "--matrix", "{matrix}", "--mode", "top", "--k", "0", "--out", "{out}"],
+    ["ablate", "--matrix", "{matrix}", "--mode", "top", "--k", "x", "--out", "{out}"],
+    ["search", "--matrix", "{matrix}", "--tau", "0.5", "--splits", "0", "--out", "{out}"],
+    ["search", "--matrix", "{matrix}", "--tau", "0.5", "--set-size", "-1", "--out", "{out}"],
+    ["pipeline", "--splits", "0", "--out-dir", "{out}"],
+    ["pipeline", "--set-size", "2.5", "--out-dir", "{out}"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-4:-2]))
+def test_flag_bounds_are_usage_errors(matrix_file, tmp_path, capsys, argv) -> None:
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(*(a.format(matrix=matrix_file, out=out) for a in argv))
+    assert exc.value.code == 2
+    flag, value = argv[-4:-2]
+    low = 2 if flag == "--families" else 1
+    assert f"argument {flag}: expected an integer >= {low}, got '{value}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.fixture()

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from famsplit.ablation import _row_means
 from famsplit.errors import MatrixFormatError
 from famsplit.matrix import (
     HEADER_CELL,
     CrossErrorMatrix,
     SynthParams,
     load_matrix,
-    row_mean_recall,
     save_matrix,
     synth_matrix,
     synth_structure,
@@ -299,32 +299,22 @@ def test_constructor_rejects_bad_grids() -> None:
 
 def test_row_mean_constant_matrix_returns_constant() -> None:
     m = constant_matrix(5, 0.37, diag=1.0)
-    for t in range(5):
-        assert row_mean_recall(m, t) == pytest.approx(0.37)
+    assert _row_means(m) == pytest.approx([0.37] * 5)
 
 
 def test_row_mean_two_family_single_element() -> None:
-    m = make_matrix([[1.0, 0.4], [0.4, 1.0]])
-    assert row_mean_recall(m, 0) == 0.4
+    m = make_matrix([[1.0, 0.4], [0.3, 1.0]])
+    assert _row_means(m) == [0.4, 0.3]
 
 
 def test_row_mean_matches_independent_recomputation() -> None:
     rng = np.random.default_rng(42)
     grid = rng.uniform(0.0, 1.0, (4, 4))
     m = make_matrix(grid)
+    means = _row_means(m)
     for t in range(4):
         expected = (sum(grid[t]) - grid[t][t]) / 3
-        assert row_mean_recall(m, t) == pytest.approx(expected, abs=1e-12)
-        expected_self = sum(grid[t]) / 4
-        assert row_mean_recall(m, t, include_self=True) == pytest.approx(expected_self, abs=1e-12)
-
-
-def test_row_mean_index_out_of_range() -> None:
-    m = constant_matrix(3, 0.5)
-    with pytest.raises(IndexError):
-        row_mean_recall(m, 3)
-    with pytest.raises(IndexError):
-        row_mean_recall(m, -1)
+        assert means[t] == pytest.approx(expected, abs=1e-12)
 
 
 def test_synth_degenerate_params_give_all_ones() -> None:

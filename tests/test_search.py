@@ -24,11 +24,18 @@ from famsplit.search import (
     generate_benchmark,
     load_benchmark,
     search_split,
-    split_max_deviation,
 )
 from famsplit.search import _Band, _stream_words
 
 from conftest import constant_matrix, make_matrix
+
+
+def split_max_deviation(m: CrossErrorMatrix, spec: SplitSpec) -> float:
+    """Largest |M[t][v] - tau| over all cross pairs of the split."""
+    rows = [m.index_of(f) for f in spec.train_families]
+    cols = [m.index_of(f) for f in spec.test_families]
+    return float(np.abs(m.values[np.ix_(rows, cols)] - spec.tau).max())
+
 
 # Reference search: the list-of-tuples implementation that rebuilt each band
 # level on every pass, kept unchanged so the array-band search can be

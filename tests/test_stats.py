@@ -47,11 +47,21 @@ def test_length_mismatch_is_rejected() -> None:
         wilcoxon_exact([1.0], [1.0, 2.0])
 
 
-def test_cap_on_effective_sample_size() -> None:
-    a = [float(i) for i in range(1, 27)]
-    b = [0.0] * 26
-    with pytest.raises(ComparisonError, match="cap"):
-        wilcoxon_exact(a, b)
+@pytest.mark.parametrize("n", [30, 60])
+def test_large_n_matches_scipy_exact(n) -> None:
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = random.Random(n)
+    # Distinct magnitudes with random signs: no zeros and no ties, so scipy's
+    # exact null distribution is the one the counting DP builds.
+    diffs = [m * rng.choice((1, -1)) / 1000 for m in rng.sample(range(1, 10 * n), n)]
+    zeros = [0.0] * n
+    result = wilcoxon_exact(diffs, zeros)
+    two_sided = scipy_stats.wilcoxon(diffs, zeros, method="exact")
+    greater = scipy_stats.wilcoxon(diffs, zeros, method="exact", alternative="greater")
+    assert result.n_effective == n
+    assert result.w_statistic == two_sided.statistic
+    assert result.p_two_sided == pytest.approx(two_sided.pvalue, rel=1e-12)
+    assert result.p_one_sided == pytest.approx(greater.pvalue, rel=1e-12)
 
 
 def test_ten_all_positive_distinct_differences_hit_the_extreme() -> None:
