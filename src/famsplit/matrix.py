@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -71,12 +72,48 @@ class CrossErrorMatrix:
             raise MatrixFormatError(f"unknown family {family!r}") from None
 
 
+# A canonical cell is the 8 bytes ``d.dddddd`` and its separator. Less
+# _CELL_ZERO, each byte must be at most _CELL_SPAN at its position (uint8
+# arithmetic wraps a byte below its base to a large value), and the cell's
+# value is those differences dotted with _CELL_WEIGHTS, over 1e6.
+_CELL_ZERO = np.frombuffer(b"0.000000,", dtype=np.uint8)
+_CELL_SPAN = np.array([9, 0, 9, 9, 9, 9, 9, 9, 0], dtype=np.uint8)
+_CELL_WEIGHTS = np.array([1e6, 0.0, 1e5, 1e4, 1e3, 1e2, 1e1, 1.0, 0.0])
+# Cells per block of rows that save_matrix formats at once, so its digit
+# buffer stays small next to the matrix.
+_SAVE_BLOCK_CELLS = 65_536
+
+
+def _fixed_width_parser(k: int) -> Callable[[str], np.ndarray | None]:
+    """A parser for the cells of a row of K canonical ``d.dddddd`` values in
+    [0, 1]; it returns None for a row in any other spelling.
+
+    Each value is its 7-digit integer over 1e6: both are exact and the
+    division is correctly rounded, so it is bit-equal to ``float(cell)``.
+    """
+    zero = np.tile(_CELL_ZERO, k)
+    span = np.tile(_CELL_SPAN, k)
+
+    def parse(cells: str) -> np.ndarray | None:
+        if len(cells) != 9 * k - 1 or not cells.isascii():
+            return None
+        offsets = np.frombuffer((cells + ",").encode("ascii"), dtype=np.uint8) - zero
+        if (offsets > span).any():
+            return None
+        scaled = offsets.astype(np.float64).reshape(k, 9) @ _CELL_WEIGHTS
+        if scaled.max() > 1e6:
+            return None
+        return scaled / 1e6
+
+    return parse
+
+
 def load_matrix(path: str | Path) -> CrossErrorMatrix:
     """Parse a matrix CSV (header line + one row per family).
 
-    Cells use Python ``float()`` syntax. A row is parsed whole and checked
-    with one range test; only a row that fails is parsed again cell by
-    cell, so the error names its first bad cell.
+    Cells use Python ``float()`` syntax. A row in the canonical form that
+    ``save_matrix`` writes is read as one digit array; any other row is
+    parsed cell by cell, so an error names its first bad cell.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").split("\n")
@@ -96,7 +133,14 @@ def load_matrix(path: str | Path) -> CrossErrorMatrix:
             f"{path}: header names {k} families but file has {len(lines) - 1} data rows"
         )
     values = np.empty((k, k), dtype=np.float64)
+    parse_fixed_width = _fixed_width_parser(k)
     for t, line in enumerate(lines[1:], start=2):
+        prefix = families[t - 2] + ","
+        if line.startswith(prefix):
+            row = parse_fixed_width(line[len(prefix) :])
+            if row is not None:
+                values[t - 2] = row
+                continue
         cells = line.split(",")
         if len(cells) != k + 1:
             raise MatrixFormatError(
@@ -108,35 +152,61 @@ def load_matrix(path: str | Path) -> CrossErrorMatrix:
                 f"name {families[t - 2]!r}"
             )
         row = values[t - 2]
-        try:
-            row[:] = list(map(float, cells[1:]))
-            in_range = 0.0 <= row.min() and row.max() <= 1.0
-        except ValueError:
-            in_range = False
-        if in_range:
-            continue
         for v, cell in enumerate(cells[1:]):
             try:
-                row[v] = float(cell)
+                x = float(cell)
             except ValueError:
                 raise MatrixFormatError(
                     f"{path}: unparseable number {cell!r} at line {t}, column {v}"
                 ) from None
-            if not 0.0 <= row[v] <= 1.0:
+            if not 0.0 <= x <= 1.0:
                 raise MatrixFormatError(
                     f"{path}: entry {cell} at line {t}, column {v} outside [0, 1]"
                 )
+            row[v] = x
     return CrossErrorMatrix(tuple(families), values)
+
+
+def _canonical_cells(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``%.6f`` text of a block of rows as a (rows, K, 9) byte array, each
+    row ending in LF, and per row whether that text is exact.
+
+    A cell is written as n = floor(v * 1e6 + 0.5), which is what ``%.6f``
+    prints except at a decimal tie, where ``%.6f`` rounds half to even, and
+    for ``-0.0``, which it prints with a sign. A row holding either is
+    marked inexact.
+    """
+    scaled = block * 1e6
+    near_tie = np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6
+    exact = ~(near_tie | np.signbit(block)).any(axis=1)
+    n = np.floor(scaled + 0.5).astype(np.int32)
+    text = np.empty(block.shape + (9,), dtype=np.uint8)
+    for j in range(7, 1, -1):
+        n, digit = np.divmod(n, 10)
+        text[..., j] = digit + ord("0")
+    text[..., 0] = n + ord("0")
+    text[..., 1] = ord(".")
+    text[..., 8] = ord(",")
+    text[:, -1, 8] = ord("\n")
+    return text, exact
 
 
 def save_matrix(m: CrossErrorMatrix, path: str | Path) -> None:
     """Write the canonical CSV form (fixed 6-digit decimals, LF newlines)."""
     path = Path(path)
-    row_format = ",".join(["%.6f"] * m.k)
-    with path.open("w", encoding="utf-8") as out:
-        out.write(",".join((HEADER_CELL, *m.families)) + "\n")
-        for family, row in zip(m.families, m.values):
-            out.write(f"{family},{row_format % tuple(row.tolist())}\n")
+    row_format = ",".join(["%.6f"] * m.k) + "\n"
+    block_rows = max(1, _SAVE_BLOCK_CELLS // m.k)
+    with path.open("wb") as out:
+        out.write((",".join((HEADER_CELL, *m.families)) + "\n").encode("utf-8"))
+        for start in range(0, m.k, block_rows):
+            block = m.values[start : start + block_rows]
+            text, exact = _canonical_cells(block)
+            for family, row, row_text, row_exact in zip(m.families[start:], block, text, exact):
+                out.write(f"{family},".encode("utf-8"))
+                if row_exact:
+                    out.write(row_text.tobytes())
+                else:
+                    out.write((row_format % tuple(row.tolist())).encode("ascii"))
 
 
 @dataclass(frozen=True)

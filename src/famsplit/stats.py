@@ -45,11 +45,13 @@ def _midranks(magnitudes: Sequence[float]) -> list[float]:
 
 def _sum_distribution(scaled_ranks: list[int]) -> list[int]:
     # counts[s] = number of sign assignments whose positive-rank sum is s
-    total = sum(scaled_ranks)
-    counts = [0] * (total + 1)
+    # After some ranks, no sum above their total (reach) is reachable yet.
+    counts = [0] * (sum(scaled_ranks) + 1)
     counts[0] = 1
+    reach = 0
     for r in scaled_ranks:
-        for s in range(total, r - 1, -1):
+        reach += r
+        for s in range(reach, r - 1, -1):
             counts[s] += counts[s - r]
     return counts
 

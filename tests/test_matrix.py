@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from famsplit.ablation import _row_means
 from famsplit.errors import MatrixFormatError
 from famsplit.matrix import (
+    _SAVE_BLOCK_CELLS,
     HEADER_CELL,
     CrossErrorMatrix,
     SynthParams,
@@ -24,7 +25,7 @@ from conftest import constant_matrix, make_matrix
 
 
 # Reference loader and writer: the cell-at-a-time implementations, kept
-# unchanged so the row-at-a-time ones can be required to give exactly their
+# unchanged so the fixed-width ones can be required to give exactly their
 # bytes, values, error types and messages.
 def reference_load_matrix(path: str | Path) -> CrossErrorMatrix:
     """Parse a matrix CSV (header line + one row per family)."""
@@ -100,11 +101,21 @@ VALID_CELLS = st.one_of(
     st.floats(0.0, 1.0).map(repr),
     st.floats(0.0, 1.0).map("{:.3e}".format),
     st.sampled_from(["0", "1", "-0", "-0.0", " 0.5", "+.5", "1e-1", "0.2_5", "1.0\t", "4e-7"]),
+    # Eight characters with a dot second, like a canonical cell, but not one.
+    st.sampled_from(["0.5e-001", "0.5_0000", "\uff10.\uff15\uff10\uff10\uff10\uff10\uff10\uff10"]),
 )
 BAD_CELLS = [
-    "oops", "", "nan", "NaN", "inf", "-inf", "1.5", "-0.1", "0_5", "1e1", "0x1", ".", "0.5.5"
+    "oops", "", "nan", "NaN", "inf", "-inf", "1.5", "-0.1", "0_5", "1e1", "0x1", ".", "0.5.5",
+    "1.000001", "9.999999", "2.000000",
 ]
-EDGE_VALUES = [0.0, -0.0, 1.0, 5e-7, 4.999999e-7, 2.5e-7, 1e-300, 5e-324, 0.9999995, 0.0000005]
+# Exact binary ties j/128 sit halfway between two 6-digit decimals, where
+# %.6f rounds half to even; their float neighbours sit just off the tie.
+TIES = [j / 128 for j in (1, 3, 5, 63, 65, 127)]
+EDGE_VALUES = [
+    0.0, -0.0, 1.0, 5e-7, 4.999999e-7, 2.5e-7, 1e-300, 5e-324, 0.9999995, 0.0000005,
+    *TIES,
+    *(float(np.nextafter(x, side)) for x in TIES for side in (0.0, 1.0)),
+]
 
 
 def matrix_csv(families: list[str], rows: list[str], newline: str = "\n") -> str:
@@ -200,6 +211,14 @@ def test_load_matches_reference_on_any_file(
         ["a,1.5,oops", "b,0.5,0.5"],
         ["a,oops,1.5", "b,0.5,0.5"],
         ["a,0.5,0.5", "b,1.5,oops"],
+        # Canonical-width rows that are not canonical cells in [0, 1].
+        ["a,0.500000,1.000001", "b,0.500000,0.500000"],
+        ["a,0.500000,0.500000", "b,9.999999,0.500000"],
+        ["a,2.000000,0.500000", "b,0.500000,0.500000"],
+        ["a,0.500000,0.5e-001", "b,0.500000,0.500000"],
+        ["a,0.5_0000,0.500000", "b,0.500000,0.500000"],
+        ["a,0.500000,0.500000", "b,\uff10.\uff15\uff10\uff10\uff10\uff10\uff10\uff10,0.500000"],
+        ["a,0.500000,0.500000", "b,0.500000,0.500000 "],
     ],
 )
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -207,6 +226,44 @@ def test_load_matches_reference_on_edge_files(tmp_path, rows: list[str], newline
     path = tmp_path / "m.csv"
     path.write_bytes(matrix_csv(["a", "b"], rows, newline).encode("utf-8"))
     assert load_outcome(load_matrix, path) == load_outcome(reference_load_matrix, path)
+
+
+def test_load_matches_reference_on_every_one_byte_change_to_a_canonical_row(tmp_path) -> None:
+    row = "a,0.500000,1.000000"
+    for at in range(len("a,"), len(row)):
+        # Each digit, dot and separator, and the code points next to them.
+        for byte in " +,-./09:e":
+            path = tmp_path / f"{at}-{ord(byte)}.csv"
+            rows = [row[:at] + byte + row[at + 1 :], "b,0.250000,0.750000"]
+            path.write_text(matrix_csv(["a", "b"], rows), encoding="utf-8")
+            assert load_outcome(load_matrix, path) == load_outcome(reference_load_matrix, path)
+
+
+def test_save_matches_reference_across_row_blocks(tmp_path) -> None:
+    k = 300
+    assert k * k > _SAVE_BLOCK_CELLS
+    rows_per_block = _SAVE_BLOCK_CELLS // k
+    grid = np.random.default_rng(5).uniform(0.0, 1.0, (k, k))
+    grid[rows_per_block + 3, 7] = 3 / 128
+    grid[k - 1, 0] = -0.0
+    grid[k - 1, k - 1] = 5 / 128
+    m = make_matrix(grid)
+    save_matrix(m, tmp_path / "a.csv")
+    reference_save_matrix(m, tmp_path / "ref.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert load_outcome(load_matrix, tmp_path / "a.csv") == load_outcome(
+        reference_load_matrix, tmp_path / "a.csv"
+    )
+
+
+def test_round_trip_with_non_ascii_family_names(tmp_path) -> None:
+    m = CrossErrorMatrix(("zbot", "famille\u00e9", "\u5bb6\u65cf"), np.full((3, 3), 0.25))
+    save_matrix(m, tmp_path / "a.csv")
+    reference_save_matrix(m, tmp_path / "ref.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert load_outcome(load_matrix, tmp_path / "a.csv") == (m.families, m.values.tobytes())
+    save_matrix(load_matrix(tmp_path / "a.csv"), tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_load_minimal_two_family_csv(tmp_path) -> None:

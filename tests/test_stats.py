@@ -4,9 +4,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from famsplit.errors import ComparisonError
-from famsplit.stats import load_metric_vector, summarize, wilcoxon_exact
+from famsplit.stats import (
+    _midranks,
+    _sum_distribution,
+    load_metric_vector,
+    summarize,
+    wilcoxon_exact,
+)
 
 
 def brute_force_wilcoxon(a, b):
@@ -35,6 +43,26 @@ def brute_force_wilcoxon(a, b):
         if min(s_plus, total - s_plus) <= w:
             hits_two += 1
     return w, n, hits_two / 2**n, hits_one / 2**n
+
+
+def reference_sum_distribution(scaled_ranks: list[int]) -> list[int]:
+    """The counting program with every rank walking all sums from the total
+    down, kept unchanged so the prefix-bounded one must give its counts."""
+    total = sum(scaled_ranks)
+    counts = [0] * (total + 1)
+    counts[0] = 1
+    for r in scaled_ranks:
+        for s in range(total, r - 1, -1):
+            counts[s] += counts[s - r]
+    return counts
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(magnitudes=st.lists(st.integers(1, 12), min_size=1, max_size=60))
+def test_sum_distribution_matches_reference_on_midranks(magnitudes) -> None:
+    # Few distinct magnitudes, so most inputs carry midrank ties (odd half-ranks).
+    scaled = [round(2 * r) for r in _midranks(magnitudes)]
+    assert _sum_distribution(scaled) == reference_sum_distribution(scaled)
 
 
 def test_identical_vectors_are_degenerate() -> None:
