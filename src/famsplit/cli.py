@@ -235,17 +235,21 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _at_least(low: int):
-    """argparse type: an integer >= `low`, so a bad value is a usage error (exit 2)."""
+def _at_least(low: int, below: int | None = None):
+    """argparse type: an integer in [low, below), so a bad value is a usage error (exit 2)."""
+    expected = f"an integer >= {low}" if below is None else f"an integer in [{low}, {below})"
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if value < low or (below is not None and value >= below):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return value
     return parse
+
+
+_seed = _at_least(0, 2**64)  # every seed is an unsigned 64-bit value
 
 
 def _int_list(text: str) -> str:
@@ -269,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic cross-generalization matrix")
     p.add_argument("--families", type=_at_least(2), required=True, help="family count K (>= 2)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="matrix CSV output path")
     for flag, default in (("--generality", SynthParams.generality_range),
                           ("--detectability", SynthParams.detectability_range)):
@@ -285,10 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, required=True, help="target recall threshold in (0,1)")
     p.add_argument("--epsilon", type=float, default=SearchConfig.epsilon0, help="initial band half-width")
     p.add_argument("--step", type=float, default=SearchConfig.step, help="relaxation increment")
-    p.add_argument("--max-attempts", type=int, default=SearchConfig.max_attempts)
+    p.add_argument("--max-attempts", type=_at_least(1), default=SearchConfig.max_attempts)
     p.add_argument("--set-size", type=_at_least(1), default=SearchConfig.set_size)
     p.add_argument("--splits", type=_at_least(1), default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--label", default=None, help="difficulty label (default from tau)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_search)
@@ -296,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("materialize", help="expand benchmark splits into sample manifests")
     p.add_argument("--benchmark", required=True)
     p.add_argument("--pool", required=True)
-    p.add_argument("--train-per-family", type=int, default=TRAIN_PER_FAMILY)
-    p.add_argument("--test-per-family", type=int, default=TEST_PER_FAMILY)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--train-per-family", type=_at_least(1), default=TRAIN_PER_FAMILY)
+    p.add_argument("--test-per-family", type=_at_least(1), default=TEST_PER_FAMILY)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_materialize)
 
@@ -330,16 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="synth -> search x3 difficulties -> validate")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--families", type=_at_least(2), default=184)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--splits", type=_at_least(1), default=10)
     p.add_argument("--set-size", type=_at_least(1), default=SearchConfig.set_size)
     p.add_argument("--epsilon", type=float, default=SearchConfig.epsilon0)
     p.add_argument("--step", type=float, default=SearchConfig.step)
-    p.add_argument("--max-attempts", type=int, default=SearchConfig.max_attempts)
+    p.add_argument("--max-attempts", type=_at_least(1), default=SearchConfig.max_attempts)
     p.add_argument("--agg", choices=get_args(Aggregation), default="mean")
     p.add_argument("--pool", default=None, help="optional pool file; also materialize splits")
-    p.add_argument("--train-per-family", type=int, default=TRAIN_PER_FAMILY)
-    p.add_argument("--test-per-family", type=int, default=TEST_PER_FAMILY)
+    p.add_argument("--train-per-family", type=_at_least(1), default=TRAIN_PER_FAMILY)
+    p.add_argument("--test-per-family", type=_at_least(1), default=TEST_PER_FAMILY)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

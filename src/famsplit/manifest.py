@@ -105,7 +105,6 @@ class MaterializedSplit:
     split_id: str
     train: SplitSide
     test: SplitSide
-    counts: dict
 
     def __post_init__(self) -> None:
         sides = (("train", self.train), ("test", self.test))
@@ -197,7 +196,8 @@ def materialize_split(
     train_per_family: int = TRAIN_PER_FAMILY,
     test_per_family: int = TEST_PER_FAMILY,
     seed: int = 0,
-    split_id: str | None = None,
+    *,
+    split_id: str,
 ) -> MaterializedSplit:
     """Draw concrete samples for a split, deterministically for a seed.
 
@@ -240,12 +240,7 @@ def materialize_split(
         return SplitSide(ids, families)
 
     train, test = (side(*entry) for entry in sides)
-    counts = {f"{origin}_total": 2 * len(fams) * n for origin, fams, n in sides}
-    counts.update({f"{origin}_benign": len(fams) * n for origin, fams, n in sides})
-    counts["per_family"] = {family: n for _, fams, n in sides for family in fams}
-    if split_id is None:
-        split_id = f"tau-{spec.tau:g}-seed-{spec.seed}"
-    return MaterializedSplit(split_id=split_id, train=train, test=test, counts=counts)
+    return MaterializedSplit(split_id=split_id, train=train, test=test)
 
 
 def _side_text(side: SplitSide) -> str:
@@ -256,6 +251,12 @@ def _side_text(side: SplitSide) -> str:
 
 def split_meta(ms: MaterializedSplit, spec: SplitSpec, seed: int,
                train_per_family: int, test_per_family: int) -> dict:
+    """The meta.json document of `ms`, materialized from `spec` with these arguments."""
+    sides = (("train", spec.train_families, train_per_family),
+             ("test", spec.test_families, test_per_family))
+    counts = {f"{origin}_total": 2 * len(fams) * n for origin, fams, n in sides}
+    counts.update({f"{origin}_benign": len(fams) * n for origin, fams, n in sides})
+    counts["per_family"] = {family: n for _, fams, n in sides for family in fams}
     return {
         "split_id": ms.split_id,
         "train_families": list(spec.train_families),
@@ -266,18 +267,16 @@ def split_meta(ms: MaterializedSplit, spec: SplitSpec, seed: int,
         "materialize_seed": seed,
         "train_per_family": train_per_family,
         "test_per_family": test_per_family,
-        "counts": ms.counts,
+        "counts": counts,
     }
 
 
-def write_split(ms: MaterializedSplit, directory: str | Path, meta: dict | None = None) -> None:
-    """Write the SPLIT_FILES (train.tsv, test.tsv, and meta.json) under `directory`."""
+def write_split(ms: MaterializedSplit, directory: str | Path, meta: dict) -> None:
+    """Write the SPLIT_FILES under `directory`: both sides' TSVs, and `meta` as meta.json."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / SPLIT_FILES["train"]).write_text(_side_text(ms.train), encoding="utf-8")
     (directory / SPLIT_FILES["test"]).write_text(_side_text(ms.test), encoding="utf-8")
-    if meta is None:
-        meta = {"split_id": ms.split_id, "counts": ms.counts}
     (directory / SPLIT_FILES["meta"]).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
@@ -364,10 +363,9 @@ def read_split(directory: str | Path) -> MaterializedSplit:
         split_id=meta["split_id"],
         train=_read_side(directory / SPLIT_FILES["train"]),
         test=_read_side(directory / SPLIT_FILES["test"]),
-        counts=meta["counts"],
     )
     for name, side in (("train", ms.train), ("test", ms.test)):
-        total = ms.counts[f"{name}_total"]
+        total = meta["counts"][f"{name}_total"]
         if total != len(side):
             raise PoolError(
                 f"{meta_path}: counts.{name}_total is {total},"

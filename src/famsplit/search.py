@@ -135,6 +135,11 @@ class _Band:
             raise InfeasibleSearchError(
                 f"the search takes at most {_MAX_FAMILIES} families, matrix has {m.k}"
             )
+        if m.k < 2 * config.set_size:
+            raise InfeasibleSearchError(
+                f"need at least {2 * config.set_size} families for set_size="
+                f"{config.set_size}, matrix has {m.k}"
+            )
         self.m = m
         self.config = config
         self.dist = np.abs(m.values - config.tau)
@@ -224,31 +229,22 @@ def _search_pass(
             relaxations += 1
 
 
-def search_split(
-    m: CrossErrorMatrix, config: SearchConfig, restarts: int = SEARCH_RESTARTS
-) -> SplitSpec:
+def search_split(m: CrossErrorMatrix, config: SearchConfig) -> SplitSpec:
     """Find one split satisfying the band constraint, relaxing as needed.
 
-    Runs up to `restarts` independently seeded greedy passes and returns
-    the first one that achieved the smallest final band; passes stop early
-    once one completes without any relaxation, since no pass can do better.
-    Deterministic for a fixed (matrix, config, restarts).
+    Runs up to SEARCH_RESTARTS independently seeded greedy passes and
+    returns the first one that achieved the smallest final band; passes stop
+    early once one completes without any relaxation, since no pass can do
+    better. Deterministic for a fixed (matrix, config).
     """
-    return _search_band(_Band(m, config), config, restarts)
+    return _search_band(_Band(m, config), config)
 
 
-def _search_band(band: _Band, config: SearchConfig, restarts: int = SEARCH_RESTARTS) -> SplitSpec:
-    # search_split over a band built with config's tau, epsilon0 and step.
+def _search_band(band: _Band, config: SearchConfig) -> SplitSpec:
+    # search_split over a band built with config's tau, epsilon0, step and set_size.
     m = band.m
-    if m.k < 2 * config.set_size:
-        raise InfeasibleSearchError(
-            f"need at least {2 * config.set_size} families for set_size="
-            f"{config.set_size}, matrix has {m.k}"
-        )
-    if restarts < 1:
-        raise InfeasibleSearchError(f"restarts must be >= 1, got {restarts}")
     best = None
-    for r in range(restarts):
+    for r in range(SEARCH_RESTARTS):
         result = _search_pass(band, config, derive_seed(config.seed, r))
         if best is None or _eps_at(config, result[2]) < _eps_at(config, best[2]):
             best = result
@@ -264,10 +260,6 @@ def _search_band(band: _Band, config: SearchConfig, restarts: int = SEARCH_RESTA
         relaxations=relaxations,
         attempts_total=attempts_total,
     )
-
-
-def default_label(tau: float) -> str:
-    return STANDARD_LABELS.get(tau, f"tau-{tau:g}")
 
 
 def generate_benchmark(
@@ -288,11 +280,9 @@ def generate_benchmark(
         _search_band(band, replace(config, seed=derive_seed(config.seed, i)))
         for i in range(n_splits)
     )
-    return BenchmarkSet(
-        difficulty_label=label if label is not None else default_label(config.tau),
-        config=config,
-        splits=splits,
-    )
+    if label is None:
+        label = STANDARD_LABELS.get(config.tau, f"tau-{config.tau:g}")
+    return BenchmarkSet(difficulty_label=label, config=config, splits=splits)
 
 
 def benchmark_to_dict(bench: BenchmarkSet) -> dict:

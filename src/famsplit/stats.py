@@ -56,6 +56,12 @@ def _sum_distribution(scaled_ranks: list[int]) -> list[int]:
     return counts
 
 
+def _check_finite(side: str, values: Sequence[float]) -> None:
+    for i, value in enumerate(values):
+        if not math.isfinite(value):
+            raise ComparisonError(f"{side}[{i}] is not finite: {value!r}")
+
+
 def wilcoxon_exact(a: Sequence[float], b: Sequence[float]) -> WilcoxonResult:
     """Exact signed-rank test on paired vectors; one-sided favors a > b.
 
@@ -67,6 +73,8 @@ def wilcoxon_exact(a: Sequence[float], b: Sequence[float]) -> WilcoxonResult:
         raise ComparisonError(f"length mismatch: {len(a)} vs {len(b)}")
     if not a:
         raise ComparisonError("empty metric vectors")
+    _check_finite("a", a)
+    _check_finite("b", b)
     diffs = [x - y for x, y in zip(a, b) if x != y]
     n = len(diffs)
     if n == 0:
@@ -96,6 +104,7 @@ def summarize(values: Sequence[float]) -> dict[str, float]:
     """Population-std summary of a metric vector."""
     if not values:
         raise ComparisonError("cannot summarize an empty vector")
+    _check_finite("values", values)
     return {
         "mean": statistics.fmean(values),
         "std": statistics.pstdev(values),
@@ -108,17 +117,14 @@ def load_metric_vector(path: str | Path, metric: str) -> list[float]:
     """Extract one metric vector from a per-split report file.
 
     Accepts a JSON array of numbers, a JSON array of report objects carrying
-    the metric field, or an object with a "splits" or "per_split" array.
+    the metric field, or an object with a "splits" array.
     Every value must be a finite JSON number; true/false do not count.
     """
     # Integers parse as floats, so one too large for a float reads as inf.
     doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
-    if isinstance(doc, dict):
-        items = doc.get("splits", doc.get("per_split"))
-        if items is None:
-            raise ComparisonError(f"{path}: no 'splits' or 'per_split' array")
-    else:
-        items = doc
+    items = doc.get("splits") if isinstance(doc, dict) else doc
+    if isinstance(doc, dict) and items is None:
+        raise ComparisonError(f"{path}: no 'splits' array")
     if not isinstance(items, list) or not items:
         raise ComparisonError(f"{path}: expected a non-empty array of results")
     values = []

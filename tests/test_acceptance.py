@@ -16,7 +16,8 @@ import pytest
 from famsplit.ablation import ablation_report, select_top_k, select_worst_k
 from famsplit.cli import main
 from famsplit.evaluate import validate_benchmark
-from famsplit.manifest import SamplePool, materialize_split, save_pool
+from famsplit.manifest import (TEST_PER_FAMILY, TRAIN_PER_FAMILY, SamplePool, materialize_split,
+                               save_pool, split_meta)
 from famsplit.matrix import SynthParams, synth_matrix
 from famsplit.search import SearchConfig, SplitSpec, generate_benchmark, search_split
 from famsplit.stats import wilcoxon_exact
@@ -148,9 +149,10 @@ def test_criterion_6_materialization_counts() -> None:
         relaxations=0,
         attempts_total=10,
     )
-    ms = materialize_split(pool, spec, seed=7)
-    assert ms.counts["train_total"] == 160_000
-    assert ms.counts["test_total"] == 40_000
+    ms = materialize_split(pool, spec, seed=7, split_id="paper-scale")
+    counts = split_meta(ms, spec, 7, TRAIN_PER_FAMILY, TEST_PER_FAMILY)["counts"]
+    assert counts["train_total"] == 160_000
+    assert counts["test_total"] == 40_000
     assert len(ms.train) == 160_000
     assert len(ms.test) == 40_000
     assert ms.train.families.count(None) == 80_000

@@ -302,6 +302,19 @@ def test_ablate_curve_k_above_the_family_count_is_a_domain_error(matrix_file, tm
     ["search", "--matrix", "{matrix}", "--tau", "0.5", "--set-size", "-1", "--out", "{out}"],
     ["pipeline", "--splits", "0", "--out-dir", "{out}"],
     ["pipeline", "--set-size", "2.5", "--out-dir", "{out}"],
+    ["search", "--matrix", "{matrix}", "--tau", "0.5", "--max-attempts", "0", "--out", "{out}"],
+    ["pipeline", "--max-attempts", "-3", "--out-dir", "{out}"],
+    ["materialize", "--benchmark", "{matrix}", "--pool", "{matrix}", "--train-per-family", "0",
+     "--out-dir", "{out}"],
+    ["materialize", "--benchmark", "{matrix}", "--pool", "{matrix}", "--test-per-family", "x",
+     "--out-dir", "{out}"],
+    ["pipeline", "--train-per-family", "-1", "--out-dir", "{out}"],
+    ["pipeline", "--test-per-family", "0", "--out-dir", "{out}"],
+    ["synth", "--families", "4", "--seed", "18446744073709551616", "--out", "{out}"],
+    ["search", "--matrix", "{matrix}", "--tau", "0.5", "--seed", "-1", "--out", "{out}"],
+    ["materialize", "--benchmark", "{matrix}", "--pool", "{matrix}", "--seed", "-5",
+     "--out-dir", "{out}"],
+    ["pipeline", "--seed", "1.5", "--out-dir", "{out}"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-4:-2]))
 def test_flag_bounds_are_usage_errors(matrix_file, tmp_path, capsys, argv) -> None:
     out = tmp_path / "out"
@@ -309,9 +322,18 @@ def test_flag_bounds_are_usage_errors(matrix_file, tmp_path, capsys, argv) -> No
         run(*(a.format(matrix=matrix_file, out=out) for a in argv))
     assert exc.value.code == 2
     flag, value = argv[-4:-2]
-    low = 2 if flag == "--families" else 1
-    assert f"argument {flag}: expected an integer >= {low}, got '{value}'" in capsys.readouterr().err
+    if flag == "--seed":
+        expected = "an integer in [0, 18446744073709551616)"
+    else:
+        expected = f"an integer >= {2 if flag == '--families' else 1}"
+    assert f"argument {flag}: expected {expected}, got '{value}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_largest_seed_is_accepted(tmp_path) -> None:
+    out = tmp_path / "m.csv"
+    assert run("synth", "--families", "4", "--seed", str(2**64 - 1), "--out", out) == 0
+    assert out.exists()
 
 
 @pytest.fixture()

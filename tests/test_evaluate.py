@@ -144,8 +144,7 @@ def toy_split():
         ("t1", "t2", "t3", "t4", "u1", "u2", "u3", "u4"),
         ("beta", "beta", "gamma", "gamma", None, None, None, None),
     )
-    counts = {"train_total": 4, "test_total": 8}
-    return MaterializedSplit("toy", train, test, counts)
+    return MaterializedSplit("toy", train, test)
 
 
 def test_perfect_predictor_scores_one_everywhere() -> None:

@@ -21,6 +21,7 @@ from famsplit.manifest import (
     materialize_split,
     read_split,
     save_pool,
+    split_meta,
     write_split,
 )
 from famsplit.search import SplitSpec
@@ -47,7 +48,8 @@ def toy_spec() -> SplitSpec:
 
 def written_split(directory: Path) -> Path:
     pool = build_pool({n: 10 for n in ("alpha", "beta", "gamma", "delta")})
-    write_split(materialize_split(pool, toy_spec(), 8, 2, seed=2, split_id="toy"), directory)
+    ms = materialize_split(pool, toy_spec(), 8, 2, seed=2, split_id="toy")
+    write_split(ms, directory, split_meta(ms, toy_spec(), 2, 8, 2))
     return directory
 
 
@@ -106,10 +108,10 @@ def test_interleaved_benign_lines_materialize_like_grouped_blocks(tmp_path, layo
     interleaved = load_pool(interleaved_path)
     grouped_pool = load_pool(grouped_path)
     for seed in range(8):
-        args = (toy_spec(), 8, 2, seed, "layout")
-        outcome = split_outcome(materialize_split, interleaved, *args)
-        assert len(outcome) == 4
-        assert outcome == split_outcome(materialize_split, grouped_pool, *args)
+        args = (toy_spec(), 8, 2, seed)
+        outcome = split_outcome(materialize_split, interleaved, *args, split_id="layout")
+        assert len(outcome) == 3
+        assert outcome == split_outcome(materialize_split, grouped_pool, *args, split_id="layout")
 
 
 def test_pool_save_load_round_trip_keeps_benign_partitions(tmp_path) -> None:
@@ -193,9 +195,11 @@ def test_pool_accepts_distinct_ids_whose_hashes_collide(monkeypatch) -> None:
 
 def test_materialize_toy_counts() -> None:
     pool = build_pool({n: 10 for n in ("alpha", "beta", "gamma", "delta")})
-    ms = materialize_split(pool, toy_spec(), train_per_family=8, test_per_family=2, seed=1)
-    assert ms.counts["train_total"] == 32
-    assert ms.counts["test_total"] == 8
+    ms = materialize_split(pool, toy_spec(), train_per_family=8, test_per_family=2, seed=1,
+                           split_id="toy")
+    counts = split_meta(ms, toy_spec(), 1, 8, 2)["counts"]
+    assert counts["train_total"] == 32
+    assert counts["test_total"] == 8
     assert len(ms.train) == 32
     assert len(ms.test) == 8
     train_malicious = [family for family in ms.train.families if family is not None]
@@ -208,18 +212,18 @@ def test_materialize_toy_counts() -> None:
 def test_materialize_is_deterministic_and_seed_sensitive() -> None:
     pool = build_pool({n: 10 for n in ("alpha", "beta", "gamma", "delta")})
     spec = toy_spec()
-    a = materialize_split(pool, spec, 8, 2, seed=5)
-    b = materialize_split(pool, spec, 8, 2, seed=5)
+    a = materialize_split(pool, spec, 8, 2, seed=5, split_id="toy")
+    b = materialize_split(pool, spec, 8, 2, seed=5, split_id="toy")
     assert a == b
-    c = materialize_split(pool, spec, 8, 2, seed=6)
-    assert c.counts == a.counts
+    c = materialize_split(pool, spec, 8, 2, seed=6, split_id="toy")
+    assert (c.train.families, c.test.families) == (a.train.families, a.test.families)
     assert c.train.ids[16:] != a.train.ids[16:]  # the benign tail
 
 
 def test_materialize_has_no_leakage() -> None:
     pool = build_pool({n: 12 for n in ("alpha", "beta", "gamma", "delta")})
     spec = toy_spec()
-    ms = materialize_split(pool, spec, 8, 2, seed=9)
+    ms = materialize_split(pool, spec, 8, 2, seed=9, split_id="toy")
     assert not set(ms.train.ids) & set(ms.test.ids)
     # No malicious record may sit on the wrong side of the family split.
     assert set(ms.train.families) == {*spec.train_families, None}
@@ -229,27 +233,27 @@ def test_materialize_has_no_leakage() -> None:
 def test_materialize_errors_name_the_shortfall() -> None:
     pool = build_pool({"alpha": 10, "beta": 3, "gamma": 10, "delta": 10})
     with pytest.raises(PoolError) as err:
-        materialize_split(pool, toy_spec(), 8, 2, seed=0)
+        materialize_split(pool, toy_spec(), 8, 2, seed=0, split_id="toy")
     assert "beta" in str(err.value)
     assert "short by 5" in str(err.value)
 
     missing = build_pool({"alpha": 10, "gamma": 10, "delta": 10})
     with pytest.raises(PoolError, match="missing from pool"):
-        materialize_split(missing, toy_spec(), 8, 2, seed=0)
+        materialize_split(missing, toy_spec(), 8, 2, seed=0, split_id="toy")
 
     thin_benign = build_pool(
         {n: 10 for n in ("alpha", "beta", "gamma", "delta")}, benign_train=3
     )
     with pytest.raises(PoolError, match="benign train pool"):
-        materialize_split(thin_benign, toy_spec(), 8, 2, seed=0)
+        materialize_split(thin_benign, toy_spec(), 8, 2, seed=0, split_id="toy")
 
 
 def test_materialized_split_invariants_are_enforced() -> None:
     side = SplitSide(("x", "y"), ("alpha", None))
     with pytest.raises(PoolError, match="both train and test"):
-        MaterializedSplit("dup", side, side, {})
+        MaterializedSplit("dup", side, side)
     with pytest.raises(PoolError, match="not benign-balanced"):
-        MaterializedSplit("skew", SplitSide(("x",), ("alpha",)), SplitSide(("y",), (None,)), {})
+        MaterializedSplit("skew", SplitSide(("x",), ("alpha",)), SplitSide(("y",), (None,)))
     with pytest.raises(PoolError, match="2 sample ids but 1 families"):
         SplitSide(("x", "y"), ("alpha",))
 
@@ -259,8 +263,8 @@ def test_write_split_produces_three_deterministic_files(tmp_path) -> None:
     ms = materialize_split(pool, toy_spec(), 8, 2, seed=2, split_id="toy-split")
     first = tmp_path / "first"
     second = tmp_path / "second"
-    write_split(ms, first)
-    write_split(ms, second)
+    write_split(ms, first, split_meta(ms, toy_spec(), 2, 8, 2))
+    write_split(ms, second, split_meta(ms, toy_spec(), 2, 8, 2))
     names = sorted(p.name for p in first.iterdir())
     assert names == ["meta.json", "test.tsv", "train.tsv"]
     assert (first / "train.tsv").read_text().count("\n") == 32
@@ -272,7 +276,7 @@ def test_write_split_produces_three_deterministic_files(tmp_path) -> None:
 def test_split_round_trip_through_directory(tmp_path) -> None:
     pool = build_pool({n: 10 for n in ("alpha", "beta", "gamma", "delta")})
     ms = materialize_split(pool, toy_spec(), 8, 2, seed=2, split_id="toy-split")
-    write_split(ms, tmp_path / "split")
+    write_split(ms, tmp_path / "split", split_meta(ms, toy_spec(), 2, 8, 2))
     loaded = read_split(tmp_path / "split")
     assert loaded.split_id == ms.split_id
     assert loaded.train == ms.train
@@ -286,7 +290,7 @@ def test_id_listed_under_two_train_families_is_rejected() -> None:
     )
     test = SplitSide(("gamma-000000", "ben-te-000000"), ("gamma", None))
     with pytest.raises(PoolError, match="'alpha-000000' appears twice on the train side"):
-        MaterializedSplit("toy-split", train, test, {})
+        MaterializedSplit("toy-split", train, test)
 
 
 def test_pool_contents_are_read_only() -> None:
@@ -324,7 +328,7 @@ def test_pool_benign_is_a_read_only_copy_holding_both_origins() -> None:
 def test_read_split_rejects_a_repeated_id(tmp_path) -> None:
     pool = build_pool({n: 10 for n in ("alpha", "beta", "gamma", "delta")})
     ms = materialize_split(pool, toy_spec(), 2, 2, seed=2, split_id="toy-split")
-    write_split(ms, tmp_path / "split")
+    write_split(ms, tmp_path / "split", split_meta(ms, toy_spec(), 2, 2, 2))
     test_path = tmp_path / "split" / "test.tsv"
     lines = test_path.read_text().splitlines(keepends=True)
     # One malicious and one benign line repeated, so the side stays balanced.
@@ -489,13 +493,13 @@ def side_columns(side: SplitSide) -> tuple[tuple[str, ...], tuple[str | None, ..
 
 
 def split_outcome(make, *args, **kwargs):
-    """(split_id, train columns, test columns, counts), or the error's type and text."""
+    """(split_id, train columns, test columns), or the error's type and text."""
     try:
         ms = make(*args, **kwargs)
     except Exception as err:  # noqa: BLE001 - the type is part of the outcome
         return type(err), str(err)
     columns = reference_columns if isinstance(ms, ReferenceMaterializedSplit) else side_columns
-    return ms.split_id, columns(ms.train), columns(ms.test), ms.counts
+    return ms.split_id, columns(ms.train), columns(ms.test)
 
 
 @st.composite
@@ -519,18 +523,21 @@ def pools_and_specs(draw):
     train_per_family=st.integers(0, 5),
     test_per_family=st.integers(0, 3),
     seed=st.integers(0, 2**64),
-    split_id=st.none() | st.sampled_from(["s", "tau-x"]),
+    split_id=st.sampled_from(["s", "tau-x"]),
 )
 def test_materialize_matches_reference(
     pool_spec, train_per_family, test_per_family, seed, split_id
 ) -> None:
     pool, spec = pool_spec
-    args = (pool, spec, train_per_family, test_per_family, seed, split_id)
-    outcome = split_outcome(materialize_split, *args)
-    assert outcome == split_outcome(reference_materialize_split, *args)
+    args = (pool, spec, train_per_family, test_per_family, seed)
+    outcome = split_outcome(materialize_split, *args, split_id=split_id)
+    assert outcome == split_outcome(reference_materialize_split, *args, split_id=split_id)
     if len(outcome) == 2:
         return
-    _, train, test, counts = outcome
+    _, train, test = outcome
+    ms = materialize_split(*args, split_id=split_id)
+    counts = split_meta(ms, spec, seed, train_per_family, test_per_family)["counts"]
+    assert counts == reference_materialize_split(*args, split_id=split_id).counts
     # The paper's invariants on every split the pool can supply.
     assert set(train[0]).isdisjoint(test[0])
     for (ids, families), side_families, per_family in (
@@ -566,7 +573,7 @@ def test_read_split_matches_reference_on_edited_files(
     pool = build_pool({n: 6 for n in ("alpha", "beta", "gamma", "delta")})
     ms = materialize_split(pool, toy_spec(), 3, 2, seed=seed, split_id="edited")
     directory = tmp_path_factory.mktemp("split")
-    write_split(ms, directory)
+    write_split(ms, directory, split_meta(ms, toy_spec(), seed, 3, 2))
     path = directory / name
     lines = path.read_text(encoding="utf-8").splitlines()
     row = data.draw(st.integers(0, len(lines) - 1), label="edited line")

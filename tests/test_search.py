@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from famsplit.errors import InfeasibleSearchError, MatrixFormatError
+from famsplit import search
 from famsplit.matrix import CrossErrorMatrix, SynthParams, synth_matrix
 from famsplit.search import (
     _MAX_FAMILIES,
@@ -207,11 +208,10 @@ def test_candidate_pairs_annulus_matches_exhaustive_scan() -> None:
     step=st.sampled_from([0.05, 0.01, 0.03]),
     max_attempts=st.integers(1, 12),
     seed=st.integers(0, 2**64 - 1),
-    restarts=st.integers(1, SEARCH_RESTARTS),
     data=st.data(),
 )
 def test_search_split_matches_reference(
-    k, matrix_seed, decimals, tau, epsilon0, step, max_attempts, seed, restarts, data
+    k, matrix_seed, decimals, tau, epsilon0, step, max_attempts, seed, data
 ) -> None:
     grid = np.random.default_rng(matrix_seed).uniform(0.0, 1.0, (k, k))
     if decimals is not None:  # grid values put entries exactly on band edges
@@ -225,8 +225,8 @@ def test_search_split_matches_reference(
         set_size=data.draw(st.integers(1, k // 2), label="set_size"),
         seed=seed,
     )
-    spec = search_split(m, config, restarts)
-    assert spec == reference_search_split(m, config, restarts)
+    spec = search_split(m, config)
+    assert spec == reference_search_split(m, config, SEARCH_RESTARTS)
     assert len(spec.train_families) == len(spec.test_families) == config.set_size
     assert not set(spec.train_families) & set(spec.test_families)
     assert split_max_deviation(m, spec) <= spec.epsilon_final
@@ -327,6 +327,15 @@ def test_search_rejects_small_matrices() -> None:
     m = constant_matrix(8, 0.5)
     with pytest.raises(InfeasibleSearchError):
         search_split(m, SearchConfig(tau=0.5, set_size=10))
+
+
+def test_tier_on_too_few_families_fails_before_any_pass(monkeypatch) -> None:
+    passes = []
+    monkeypatch.setattr(search, "_search_pass", lambda *args: passes.append(args))
+    with pytest.raises(InfeasibleSearchError, match="need at least 20 families for set_size=10, "
+                                                    "matrix has 19"):
+        generate_benchmark(constant_matrix(19, 0.5), SearchConfig(tau=0.5, set_size=10))
+    assert passes == []
 
 
 def test_split_spec_rejects_overlap() -> None:

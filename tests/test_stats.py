@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -188,6 +189,21 @@ def test_summarize_rejects_empty() -> None:
         summarize([])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_exact_test_rejects_a_non_finite_value(side, bad) -> None:
+    vectors = {"a": [0.1, 0.3, 0.2], "b": [0.0, 0.1, 0.4]}
+    vectors[side][1] = bad
+    with pytest.raises(ComparisonError, match=rf"^{side}\[1\] is not finite: {bad!r}$"):
+        wilcoxon_exact(vectors["a"], vectors["b"])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_summarize_rejects_a_non_finite_value(bad) -> None:
+    with pytest.raises(ComparisonError, match=rf"^values\[2\] is not finite: {bad!r}$"):
+        summarize([0.5, 0.25, bad])
+
+
 def test_metric_vector_accepts_three_layouts(tmp_path) -> None:
     plain = tmp_path / "plain.json"
     plain.write_text("[0.1, 0.2, 0.3]")
@@ -223,6 +239,7 @@ def test_metric_vector_accepts_three_layouts(tmp_path) -> None:
         ('[{"m": 1' + "0" * 400 + "}]", "entry 0 metric 'm' is not finite: inf"),
         ('[0.5, false]', "entry 1 value is not a number: False"),
         ('[0.5, "0.5"]', "entry 1 value is not a number: '0.5'"),
+        ('{"per_split": [{"m": 0.5}]}', "no 'splits' array"),
     ],
 )
 def test_metric_vector_rejects_non_finite_or_non_numeric_values(tmp_path, text, fault) -> None:
