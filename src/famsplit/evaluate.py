@@ -11,7 +11,7 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Literal, Sequence, get_args
 
@@ -33,9 +33,13 @@ class PredictionSet:
     threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        for sample_id, score in self.scores.items():
-            if not 0.0 <= score <= 1.0:
-                raise PredictionError(f"score {score} for {sample_id!r} outside [0, 1]")
+        scores = np.fromiter(self.scores.values(), dtype=float, count=len(self.scores))
+        # A NaN fails both comparisons, so it is out of range too.
+        outside = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
+        if outside.size:
+            sample_id = next(islice(self.scores, int(outside[0]), None))
+            score = self.scores[sample_id]
+            raise PredictionError(f"score {score} for {sample_id!r} outside [0, 1]")
         if not 0.0 <= self.threshold <= 1.0:
             raise PredictionError(f"threshold {self.threshold} outside [0, 1]")
 

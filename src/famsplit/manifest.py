@@ -359,6 +359,13 @@ def read_split(directory: str | Path) -> MaterializedSplit:
     ]
     if missing:
         raise PoolError(f"{meta_path}: missing key {missing[0]!r}")
+    if type(meta["split_id"]) is not str:
+        raise PoolError(f"{meta_path}: 'split_id' must be a string, got {meta['split_id']!r}")
+    for key in ("train_total", "test_total"):
+        if type(meta["counts"][key]) is not int:
+            raise PoolError(
+                f"{meta_path}: 'counts.{key}' must be an integer, got {meta['counts'][key]!r}"
+            )
     ms = MaterializedSplit(
         split_id=meta["split_id"],
         train=_read_side(directory / SPLIT_FILES["train"]),

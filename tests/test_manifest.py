@@ -638,6 +638,26 @@ def test_read_split_names_a_missing_meta_key(tmp_path, meta, key) -> None:
         read_split(directory)
 
 
+@pytest.mark.parametrize(
+    ("key", "value", "message"),
+    [
+        ("split_id", {"x": [1]}, "'split_id' must be a string, got {'x': [1]}"),
+        ("split_id", 7, "'split_id' must be a string, got 7"),
+        ("train_total", 32.0, "'counts.train_total' must be an integer, got 32.0"),
+        ("test_total", True, "'counts.test_total' must be an integer, got True"),
+        ("train_total", "32", "'counts.train_total' must be an integer, got '32'"),
+    ],
+)
+def test_read_split_rejects_a_meta_value_of_the_wrong_type(tmp_path, key, value, message) -> None:
+    directory = written_split(tmp_path / "split")
+    meta = json.loads((directory / "meta.json").read_text())
+    (meta if key == "split_id" else meta["counts"])[key] = value
+    (directory / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(PoolError) as err:
+        read_split(directory)
+    assert str(err.value) == f"{directory / 'meta.json'}: {message}"
+
+
 @pytest.mark.parametrize("meta", [[], 5, {"split_id": "x", "counts": 5}])
 def test_read_split_rejects_meta_that_is_not_an_object(tmp_path, meta) -> None:
     directory = written_split(tmp_path / "split")
