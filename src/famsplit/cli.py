@@ -48,9 +48,6 @@ from famsplit.search import (
 )
 from famsplit.stats import load_metric_vector, summarize, wilcoxon_exact
 
-_MATERIALIZE_SEED_BASE = 1_000_000  # offsets split seeds away from search seeds
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -140,7 +137,7 @@ def _materialize(bench: BenchmarkSet, pool: SamplePool, args: argparse.Namespace
                  out_dir: Path, manifest: dict) -> None:
     """Write split-NN directories for every split of `bench` under `out_dir`."""
     for i, spec in enumerate(bench.splits):
-        split_seed = derive_seed(seed, _MATERIALIZE_SEED_BASE + i)
+        split_seed = derive_seed(seed, f"materialize:{i}")
         ms = materialize_split(
             pool,
             spec,

@@ -25,6 +25,9 @@ from famsplit.search import SplitSpec
 
 TRAIN_PER_FAMILY = 8000
 TEST_PER_FAMILY = 2000
+# The version of materialize_split's draw, recorded in meta.json. A meta.json
+# without it was drawn by version 1, which took prefixes of random.shuffle.
+SAMPLER_VERSION = 2
 
 _LABELS = ("benign", "malicious")
 _ORIGINS = ("train", "test")
@@ -190,6 +193,19 @@ def _check_family(pool: SamplePool, family: str, needed: int) -> None:
         )
 
 
+def _pick(rng: random.Random, ids: Sequence[str], n: int) -> list[str]:
+    """The ids with the n smallest of one 64-bit key per id, in key order.
+
+    The key of ids[i] is the i-th of rng's next len(ids) `getrandbits(64)`
+    values, read from one bulk draw; equal keys keep pool order. The draw
+    rests only on the Mersenne Twister stream words, not on `shuffle`'s or
+    numpy's sampling algorithms, which may change between versions.
+    """
+    count = len(ids)
+    keys = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u8")
+    return [ids[i] for i in np.argsort(keys, kind="stable")[:n].tolist()]
+
+
 def materialize_split(
     pool: SamplePool,
     spec: SplitSpec,
@@ -201,11 +217,10 @@ def materialize_split(
 ) -> MaterializedSplit:
     """Draw concrete samples for a split, deterministically for a seed.
 
-    Per-family selection takes the first n ids of a seeded shuffle of that
-    family's pool list; benign ids are drawn without replacement from the
-    matching origin partition, 1:1 against the malicious counts. Draw order
-    is fixed: train families (in spec order), train benign, test families,
-    test benign.
+    Every draw is a `_pick` from one `random.Random(seed)`: n ids of a
+    family's pool list, and benign ids from the matching origin partition,
+    1:1 against the malicious counts. Draw order is fixed: train families
+    (in spec order), train benign, test families, test benign.
     """
     if train_per_family < 1 or test_per_family < 1:
         raise PoolError("per-family counts must be >= 1")
@@ -223,19 +238,14 @@ def materialize_split(
 
     rng = random.Random(seed)
 
-    def pick(ids: Sequence[str], n: int) -> list[str]:
-        shuffled = list(ids)
-        rng.shuffle(shuffled)
-        return shuffled[:n]
-
     def side(origin: str, side_families: tuple[str, ...], per_family: int) -> SplitSide:
         ids: list[str] = []
         families: list[str | None] = []
         for family in side_families:
-            ids += pick(pool.by_family[family], per_family)
+            ids += _pick(rng, pool.by_family[family], per_family)
             families += [family] * per_family
         need = len(ids)  # benign matches the malicious ids 1:1
-        ids += pick(pool.benign[origin], need)
+        ids += _pick(rng, pool.benign[origin], need)
         families += [None] * need
         return SplitSide(ids, families)
 
@@ -265,6 +275,7 @@ def split_meta(ms: MaterializedSplit, spec: SplitSpec, seed: int,
         "epsilon_final": spec.epsilon_final,
         "search_seed": spec.seed,
         "materialize_seed": seed,
+        "sampler": SAMPLER_VERSION,
         "train_per_family": train_per_family,
         "test_per_family": test_per_family,
         "counts": counts,

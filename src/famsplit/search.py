@@ -109,8 +109,13 @@ class BenchmarkSet:
         object.__setattr__(self, "splits", tuple(self.splits))
 
 
-def derive_seed(seed: int, index: int) -> int:
-    """Stable 64-bit sub-seed for item `index` of a run seeded with `seed`."""
+def derive_seed(seed: int, index: int | str) -> int:
+    """Stable 64-bit sub-seed for item `index` of a run seeded with `seed`.
+
+    The search numbers its items with integers; another stage names its
+    domain in a string index such as "materialize:3". No integer's text has
+    a letter, so two stages never hash the same text.
+    """
     digest = hashlib.sha256(f"{seed}:{index}".encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")
 

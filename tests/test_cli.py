@@ -9,7 +9,7 @@ from famsplit.ablation import ablation_report, select_worst_k
 from famsplit.cli import main
 from famsplit.manifest import load_pool, save_pool, SamplePool
 from famsplit.matrix import load_matrix
-from famsplit.search import SearchConfig, benchmark_to_dict, generate_benchmark
+from famsplit.search import SearchConfig, benchmark_to_dict, derive_seed, generate_benchmark
 
 from test_stats import brute_force_wilcoxon
 
@@ -158,11 +158,13 @@ def test_materialize_writes_expected_counts(benchmark_file, pool_file, tmp_path)
     assert code == 0
     split_dirs = sorted(p for p in out_dir.iterdir() if p.is_dir())
     assert [p.name for p in split_dirs] == ["split-00", "split-01"]
-    for split_dir in split_dirs:
+    for i, split_dir in enumerate(split_dirs):
         assert (split_dir / "train.tsv").read_text().count("\n") == 32
         assert (split_dir / "test.tsv").read_text().count("\n") == 8
         meta = json.loads((split_dir / "meta.json").read_text())
         assert meta["counts"]["train_total"] == 32
+        assert meta["materialize_seed"] == derive_seed(4, f"materialize:{i}")
+        assert meta["sampler"] == 2
         assert "run_manifest" in meta
 
 

@@ -31,7 +31,7 @@ def run(*argv) -> None:
 
 def write_outputs(root: Path) -> None:
     """Run every command once under `root`, each with fixed flags."""
-    # Ten ids per family and spare benign, so every draw is a real shuffle.
+    # Ten ids per family and spare benign, so every draw keeps fewer ids than it ranks.
     families = synth_family_names(184)
     pool = SamplePool(
         by_family={name: [f"{name}-{i:02d}" for i in range(10)] for name in families},

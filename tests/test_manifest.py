@@ -197,7 +197,9 @@ def test_materialize_toy_counts() -> None:
     pool = build_pool({n: 10 for n in ("alpha", "beta", "gamma", "delta")})
     ms = materialize_split(pool, toy_spec(), train_per_family=8, test_per_family=2, seed=1,
                            split_id="toy")
-    counts = split_meta(ms, toy_spec(), 1, 8, 2)["counts"]
+    meta = split_meta(ms, toy_spec(), 1, 8, 2)
+    assert meta["sampler"] == manifest.SAMPLER_VERSION == 2
+    counts = meta["counts"]
     assert counts["train_total"] == 32
     assert counts["test_total"] == 8
     assert len(ms.train) == 32
@@ -218,6 +220,52 @@ def test_materialize_is_deterministic_and_seed_sensitive() -> None:
     c = materialize_split(pool, spec, 8, 2, seed=6, split_id="toy")
     assert (c.train.families, c.test.families) == (a.train.families, a.test.families)
     assert c.train.ids[16:] != a.train.ids[16:]  # the benign tail
+
+
+def test_sampler_pins_a_literal_pick() -> None:
+    # Fails by name when a Python or numpy change moves the draw.
+    ids = [f"id-{i}" for i in range(10)]
+    assert manifest._pick(random.Random(2024), ids, 4) == ["id-0", "id-2", "id-9", "id-6"]
+
+
+class FixedKeys:
+    """A stand-in rng whose one bulk draw holds the given 64-bit keys."""
+
+    def __init__(self, keys: list[int]) -> None:
+        self.keys = keys
+
+    def getrandbits(self, bits: int) -> int:
+        assert bits == 64 * len(self.keys)
+        return sum(key << (64 * i) for i, key in enumerate(self.keys))
+
+
+@pytest.mark.parametrize(
+    ("keys", "n", "expected"),
+    [
+        ([5, 3, 9, 1], 4, ["d", "b", "a", "c"]),
+        ([2, 1, 2, 2, 0], 3, ["e", "b", "a"]),  # three equal keys at the cut
+        ([7, 7, 7, 7, 7], 2, ["a", "b"]),
+        ([2**64 - 1, 0, 2**63], 2, ["b", "c"]),
+    ],
+)
+def test_sampler_takes_smallest_keys_with_ties_in_pool_order(keys, n, expected) -> None:
+    assert manifest._pick(FixedKeys(keys), "abcde"[: len(keys)], n) == expected
+
+
+def test_sampler_selects_every_id_about_equally_often() -> None:
+    # 2,000 fixed seeds, 3 of 10 ids each: a count is Binomial(2000, 0.3),
+    # mean 600 and sd 20.5, and a first pick Binomial(2000, 0.1), mean 200
+    # and sd 13.4. The bounds are about five sds either way.
+    ids = [f"id-{i}" for i in range(10)]
+    chosen: Counter = Counter()
+    first: Counter = Counter()
+    for seed in range(2000):
+        picked = manifest._pick(random.Random(seed), ids, 3)
+        chosen.update(picked)
+        first[picked[0]] += 1
+    assert sorted(chosen) == sorted(first) == ids
+    assert all(500 <= count <= 700 for count in chosen.values()), chosen
+    assert all(135 <= count <= 265 for count in first.values()), first
 
 
 def test_materialize_has_no_leakage() -> None:
@@ -338,8 +386,9 @@ def test_read_split_rejects_a_repeated_id(tmp_path) -> None:
 
 
 # Reference materialize and read path: the record-per-sample implementation,
-# kept unchanged so the split sides can be required to hold exactly the ids
-# and families it produced, and to fail with its error types and messages.
+# kept so the split sides can be required to hold exactly the ids and
+# families it produces, and to fail with its error types and messages. Its
+# draw is a plain-Python twin of the sampler, one getrandbits(64) per id.
 @dataclass(frozen=True)
 class ReferenceSampleRecord:
     sample_id: str
@@ -417,9 +466,9 @@ def reference_materialize_split(
     rng = random.Random(seed)
 
     def pick(ids: Sequence[str], n: int) -> list[str]:
-        shuffled = list(ids)
-        rng.shuffle(shuffled)
-        return shuffled[:n]
+        # Sampler v2, one id at a time: a 64-bit key per id, sorted by (key, index).
+        keys = [rng.getrandbits(64) for _ in ids]
+        return [ids[i] for i in sorted(range(len(ids)), key=lambda i: (keys[i], i))[:n]]
 
     train: list[ReferenceSampleRecord] = []
     for family in spec.train_families:
