@@ -212,24 +212,17 @@ def test_missing_predictions_are_reported_by_id() -> None:
 
 
 def test_scores_outside_unit_interval_are_rejected() -> None:
-    with pytest.raises(PredictionError):
-        PredictionSet({"x": 1.5})
-    with pytest.raises(PredictionError):
-        PredictionSet({"x": -0.1})
-
-
-@pytest.mark.parametrize(
-    ("scores", "message"),
-    [
+    # The first score out of range in dict order is named; NaN is out of range.
+    for scores, message in [
+        ({"x": 1.5}, "score 1.5 for 'x' outside [0, 1]"),
+        ({"x": -0.1}, "score -0.1 for 'x' outside [0, 1]"),
         ({"a": 0.0, "b": 1.0, "c": float("nan"), "d": 2.0}, "score nan for 'c' outside [0, 1]"),
         ({"a": 0.5, "z": 1.0000001, "b": -0.0, "y": -1}, "score 1.0000001 for 'z' outside [0, 1]"),
         ({"a": 1, "b": -float("inf")}, "score -inf for 'b' outside [0, 1]"),
-    ],
-)
-def test_the_first_score_out_of_range_in_dict_order_is_named(scores, message) -> None:
-    with pytest.raises(PredictionError) as err:
-        PredictionSet(scores)
-    assert str(err.value) == message
+    ]:
+        with pytest.raises(PredictionError) as err:
+            PredictionSet(scores)
+        assert str(err.value) == message
 
 
 def test_prediction_file_round_trip(tmp_path) -> None:
