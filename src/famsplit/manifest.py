@@ -14,7 +14,7 @@ import random
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 from types import MappingProxyType
 
@@ -132,36 +132,100 @@ class MaterializedSplit:
                 )
 
 
+def _pool_ids(
+    path: Path, lineno: int, parts: list[str],
+    by_family: dict[str, list[str]], benign: dict[str, list[str]],
+) -> list[str]:
+    # The list that the id of pool line `lineno`, split into `parts`, goes to.
+    if len(parts) != 4:
+        raise PoolError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
+    sample_id, label, family, origin = parts
+    if not sample_id:
+        raise PoolError(f"{path}: line {lineno}: empty sample id")
+    if label not in _LABELS:
+        raise PoolError(f"{path}: line {lineno}: unknown label {label!r}")
+    if label == "malicious":
+        if family == "-" or not family:
+            raise PoolError(f"{path}: line {lineno}: malicious record without family")
+        if origin != "-":
+            raise PoolError(f"{path}: line {lineno}: malicious records carry no origin tag")
+        return by_family.setdefault(family, [])
+    if family != "-":
+        raise PoolError(f"{path}: line {lineno}: benign record with family {family!r}")
+    if origin not in _ORIGINS:
+        raise PoolError(f"{path}: line {lineno}: benign origin must be train|test")
+    return benign[origin]
+
+
+def _read_pool_lines(
+    path: Path, lines: list[str], first_lineno: int,
+    by_family: dict[str, list[str]], benign: dict[str, list[str]],
+) -> None:
+    # Adds each line's id to its list; lines[0] is line `first_lineno` of the file.
+    for lineno, line in enumerate(lines, start=first_lineno):
+        if line:
+            parts = line.split("\t")
+            _pool_ids(path, lineno, parts, by_family, benign).append(parts[0])
+
+
+# Every line break str.splitlines() honours besides "\n".
+_OTHER_LINE_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# Characters of pool text read per chunk; each chunk ends at a newline.
+_POOL_CHUNK = 1 << 14
+
+
+def _read_pool_chunks(
+    path: Path, text: str, by_family: dict[str, list[str]], benign: dict[str, list[str]],
+) -> None:
+    # _read_pool_lines over text that ends in "\n" and has no other line break.
+    start, lineno = 0, 1
+    while start < len(text):
+        end = text.find("\n", start + _POOL_CHUNK) + 1 or len(text)
+        chunk = text[start:end]
+        start = end
+        lines = chunk.count("\n")
+        first = chunk[: chunk.index("\n")]
+        if first:
+            parts = first.split("\t")
+            ids = _pool_ids(path, lineno, parts, by_family, benign)
+            pieces = chunk.split(first[len(parts[0]) :] + "\n")
+            # Each suffix match holds one newline, so one piece per newline
+            # leaves every line `piece + suffix` and the last piece empty;
+            # three tabs a line leave none in a piece, and no other piece
+            # may be empty.
+            if (
+                len(pieces) == lines + 1
+                and chunk.count("\t") == 3 * lines
+                and pieces.count("") == 1
+            ):
+                ids += pieces[:-1]
+                lineno += lines
+                continue
+        _read_pool_lines(path, chunk.splitlines(), lineno, by_family, benign)
+        lineno += lines
+
+
 def load_pool(path: str | Path) -> SamplePool:
-    """Parse a line-delimited pool file (see save_pool for the format)."""
+    """Parse a line-delimited pool file (see save_pool for the format).
+
+    When "\n" is the text's only line break and ends it, the text is read in
+    chunks that end at a newline. A chunk whose lines all share its first
+    line's fields after the id, as inside a save_pool block, is read with one
+    split on that suffix. Any other chunk, and any other text, is read line
+    by line, which reports the first fault by line number.
+    """
     path = Path(path)
+    text = path.read_text(encoding="utf-8")
     by_family: dict[str, list[str]] = {}
     benign: dict[str, list[str]] = {origin: [] for origin in _ORIGINS}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise PoolError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
-        sample_id, label, family, origin = parts
-        if not sample_id:
-            raise PoolError(f"{path}: line {lineno}: empty sample id")
-        if label not in _LABELS:
-            raise PoolError(f"{path}: line {lineno}: unknown label {label!r}")
-        if label == "malicious":
-            if family == "-" or not family:
-                raise PoolError(f"{path}: line {lineno}: malicious record without family")
-            if origin != "-":
-                raise PoolError(
-                    f"{path}: line {lineno}: malicious records carry no origin tag"
-                )
-            by_family.setdefault(family, []).append(sample_id)
-        else:
-            if family != "-":
-                raise PoolError(f"{path}: line {lineno}: benign record with family {family!r}")
-            if origin not in _ORIGINS:
-                raise PoolError(f"{path}: line {lineno}: benign origin must be train|test")
-            benign[origin].append(sample_id)
+    if text.endswith("\n") and not any(c in text for c in _OTHER_LINE_BREAKS):
+        _read_pool_chunks(path, text, by_family, benign)
+        del text
+    else:
+        lines = text.splitlines()
+        del text  # so the text and all its lines are never held together
+        _read_pool_lines(path, lines, 1, by_family, benign)
+        del lines
     # Each list becomes a tuple and is dropped in turn, so SamplePool's tuple()
     # is free and no second full copy of the pool is ever held.
     for ids_by_key in (by_family, benign):
@@ -254,9 +318,17 @@ def materialize_split(
 
 
 def _side_text(side: SplitSide) -> str:
-    suffixes = {family: f"\tmalicious\t{family}\n" for family in set(side.families)}
-    suffixes[None] = "\tbenign\t-\n"
-    return "".join(map(operator.add, side.ids, map(suffixes.__getitem__, side.families)))
+    # One join per run of equal families: a run starts at 0 and wherever the
+    # family differs from the one before.
+    ids, families = side.ids, side.families
+    starts = compress(range(len(ids)), chain((True,), map(operator.ne, families[1:], families)))
+    bounds = [*starts, len(ids)]
+    parts = []
+    for a, b in zip(bounds, bounds[1:]):
+        family = families[a]
+        suffix = "\tbenign\t-\n" if family is None else f"\tmalicious\t{family}\n"
+        parts += (suffix.join(ids[a:b]), suffix)
+    return "".join(parts)
 
 
 def split_meta(ms: MaterializedSplit, spec: SplitSpec, seed: int,
@@ -289,10 +361,6 @@ def write_split(ms: MaterializedSplit, directory: str | Path, meta: dict) -> Non
     (directory / SPLIT_FILES["train"]).write_text(_side_text(ms.train), encoding="utf-8")
     (directory / SPLIT_FILES["test"]).write_text(_side_text(ms.test), encoding="utf-8")
     (directory / SPLIT_FILES["meta"]).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-
-
-# Every line break str.splitlines() honours besides "\n".
-_OTHER_LINE_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
 def _read_side(path: Path) -> SplitSide:

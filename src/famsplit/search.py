@@ -169,9 +169,10 @@ def _stream_words(rng: random.Random, count: int) -> np.ndarray:
 
 
 def _search_pass(
-    band: _Band, config: SearchConfig, pass_seed: int
-) -> tuple[list[int], list[int], int, int]:
-    # One greedy pass, returning (train, test, relaxations, attempts_total).
+    band: _Band, config: SearchConfig, pass_seed: int, stop_at: int | None = None
+) -> tuple[list[int], list[int], int, int] | None:
+    # One greedy pass, returning (train, test, relaxations, attempts_total),
+    # or None once it has relaxed `stop_at` times.
     # Each draw takes one candidate uniformly (with replacement) and one
     # attempt; it is discarded when either family is used or when any cross
     # entry against the accepted sets would leave the band. After max_attempts
@@ -232,6 +233,8 @@ def _search_pass(
             words = words[at[-1] + 1 :] if not left else words[:0]
         if n < off_diagonal:
             relaxations += 1
+            if relaxations == stop_at:
+                return None
 
 
 def search_split(m: CrossErrorMatrix, config: SearchConfig) -> SplitSpec:
@@ -240,21 +243,26 @@ def search_split(m: CrossErrorMatrix, config: SearchConfig) -> SplitSpec:
     Runs up to SEARCH_RESTARTS independently seeded greedy passes and
     returns the first one that achieved the smallest final band; passes stop
     early once one completes without any relaxation, since no pass can do
-    better. Deterministic for a fixed (matrix, config).
+    better, and a pass stops once it has relaxed as often as the best so far.
+    Deterministic for a fixed (matrix, config).
     """
     return _search_band(_Band(m, config), config)
 
 
 def _search_band(band: _Band, config: SearchConfig) -> SplitSpec:
     # search_split over a band built with config's tau, epsilon0, step and set_size.
+    # A pass is kept only if its band is strictly tighter than the best's, and
+    # the band never narrows as a pass relaxes, so a pass stops once it has
+    # relaxed as often as the best. Each pass has its own rng, so stopping
+    # one changes no other.
     m = band.m
-    best = None
-    for r in range(SEARCH_RESTARTS):
-        result = _search_pass(band, config, derive_seed(config.seed, r))
-        if best is None or _eps_at(config, result[2]) < _eps_at(config, best[2]):
-            best = result
+    best = _search_pass(band, config, derive_seed(config.seed, 0))
+    for r in range(1, SEARCH_RESTARTS):
         if best[2] == 0:
             break
+        result = _search_pass(band, config, derive_seed(config.seed, r), best[2])
+        if result is not None and _eps_at(config, result[2]) < _eps_at(config, best[2]):
+            best = result
     train, test, relaxations, attempts_total = best
     return SplitSpec(
         train_families=tuple(m.families[t] for t in train),

@@ -139,17 +139,17 @@ def test_pool_save_load_round_trip(tmp_path) -> None:
     assert loaded.benign == pool.benign
 
 
-@pytest.mark.parametrize(
-    "line, fragment",
-    [
-        ("aa01\tmalicious\talpha", "line 3: expected 4 fields"),
-        ("aa01\tweird\talpha\t-", "unknown label"),
-        ("aa01\tmalicious\t-\t-", "without family"),
-        ("aa01\tmalicious\talpha\ttrain", "no origin tag"),
-        ("aa01\tbenign\talpha\ttrain", "benign record with family"),
-        ("aa01\tbenign\t-\tsomeday", "origin must be train|test"),
-    ],
-)
+MALFORMED_POOL_LINES = [
+    ("aa01\tmalicious\talpha", "line 3: expected 4 fields"),
+    ("aa01\tweird\talpha\t-", "unknown label"),
+    ("aa01\tmalicious\t-\t-", "without family"),
+    ("aa01\tmalicious\talpha\ttrain", "no origin tag"),
+    ("aa01\tbenign\talpha\ttrain", "benign record with family"),
+    ("aa01\tbenign\t-\tsomeday", "origin must be train|test"),
+]
+
+
+@pytest.mark.parametrize("line, fragment", MALFORMED_POOL_LINES)
 def test_pool_rejects_malformed_lines(tmp_path, line: str, fragment: str) -> None:
     path = tmp_path / "pool.tsv"
     path.write_text("ok1\tmalicious\talpha\t-\nok2\tbenign\t-\ttrain\n" + line + "\n")
@@ -751,3 +751,133 @@ def test_read_split_rejects_a_label_that_disagrees_with_its_family(
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(PoolError, match=message):
         read_split(directory)
+
+
+def reference_load_pool(path: str | Path) -> SamplePool:
+    """The line-at-a-time pool parser that load_pool must match on every input."""
+    path = Path(path)
+    by_family: dict[str, list[str]] = {}
+    benign: dict[str, list[str]] = {origin: [] for origin in ("train", "test")}
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise PoolError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
+        sample_id, label, family, origin = parts
+        if not sample_id:
+            raise PoolError(f"{path}: line {lineno}: empty sample id")
+        if label not in ("benign", "malicious"):
+            raise PoolError(f"{path}: line {lineno}: unknown label {label!r}")
+        if label == "malicious":
+            if family == "-" or not family:
+                raise PoolError(f"{path}: line {lineno}: malicious record without family")
+            if origin != "-":
+                raise PoolError(f"{path}: line {lineno}: malicious records carry no origin tag")
+            by_family.setdefault(family, []).append(sample_id)
+        else:
+            if family != "-":
+                raise PoolError(f"{path}: line {lineno}: benign record with family {family!r}")
+            if origin not in ("train", "test"):
+                raise PoolError(f"{path}: line {lineno}: benign origin must be train|test")
+            benign[origin].append(sample_id)
+    return SamplePool(by_family=by_family, benign=benign)
+
+
+def pool_outcome(load, path: Path):
+    """Both mappings as item lists, so dict and tuple order count, or the error."""
+    try:
+        pool = load(path)
+    except PoolError as err:
+        return PoolError, str(err)
+    return list(pool.by_family.items()), list(pool.benign.items())
+
+
+POOL_FAULTS = [
+    None, *(line for line, _ in MALFORMED_POOL_LINES),
+    "empty id", "tab in id", "empty line", "repeated id", "line break", "crlf", "no final newline",
+]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+    benign_sizes=st.tuples(st.integers(0, 20), st.integers(0, 20)),
+    layout=st.sampled_from(["canonical", "interleaved families", "interleaved origins"]),
+    fault=st.sampled_from(POOL_FAULTS),
+    chunk=st.integers(0, 48),
+    data=st.data(),
+)
+def test_load_pool_matches_reference(
+    tmp_path_factory, sizes, benign_sizes, layout, fault, chunk, data
+) -> None:
+    # Ids of mixed lengths, so chunk ends fall anywhere in a line.
+    families = [
+        [f"f{j}-{'x' * (i % 3)}{i}\tmalicious\tf{j}\t-" for i in range(n)]
+        for j, n in enumerate(sizes)
+    ]
+    benign = [
+        [f"b{origin}{i:0{i % 4}d}\tbenign\t-\t{origin}" for i in range(n)]
+        for origin, n in zip(("train", "test"), benign_sizes)
+    ]
+    malicious_lines = [line for block in families for line in block]
+    benign_lines = [line for block in benign for line in block]
+    if layout == "interleaved families":
+        malicious_lines = data.draw(st.permutations(malicious_lines), label="malicious order")
+    elif layout == "interleaved origins":
+        benign_lines = data.draw(st.permutations(benign_lines), label="benign order")
+    lines = malicious_lines + benign_lines
+    row = data.draw(st.integers(0, len(lines) - 1), label="faulty line")
+    sample_id, _, rest = lines[row].partition("\t")
+    if fault == "empty id":
+        lines[row] = "\t" + rest
+    elif fault == "tab in id":
+        at = data.draw(st.integers(0, len(sample_id)), label="tab position")
+        lines[row] = sample_id[:at] + "\t" + sample_id[at:] + "\t" + rest
+    elif fault == "empty line":
+        lines.insert(row, "")
+    elif fault == "line break":
+        at = data.draw(st.integers(0, len(lines[row])), label="break position")
+        lines[row] = lines[row][:at] + data.draw(st.sampled_from(LINE_BREAKS)) + lines[row][at:]
+    elif fault == "repeated id":
+        lines.insert(row, lines[data.draw(st.integers(0, len(lines) - 1), label="repeated")])
+    elif fault not in (None, "crlf", "no final newline"):
+        lines.insert(row, fault)
+    newline = "\r\n" if fault == "crlf" else "\n"
+    text = newline.join(lines) + ("" if fault == "no final newline" else newline)
+    path = tmp_path_factory.mktemp("pool") / "pool.tsv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(manifest, "_POOL_CHUNK", chunk)
+        outcome = pool_outcome(load_pool, path)
+    assert outcome == pool_outcome(reference_load_pool, path)
+    if layout == "canonical" and fault in (None, "empty line", "crlf", "no final newline"):
+        assert outcome[0] == [(f"f{j}", tuple(l.split("\t")[0] for l in block))
+                              for j, block in enumerate(families)]
+
+
+def test_load_pool_reads_canonical_blocks_without_the_line_loop(tmp_path, monkeypatch) -> None:
+    pool = build_pool({name: 3000 for name in ("alpha", "beta", "gamma")}, 5000, 2000)
+    path = tmp_path / "pool.tsv"
+    save_pool(pool, path)
+    line_chunks = []
+    read_lines = manifest._read_pool_lines
+    monkeypatch.setattr(
+        manifest, "_read_pool_lines", lambda *args: line_chunks.append(args[1]) or read_lines(*args)
+    )
+    loaded = load_pool(path)
+    assert pool_outcome(lambda _: loaded, path) == pool_outcome(reference_load_pool, path)
+    assert path.stat().st_size > 20 * manifest._POOL_CHUNK
+    # Only the chunks that straddle one of the four block boundaries.
+    assert len(line_chunks) <= 4
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(families=st.lists(st.sampled_from([None, None, "alpha", "beta", "gamma"]), max_size=40))
+def test_side_text_matches_one_line_per_record(families) -> None:
+    ids = [f"s{i:0{i % 5}d}" for i in range(len(families))]
+    expected = "".join(
+        f"{sample_id}\tbenign\t-\n" if family is None else f"{sample_id}\tmalicious\t{family}\n"
+        for sample_id, family in zip(ids, families)
+    )
+    assert manifest._side_text(SplitSide(ids, families)) == expected

@@ -338,6 +338,26 @@ def test_tier_on_too_few_families_fails_before_any_pass(monkeypatch) -> None:
     assert passes == []
 
 
+def test_a_later_pass_stops_once_it_relaxes_as_often_as_the_best(monkeypatch) -> None:
+    # Every pass over this matrix relaxes at least twice, so after the first
+    # pass finds level 2 no later pass can be kept.
+    calls = []
+    real_pass = search._search_pass
+
+    def recording_pass(band, config, pass_seed, stop_at=None):
+        result = real_pass(band, config, pass_seed, stop_at)
+        calls.append((stop_at, result and result[2], real_pass(band, config, pass_seed)[2]))
+        return result
+
+    monkeypatch.setattr(search, "_search_pass", recording_pass)
+    spec = search_split(adversarial_matrix(), SearchConfig(tau=0.5, set_size=2, seed=0))
+    assert spec.relaxations == 2
+    assert calls[0] == (None, 2, 2)
+    assert [call[:2] for call in calls[1:]] == [(2, None)] * (SEARCH_RESTARTS - 1)
+    # Run to the end, each stopped pass would have relaxed at least as often.
+    assert all(full >= 2 for _, _, full in calls[1:])
+
+
 def test_split_spec_rejects_overlap() -> None:
     with pytest.raises(InfeasibleSearchError):
         SplitSpec(("a", "b"), ("b", "c"), 0.5, 0.05, 0, 0, 0)
