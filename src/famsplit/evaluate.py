@@ -170,6 +170,8 @@ def load_predictions(path: str | Path, threshold: float = PredictionSet.threshol
         parts = line.split("\t")
         if len(parts) != 2:
             raise PredictionError(f"{path}: line {lineno}: expected 2 fields, got {len(parts)}")
+        if not parts[0]:
+            raise PredictionError(f"{path}: line {lineno}: empty sample id")
         if parts[0] in scores:
             first = next(n for n, seen in enumerate(lines, start=1)
                          if seen.split("\t")[0] == parts[0])

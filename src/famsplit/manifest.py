@@ -12,7 +12,7 @@ import json
 import operator
 import random
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, compress
 from pathlib import Path
@@ -132,13 +132,8 @@ class MaterializedSplit:
                 )
 
 
-def _pool_ids(
-    path: Path, lineno: int, parts: list[str],
-    by_family: dict[str, list[str]], benign: dict[str, list[str]],
-) -> list[str]:
-    # The list that the id of pool line `lineno`, split into `parts`, goes to.
-    if len(parts) != 4:
-        raise PoolError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
+def _pool_key(path: Path, lineno: int, parts: list[str]) -> tuple[str, str]:
+    # The (family, origin) of pool line `lineno`, split into its four `parts`.
     sample_id, label, family, origin = parts
     if not sample_id:
         raise PoolError(f"{path}: line {lineno}: empty sample id")
@@ -149,83 +144,88 @@ def _pool_ids(
             raise PoolError(f"{path}: line {lineno}: malicious record without family")
         if origin != "-":
             raise PoolError(f"{path}: line {lineno}: malicious records carry no origin tag")
-        return by_family.setdefault(family, [])
-    if family != "-":
+    elif family != "-":
         raise PoolError(f"{path}: line {lineno}: benign record with family {family!r}")
-    if origin not in _ORIGINS:
+    elif origin not in _ORIGINS:
         raise PoolError(f"{path}: line {lineno}: benign origin must be train|test")
-    return benign[origin]
+    return family, origin
 
 
-def _read_pool_lines(
-    path: Path, lines: list[str], first_lineno: int,
-    by_family: dict[str, list[str]], benign: dict[str, list[str]],
-) -> None:
-    # Adds each line's id to its list; lines[0] is line `first_lineno` of the file.
-    for lineno, line in enumerate(lines, start=first_lineno):
-        if line:
-            parts = line.split("\t")
-            _pool_ids(path, lineno, parts, by_family, benign).append(parts[0])
+def _side_key(path: Path, lineno: int, parts: list[str]) -> tuple[str, str]:
+    # The (label, family) of split TSV line `lineno`, split into its three `parts`.
+    if parts[1] not in _LABELS:
+        raise PoolError(f"{path}: line {lineno}: unknown label {parts[1]!r}")
+    return parts[1], parts[2]
 
 
-# Every line break str.splitlines() honours besides "\n".
-_OTHER_LINE_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
-# Characters of pool text read per chunk; each chunk ends at a newline.
+# Every line break str.splitlines() honours besides "\n". "\r" is not one:
+# Path.read_text reads with universal newlines, which turn "\r\n" and "\r"
+# into "\n" before any parser sees the text.
+_OTHER_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# Characters of record text read per chunk; each chunk ends at a newline.
 _POOL_CHUNK = 1 << 14
 
 
-def _read_pool_chunks(
-    path: Path, text: str, by_family: dict[str, list[str]], benign: dict[str, list[str]],
-) -> None:
-    # _read_pool_lines over text that ends in "\n" and has no other line break.
+def _read_runs(
+    path: Path, fields: int, rule: Callable[[Path, int, list[str]], tuple[str, str]],
+) -> Iterator[tuple[int, tuple[str, str], list[str]]]:
+    """Yield (first line number, key, ids) for each run of records, in file order.
+
+    A record line is `fields` tab-separated fields, an id and then a suffix;
+    `rule(path, lineno, parts)` checks one line's fields and returns its key.
+    The text is read in chunks of about _POOL_CHUNK characters, each cut at a
+    newline. A chunk whose lines all end in its first line's suffix, as
+    inside a save_pool block or a write_split family run, is one run, taken
+    with one split on that suffix. Any other chunk is read line by line, one
+    run per non-empty line, which reports the first fault by line number.
+    """
+    text = path.read_text(encoding="utf-8")
+    if not text.endswith("\n"):
+        text += "\n"  # splitlines() gives the same lines, and each chunk ends in "\n"
+
+    def key(lineno: int, line: str) -> tuple[list[str], tuple[str, str]]:
+        parts = line.split("\t")
+        if len(parts) != fields:
+            raise PoolError(f"{path}: line {lineno}: expected {fields} fields, got {len(parts)}")
+        return parts, rule(path, lineno, parts)
+
     start, lineno = 0, 1
     while start < len(text):
         end = text.find("\n", start + _POOL_CHUNK) + 1 or len(text)
         chunk = text[start:end]
         start = end
-        lines = chunk.count("\n")
         first = chunk[: chunk.index("\n")]
-        if first:
-            parts = first.split("\t")
-            ids = _pool_ids(path, lineno, parts, by_family, benign)
+        # With another line break in the chunk, `first` may be more than one line.
+        if first and not any(c in chunk for c in _OTHER_LINE_BREAKS):
+            newlines = chunk.count("\n")
+            parts, run_key = key(lineno, first)
             pieces = chunk.split(first[len(parts[0]) :] + "\n")
             # Each suffix match holds one newline, so one piece per newline
             # leaves every line `piece + suffix` and the last piece empty;
-            # three tabs a line leave none in a piece, and no other piece
-            # may be empty.
+            # fields - 1 tabs a line leave none in a piece, and no other
+            # piece may be empty.
             if (
-                len(pieces) == lines + 1
-                and chunk.count("\t") == 3 * lines
+                len(pieces) == newlines + 1
+                and chunk.count("\t") == (fields - 1) * newlines
                 and pieces.count("") == 1
             ):
-                ids += pieces[:-1]
-                lineno += lines
+                yield lineno, run_key, pieces[:-1]
+                lineno += newlines
                 continue
-        _read_pool_lines(path, chunk.splitlines(), lineno, by_family, benign)
-        lineno += lines
+        lines = chunk.splitlines()
+        for at, line in enumerate(lines, start=lineno):
+            if line:
+                parts, line_key = key(at, line)
+                yield at, line_key, parts[:1]
+        lineno += len(lines)
 
 
 def load_pool(path: str | Path) -> SamplePool:
-    """Parse a line-delimited pool file (see save_pool for the format).
-
-    When "\n" is the text's only line break and ends it, the text is read in
-    chunks that end at a newline. A chunk whose lines all share its first
-    line's fields after the id, as inside a save_pool block, is read with one
-    split on that suffix. Any other chunk, and any other text, is read line
-    by line, which reports the first fault by line number.
-    """
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    """Parse a pool file (see save_pool for the format), a run of records at a time."""
     by_family: dict[str, list[str]] = {}
     benign: dict[str, list[str]] = {origin: [] for origin in _ORIGINS}
-    if text.endswith("\n") and not any(c in text for c in _OTHER_LINE_BREAKS):
-        _read_pool_chunks(path, text, by_family, benign)
-        del text
-    else:
-        lines = text.splitlines()
-        del text  # so the text and all its lines are never held together
-        _read_pool_lines(path, lines, 1, by_family, benign)
-        del lines
+    for _, (family, origin), ids in _read_runs(Path(path), 4, _pool_key):
+        (by_family.setdefault(family, []) if origin == "-" else benign[origin]).extend(ids)
     # Each list becomes a tuple and is dropped in turn, so SamplePool's tuple()
     # is free and no second full copy of the pool is ever held.
     for ids_by_key in (by_family, benign):
@@ -364,60 +364,18 @@ def write_split(ms: MaterializedSplit, directory: str | Path, meta: dict) -> Non
 
 
 def _read_side(path: Path) -> SplitSide:
-    """Parse one split TSV into columns.
-
-    The text is split once into a flat field list, and columns are taken as
-    slices. That runs only when the text is proven well formed: "\n" is its
-    only line break and ends it, each line has exactly three fields (so a
-    stray tab cannot shift the columns), every label is known, and every
-    benign line, and only those, has family "-". Any other text goes to the
-    line parser, which reports the first fault by line number.
-    """
-    text = path.read_text(encoding="utf-8")
-    if text.endswith("\n") and not any(c in text for c in _OTHER_LINE_BREAKS):
-        n = text.count("\n")
-        # Each newline becomes a field of its own, so n newline fields at
-        # every fourth place leave exactly three fields on each line.
-        fields = text.replace("\n", "\t\n\t").split("\t")[:-1]
-        labels = fields[1::4]
-        families = fields[2::4]
-        benign = labels.count("benign")
-        # A "\tbenign\t-\n" match spans a whole line's label and family, so
-        # it counts the lines that are both benign and "-".
-        if (
-            len(fields) == 4 * n
-            and fields[3::4].count("\n") == n
-            and labels.count("malicious") == n - benign
-            and families.count("-") == benign == text.count("\tbenign\t-\n")
-            and "\tmalicious\t\n" not in text
-        ):
-            # One string object per family name, and None for benign.
-            canonical = {family: family for family in set(families)}
-            canonical["-"] = None
-            return SplitSide(fields[0::4], map(canonical.__getitem__, families))
-    return _read_side_by_line(path, text)
-
-
-def _read_side_by_line(path: Path, text: str) -> SplitSide:
+    """Parse one split TSV into columns, a run of records at a time (see _read_runs)."""
     ids: list[str] = []
     families: list[str | None] = []
     mismatch = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise PoolError(f"{path}: line {lineno}: expected 3 fields, got {len(parts)}")
-        sample_id, label, family = parts
-        if label not in _LABELS:
-            raise PoolError(f"{path}: line {lineno}: unknown label {label!r}")
+    for lineno, (label, family), run in _read_runs(path, 3, _side_key):
         if mismatch is None:
             if label == "malicious" and (family == "-" or not family):
                 mismatch = f"line {lineno}: malicious record without family"
             elif label == "benign" and family != "-":
                 mismatch = f"line {lineno}: benign record with family {family!r}"
-        ids.append(sample_id)
-        families.append(None if family == "-" else family)
+        ids += run
+        families += [None if family == "-" else family] * len(run)
     # Reported once every line has parsed: a line break inside a line can
     # leave a three-field prefix with an empty family, and the fields error
     # of the line's remainder names the real fault.

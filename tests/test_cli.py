@@ -7,8 +7,9 @@ import pytest
 
 from famsplit.ablation import ablation_report, select_worst_k
 from famsplit.cli import main
-from famsplit.manifest import load_pool, save_pool, SamplePool
-from famsplit.matrix import load_matrix
+from famsplit import manifest
+from famsplit.manifest import SPLIT_FILES, load_pool, read_split, save_pool, SamplePool, write_split
+from famsplit.matrix import load_matrix, synth_family_names
 from famsplit.search import SearchConfig, benchmark_to_dict, derive_seed, generate_benchmark
 
 from test_stats import brute_force_wilcoxon
@@ -348,6 +349,73 @@ def split_dir(benchmark_file, pool_file, tmp_path) -> Path:
     )
     assert code == 0
     return out_dir / "split-00"
+
+
+@pytest.fixture(scope="module")
+def big_pool_file(tmp_path_factory) -> Path:
+    """A pool read in many chunks: 40 families of 2000 ids, 2000 benign ids per origin."""
+    pool = SamplePool(
+        by_family={name: [f"{name}-{i}" for i in range(2000)] for name in synth_family_names(40)},
+        benign={origin: [f"ben-{origin}-{i}" for i in range(2000)] for origin in ("train", "test")},
+    )
+    path = tmp_path_factory.mktemp("big-pool") / "big-pool.tsv"
+    save_pool(pool, path)
+    assert path.stat().st_size > 100 * manifest._POOL_CHUNK
+    return path
+
+
+def with_extra_field(path: Path, line: int, out: Path) -> None:
+    """Write `path` to `out` with a stray field after the label on benign line `line`."""
+    lines = path.read_text().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].replace("\tbenign\t", "\tbenign\tx\t", 1)
+    out.write_text("".join(lines))
+
+
+def test_many_chunk_pool_round_trips_and_names_a_bad_line(
+    big_pool_file, benchmark_file, tmp_path, capsys
+) -> None:
+    again = tmp_path / "big-pool-again.tsv"
+    save_pool(load_pool(big_pool_file), again)
+    assert again.read_bytes() == big_pool_file.read_bytes()
+    # One malformed line near the end is a domain error that names the line.
+    line = big_pool_file.read_text().count("\n") - 5
+    bad = tmp_path / "bad-pool.tsv"
+    with_extra_field(big_pool_file, line, bad)
+    out_dir = tmp_path / "bad-pool"
+    code = run(
+        "materialize", "--benchmark", benchmark_file, "--pool", bad,
+        "--train-per-family", "2", "--test-per-family", "2", "--out-dir", out_dir,
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"famsplit: error: {bad}: line {line}: expected 4 fields, got 5\n"
+    assert not out_dir.exists()
+
+
+def test_many_chunk_split_round_trips_and_names_a_bad_line(
+    big_pool_file, benchmark_file, tmp_path, capsys
+) -> None:
+    code = run(
+        "materialize", "--benchmark", benchmark_file, "--pool", big_pool_file,
+        "--train-per-family", "1000", "--test-per-family", "500", "--out-dir", tmp_path / "mat",
+    )
+    assert code == 0
+    split = tmp_path / "mat" / "split-00"
+    train = split / SPLIT_FILES["train"]
+    for side in ("train", "test"):
+        assert (split / SPLIT_FILES[side]).stat().st_size > 3 * manifest._POOL_CHUNK
+    again = tmp_path / "again"
+    write_split(read_split(split), again, json.loads((split / SPLIT_FILES["meta"]).read_text()))
+    for name in SPLIT_FILES.values():
+        assert (again / name).read_bytes() == (split / name).read_bytes()
+    line = train.read_text().count("\n") - 5
+    with_extra_field(train, line, train)
+    report = tmp_path / "eval.json"
+    code = run(
+        "evaluate", "--split-dir", split, "--predictions", tmp_path / "preds.tsv", "--out", report,
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"famsplit: error: {train}: line {line}: expected 3 fields, got 4\n"
+    assert not report.exists()
 
 
 def test_evaluate_perfect_predictions(split_dir, tmp_path) -> None:

@@ -243,3 +243,14 @@ def test_duplicate_prediction_ids_are_rejected(tmp_path) -> None:
     with pytest.raises(PredictionError) as err:
         load_predictions(path)
     assert "line 3: duplicate sample id 's1' (first on line 1)" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    ("text", "line"), [("a\t0.5\n\n\t0.1\nb\t0.2\n\t0.3\n", 3), ("\t0.5\n", 1)]
+)
+def test_empty_prediction_id_is_rejected(tmp_path, text, line) -> None:
+    path = tmp_path / "preds.tsv"
+    path.write_text(text)
+    with pytest.raises(PredictionError) as err:
+        load_predictions(path)
+    assert str(err.value) == f"{path}: line {line}: empty sample id"

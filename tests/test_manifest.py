@@ -600,12 +600,16 @@ def test_materialize_matches_reference(
     assert (counts["train_total"], counts["test_total"]) == (len(train[0]), len(test[0]))
 
 
+# Path.read_text reads with universal newlines, so "\r" and "\r\n" reach
+# both parsers as "\n": inside a line they split it, like any line break.
 LINE_BREAKS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 ODD_LABELS = st.text(
     st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8
 ).filter(lambda label: label not in ("benign", "malicious"))
 
 
+# The "crlf" edit checks that a CRLF copy reads like the LF file: read_text
+# translates it to LF text, so no parser ever sees a "\r".
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
@@ -793,6 +797,8 @@ def pool_outcome(load, path: Path):
     return list(pool.by_family.items()), list(pool.benign.items())
 
 
+# A "crlf" file is read as LF text (see LINE_BREAKS), so it must load like
+# the LF file through the same chunks.
 POOL_FAULTS = [
     None, *(line for line, _ in MALFORMED_POOL_LINES),
     "empty id", "tab in id", "empty line", "repeated id", "line break", "crlf", "no final newline",
@@ -856,20 +862,59 @@ def test_load_pool_matches_reference(
                               for j, block in enumerate(families)]
 
 
+def spy_rule(monkeypatch, name: str) -> list[tuple[Path, int]]:
+    """Record each (path, line number) that the per-line rule `manifest.<name>` checks."""
+    calls = []
+    rule = getattr(manifest, name)
+
+    def spy(path: Path, lineno: int, parts: list[str]) -> tuple[str, str]:
+        calls.append((path, lineno))
+        return rule(path, lineno, parts)
+
+    monkeypatch.setattr(manifest, name, spy)
+    return calls
+
+
+def most_rule_calls(path: Path, line_loop_chunks: int) -> int:
+    """Most rule calls `_read_runs` makes on `path` if only this many chunks go to the line loop.
+
+    A chunk read as one run checks its first line; a chunk sent to the line
+    loop checks that line once more and then every line it holds.
+    """
+    lines = path.read_text(encoding="utf-8").splitlines()
+    chunks = path.stat().st_size // manifest._POOL_CHUNK + 1
+    lines_per_chunk = (manifest._POOL_CHUNK + max(map(len, lines))) // min(map(len, lines)) + 1
+    return chunks + line_loop_chunks * (lines_per_chunk + 1)
+
+
 def test_load_pool_reads_canonical_blocks_without_the_line_loop(tmp_path, monkeypatch) -> None:
     pool = build_pool({name: 3000 for name in ("alpha", "beta", "gamma")}, 5000, 2000)
     path = tmp_path / "pool.tsv"
     save_pool(pool, path)
-    line_chunks = []
-    read_lines = manifest._read_pool_lines
-    monkeypatch.setattr(
-        manifest, "_read_pool_lines", lambda *args: line_chunks.append(args[1]) or read_lines(*args)
-    )
-    loaded = load_pool(path)
-    assert pool_outcome(lambda _: loaded, path) == pool_outcome(reference_load_pool, path)
+    crlf = tmp_path / "crlf.tsv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     assert path.stat().st_size > 20 * manifest._POOL_CHUNK
-    # Only the chunks that straddle one of the four block boundaries.
-    assert len(line_chunks) <= 4
+    calls = spy_rule(monkeypatch, "_pool_key")
+    # read_text turns CRLF into LF, so a CRLF copy takes the same runs.
+    for copy in (path, crlf):
+        calls.clear()
+        loaded = load_pool(copy)
+        assert pool_outcome(lambda _: loaded, path) == pool_outcome(reference_load_pool, path)
+        # Only the chunks that straddle one of the four block boundaries.
+        assert len(calls) <= most_rule_calls(path, 4)
+
+
+def test_read_split_reads_family_runs_without_the_line_loop(tmp_path, monkeypatch) -> None:
+    pool = build_pool({n: 4000 for n in ("alpha", "beta", "gamma", "delta")}, 8000, 2000)
+    ms = materialize_split(pool, toy_spec(), 4000, 1000, seed=1, split_id="runs")
+    write_split(ms, tmp_path, split_meta(ms, toy_spec(), 1, 4000, 1000))
+    calls = spy_rule(monkeypatch, "_side_key")
+    assert split_outcome(read_split, tmp_path) == split_outcome(reference_read_split, tmp_path)
+    for name in ("train", "test"):
+        path = tmp_path / f"{name}.tsv"
+        assert path.stat().st_size > 6 * manifest._POOL_CHUNK
+        # Two families then benign: one chunk at most per run boundary.
+        assert sum(called == path for called, _ in calls) <= most_rule_calls(path, 2)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

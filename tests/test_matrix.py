@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from famsplit import matrix
 from famsplit.ablation import _row_means
 from famsplit.errors import MatrixFormatError
 from famsplit.matrix import (
@@ -146,6 +147,9 @@ def test_save_load_save_is_byte_exact_and_matches_reference(tmp_path_factory, gr
     )
 
 
+# The "\r\n" cases check that CRLF files load like LF ones. read_text translates
+# CRLF to LF, so their rows reach load_matrix as LF text: canonical rows take
+# the fixed-width path and the rest are parsed cell by cell, as in an LF file.
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(k=st.integers(2, 12), data=st.data(), newline=st.sampled_from(["\n", "\r\n"]))
 def test_load_matches_reference_on_valid_spellings(tmp_path_factory, k, data, newline) -> None:
@@ -226,6 +230,31 @@ def test_load_matches_reference_on_edge_files(tmp_path, rows: list[str], newline
     path = tmp_path / "m.csv"
     path.write_bytes(matrix_csv(["a", "b"], rows, newline).encode("utf-8"))
     assert load_outcome(load_matrix, path) == load_outcome(reference_load_matrix, path)
+
+
+def test_crlf_rows_take_the_fixed_width_path(tmp_path, monkeypatch) -> None:
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    save_matrix(synth_matrix(SynthParams(k=12, seed=4)), lf)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    expected = load_matrix(lf)
+    fixed_width = []
+    fixed_width_parser = matrix._fixed_width_parser
+
+    def spy(k: int):
+        parse = fixed_width_parser(k)
+
+        def parse_and_record(cells: str):
+            row = parse(cells)
+            fixed_width.append(row is not None)
+            return row
+
+        return parse_and_record
+
+    monkeypatch.setattr(matrix, "_fixed_width_parser", spy)
+    loaded = load_matrix(crlf)
+    assert loaded.families == expected.families
+    assert np.array_equal(loaded.values, expected.values)
+    assert fixed_width == [True] * 12
 
 
 def test_load_matches_reference_on_every_one_byte_change_to_a_canonical_row(tmp_path) -> None:
