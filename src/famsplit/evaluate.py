@@ -161,9 +161,9 @@ def evaluate_predictions(ms: MaterializedSplit, preds: PredictionSet) -> EvalRes
 
 
 def load_predictions(path: str | Path, threshold: float = PredictionSet.threshold) -> PredictionSet:
-    """Read a tab-separated "sample_id<TAB>score" file."""
+    """Read a tab-separated "sample_id<TAB>score" file, whose lines end at "\n" only."""
     scores: dict[str, float] = {}
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
     for lineno, line in enumerate(lines, start=1):
         if not line:
             continue

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from pathlib import Path
 from types import MappingProxyType
+from typing import TypeVar
 
 import numpy as np
 
@@ -132,9 +133,9 @@ class MaterializedSplit:
                 )
 
 
-def _pool_key(path: Path, lineno: int, parts: list[str]) -> tuple[str, str]:
-    # The (family, origin) of pool line `lineno`, split into its four `parts`.
-    sample_id, label, family, origin = parts
+def _side_key(path: Path, lineno: int, parts: list[str]) -> str:
+    # The family ("-" if benign) of split TSV or pool line `lineno`, checked from `parts[:3]`.
+    sample_id, label, family = parts[:3]
     if not sample_id:
         raise PoolError(f"{path}: line {lineno}: empty sample id")
     if label not in _LABELS:
@@ -142,36 +143,33 @@ def _pool_key(path: Path, lineno: int, parts: list[str]) -> tuple[str, str]:
     if label == "malicious":
         if family == "-" or not family:
             raise PoolError(f"{path}: line {lineno}: malicious record without family")
-        if origin != "-":
-            raise PoolError(f"{path}: line {lineno}: malicious records carry no origin tag")
     elif family != "-":
         raise PoolError(f"{path}: line {lineno}: benign record with family {family!r}")
-    elif origin not in _ORIGINS:
+    return family
+
+
+def _pool_key(path: Path, lineno: int, parts: list[str]) -> tuple[str, str]:
+    # The (family, origin) of pool line `lineno`, split into its four `parts`.
+    family, origin = _side_key(path, lineno, parts), parts[3]
+    if family != "-" and origin != "-":
+        raise PoolError(f"{path}: line {lineno}: malicious records carry no origin tag")
+    if family == "-" and origin not in _ORIGINS:
         raise PoolError(f"{path}: line {lineno}: benign origin must be train|test")
     return family, origin
 
 
-def _side_key(path: Path, lineno: int, parts: list[str]) -> tuple[str, str]:
-    # The (label, family) of split TSV line `lineno`, split into its three `parts`.
-    if parts[1] not in _LABELS:
-        raise PoolError(f"{path}: line {lineno}: unknown label {parts[1]!r}")
-    return parts[1], parts[2]
-
-
-# Every line break str.splitlines() honours besides "\n". "\r" is not one:
-# Path.read_text reads with universal newlines, which turn "\r\n" and "\r"
-# into "\n" before any parser sees the text.
-_OTHER_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 # Characters of record text read per chunk; each chunk ends at a newline.
 _POOL_CHUNK = 1 << 14
+_Key = TypeVar("_Key")
 
 
 def _read_runs(
-    path: Path, fields: int, rule: Callable[[Path, int, list[str]], tuple[str, str]],
-) -> Iterator[tuple[int, tuple[str, str], list[str]]]:
-    """Yield (first line number, key, ids) for each run of records, in file order.
+    path: Path, fields: int, rule: Callable[[Path, int, list[str]], _Key],
+) -> Iterator[tuple[_Key, list[str]]]:
+    """Yield (key, ids) for each run of records, in file order.
 
-    A record line is `fields` tab-separated fields, an id and then a suffix;
+    A record line is `fields` tab-separated fields, an id and then a suffix,
+    ended by "\n" alone: any other line break, such as U+2028, is field text.
     `rule(path, lineno, parts)` checks one line's fields and returns its key.
     The text is read in chunks of about _POOL_CHUNK characters, each cut at a
     newline. A chunk whose lines all end in its first line's suffix, as
@@ -181,9 +179,9 @@ def _read_runs(
     """
     text = path.read_text(encoding="utf-8")
     if not text.endswith("\n"):
-        text += "\n"  # splitlines() gives the same lines, and each chunk ends in "\n"
+        text += "\n"  # a last line reads the same with or without its newline
 
-    def key(lineno: int, line: str) -> tuple[list[str], tuple[str, str]]:
+    def key(lineno: int, line: str) -> tuple[list[str], _Key]:
         parts = line.split("\t")
         if len(parts) != fields:
             raise PoolError(f"{path}: line {lineno}: expected {fields} fields, got {len(parts)}")
@@ -195,8 +193,7 @@ def _read_runs(
         chunk = text[start:end]
         start = end
         first = chunk[: chunk.index("\n")]
-        # With another line break in the chunk, `first` may be more than one line.
-        if first and not any(c in chunk for c in _OTHER_LINE_BREAKS):
+        if first:
             newlines = chunk.count("\n")
             parts, run_key = key(lineno, first)
             pieces = chunk.split(first[len(parts[0]) :] + "\n")
@@ -209,14 +206,14 @@ def _read_runs(
                 and chunk.count("\t") == (fields - 1) * newlines
                 and pieces.count("") == 1
             ):
-                yield lineno, run_key, pieces[:-1]
+                yield run_key, pieces[:-1]
                 lineno += newlines
                 continue
-        lines = chunk.splitlines()
+        lines = chunk[:-1].split("\n")
         for at, line in enumerate(lines, start=lineno):
             if line:
                 parts, line_key = key(at, line)
-                yield at, line_key, parts[:1]
+                yield line_key, parts[:1]
         lineno += len(lines)
 
 
@@ -224,7 +221,7 @@ def load_pool(path: str | Path) -> SamplePool:
     """Parse a pool file (see save_pool for the format), a run of records at a time."""
     by_family: dict[str, list[str]] = {}
     benign: dict[str, list[str]] = {origin: [] for origin in _ORIGINS}
-    for _, (family, origin), ids in _read_runs(Path(path), 4, _pool_key):
+    for (family, origin), ids in _read_runs(Path(path), 4, _pool_key):
         (by_family.setdefault(family, []) if origin == "-" else benign[origin]).extend(ids)
     # Each list becomes a tuple and is dropped in turn, so SamplePool's tuple()
     # is free and no second full copy of the pool is ever held.
@@ -234,16 +231,31 @@ def load_pool(path: str | Path) -> SamplePool:
     return SamplePool(by_family=by_family, benign=benign)
 
 
+def _run_text(ids: Sequence[str], fields: tuple[str, ...]) -> str:
+    """One `id<TAB>fields...` line per id (at least one), each ending in "\n".
+
+    An empty id, or a tab, "\n" or "\r" in an id or family, is a PoolError naming it.
+    """
+    suffix = "".join(f"\t{field}" for field in fields) + "\n"
+    text = suffix.join(ids)
+    text += suffix  # CPython grows the joined text in place; `+` would copy it
+    if (not all(ids) or "\r" in text or text.count("\n") != len(ids)
+            or text.count("\t") != len(fields) * len(ids)):
+        bad = next(s for s in chain(fields, ids) if not s or "\t" in s or "\n" in s or "\r" in s)
+        what = "family" if bad in fields else "sample id"
+        raise PoolError(f"cannot write {what} {bad!r}: it is empty or holds a tab, \\n or \\r")
+    return text
+
+
 def save_pool(pool: SamplePool, path: str | Path) -> None:
     """Write the canonical pool layout: family blocks, then train and test benign.
 
     One record per line: sample_id<TAB>label<TAB>family_or_dash<TAB>origin,
     where origin is train|test for benign records and "-" for malicious.
     """
-    blocks = [(ids, f"\tmalicious\t{family}\t-") for family, ids in pool.by_family.items()]
-    blocks += [(ids, f"\tbenign\t-\t{origin}") for origin, ids in pool.benign.items()]
-    lines = [sample_id + suffix for ids, suffix in blocks for sample_id in ids]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    blocks = [(ids, ("malicious", family, "-")) for family, ids in pool.by_family.items() if ids]
+    blocks += [(ids, ("benign", "-", origin)) for origin, ids in pool.benign.items() if ids]
+    Path(path).write_text("".join(_run_text(*block) for block in blocks), encoding="utf-8")
 
 
 def _check_family(pool: SamplePool, family: str, needed: int) -> None:
@@ -318,17 +330,15 @@ def materialize_split(
 
 
 def _side_text(side: SplitSide) -> str:
-    # One join per run of equal families: a run starts at 0 and wherever the
-    # family differs from the one before.
+    # One _run_text per run of equal families: a run starts at 0 and wherever
+    # the family differs from the one before.
     ids, families = side.ids, side.families
     starts = compress(range(len(ids)), chain((True,), map(operator.ne, families[1:], families)))
     bounds = [*starts, len(ids)]
-    parts = []
-    for a, b in zip(bounds, bounds[1:]):
-        family = families[a]
-        suffix = "\tbenign\t-\n" if family is None else f"\tmalicious\t{family}\n"
-        parts += (suffix.join(ids[a:b]), suffix)
-    return "".join(parts)
+    return "".join(
+        _run_text(ids[a:b], ("benign", "-") if families[a] is None else ("malicious", families[a]))
+        for a, b in zip(bounds, bounds[1:])
+    )
 
 
 def split_meta(ms: MaterializedSplit, spec: SplitSpec, seed: int,
@@ -367,20 +377,9 @@ def _read_side(path: Path) -> SplitSide:
     """Parse one split TSV into columns, a run of records at a time (see _read_runs)."""
     ids: list[str] = []
     families: list[str | None] = []
-    mismatch = None
-    for lineno, (label, family), run in _read_runs(path, 3, _side_key):
-        if mismatch is None:
-            if label == "malicious" and (family == "-" or not family):
-                mismatch = f"line {lineno}: malicious record without family"
-            elif label == "benign" and family != "-":
-                mismatch = f"line {lineno}: benign record with family {family!r}"
+    for family, run in _read_runs(path, 3, _side_key):
         ids += run
         families += [None if family == "-" else family] * len(run)
-    # Reported once every line has parsed: a line break inside a line can
-    # leave a three-field prefix with an empty family, and the fields error
-    # of the line's remainder names the real fault.
-    if mismatch is not None:
-        raise PoolError(f"{path}: {mismatch}")
     return SplitSide(ids, families)
 
 

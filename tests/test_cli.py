@@ -9,7 +9,7 @@ from famsplit.ablation import ablation_report, select_worst_k
 from famsplit.cli import main
 from famsplit import manifest
 from famsplit.manifest import SPLIT_FILES, load_pool, read_split, save_pool, SamplePool, write_split
-from famsplit.matrix import load_matrix, synth_family_names
+from famsplit.matrix import load_matrix, save_matrix, synth_family_names
 from famsplit.search import SearchConfig, benchmark_to_dict, derive_seed, generate_benchmark
 
 from test_stats import brute_force_wilcoxon
@@ -84,6 +84,16 @@ def test_synth_and_pipeline_write_the_same_matrix(tmp_path) -> None:
     )
     assert code == 0
     assert synth.read_bytes() == (tmp_path / "p" / "matrix.csv").read_bytes()
+
+
+def test_k1000_matrix_saves_again_byte_exact_and_searches(tmp_path) -> None:
+    path = tmp_path / "k1000.csv"
+    assert run("synth", "--families", "1000", "--seed", "3", "--out", path) == 0
+    save_matrix(load_matrix(path), tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+    out = tmp_path / "s1000.json"
+    assert run("search", "--matrix", path, "--tau", "0.5", "--seed", "3", "--out", out) == 0
+    assert len(json.loads(out.read_text())["splits"]) == 10
 
 
 def test_search_produces_hard_splits(matrix_file, tmp_path) -> None:
@@ -317,6 +327,9 @@ def test_ablate_curve_k_above_the_family_count_is_a_domain_error(matrix_file, tm
     ["search", "--matrix", "{matrix}", "--tau", "0.5", "--seed", "-1", "--out", "{out}"],
     ["materialize", "--benchmark", "{matrix}", "--pool", "{matrix}", "--seed", "-5",
      "--out-dir", "{out}"],
+    # Caught before any input is read: neither the benchmark nor the pool exists.
+    ["materialize", "--benchmark", "{out}", "--pool", "{out}", "--seed", "-1",
+     "--out-dir", "{out}"],
     ["pipeline", "--seed", "1.5", "--out-dir", "{out}"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-4:-2]))
 def test_flag_bounds_are_usage_errors(matrix_file, tmp_path, capsys, argv) -> None:
@@ -495,6 +508,17 @@ def test_compare_null_metric_is_a_domain_error(tmp_path, capsys) -> None:
     code = run("compare", "--a", a, "--b", b, "--metric", "m", "--out", tmp_path / "cmp.json")
     assert code == 1
     assert "entry 1 metric 'm' is not a number: None" in capsys.readouterr().err
+
+
+def test_compare_nan_metric_is_a_domain_error(tmp_path, capsys) -> None:
+    a = tmp_path / "nan.json"
+    a.write_text("[0.5, NaN, 0.25]\n")
+    out = tmp_path / "cmp.json"
+    assert run("compare", "--a", a, "--b", a, "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"famsplit: error: {a}: entry 1 value is not finite: nan\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_compare_ten_split_dominance(tmp_path) -> None:

@@ -8,11 +8,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from famsplit import manifest
 from famsplit.errors import PoolError
+from famsplit.evaluate import load_predictions
 from famsplit.manifest import (
     MaterializedSplit,
     SamplePool,
@@ -509,15 +510,21 @@ def reference_materialize_split(
 
 def _reference_read_records(path: Path) -> list[ReferenceSampleRecord]:
     records = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
         if not line:
             continue
         parts = line.split("\t")
         if len(parts) != 3:
             raise PoolError(f"{path}: line {lineno}: expected 3 fields, got {len(parts)}")
         sample_id, label, family = parts
+        if not sample_id:
+            raise PoolError(f"{path}: line {lineno}: empty sample id")
         if label not in ("benign", "malicious"):
             raise PoolError(f"{path}: line {lineno}: unknown label {label!r}")
+        if label == "malicious" and (family == "-" or not family):
+            raise PoolError(f"{path}: line {lineno}: malicious record without family")
+        if label == "benign" and family != "-":
+            raise PoolError(f"{path}: line {lineno}: benign record with family {family!r}")
         records.append(ReferenceSampleRecord(sample_id, label, None if family == "-" else family))
     return records
 
@@ -601,7 +608,9 @@ def test_materialize_matches_reference(
 
 
 # Path.read_text reads with universal newlines, so "\r" and "\r\n" reach
-# both parsers as "\n": inside a line they split it, like any line break.
+# both parsers as "\n" and split the line they are in. The others are line
+# breaks only to str.splitlines(): a record line ends at "\n" alone, so
+# they belong to the field they are in.
 LINE_BREAKS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 ODD_LABELS = st.text(
     st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8
@@ -757,12 +766,25 @@ def test_read_split_rejects_a_label_that_disagrees_with_its_family(
         read_split(directory)
 
 
+def test_read_split_rejects_an_empty_sample_id(tmp_path) -> None:
+    directory = written_split(tmp_path / "split")
+    path = directory / "train.tsv"
+    lines = path.read_text().split("\n")
+    assert lines[0].endswith("\tmalicious\talpha")
+    lines[0] = "\tmalicious\talpha"
+    path.write_text("\n".join(lines))
+    for read in (read_split, reference_read_split):
+        with pytest.raises(PoolError) as err:
+            read(directory)
+        assert str(err.value) == f"{path}: line 1: empty sample id"
+
+
 def reference_load_pool(path: str | Path) -> SamplePool:
     """The line-at-a-time pool parser that load_pool must match on every input."""
     path = Path(path)
     by_family: dict[str, list[str]] = {}
     benign: dict[str, list[str]] = {origin: [] for origin in ("train", "test")}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
         if not line:
             continue
         parts = line.split("\t")
@@ -926,3 +948,90 @@ def test_side_text_matches_one_line_per_record(families) -> None:
         for sample_id, family in zip(ids, families)
     )
     assert manifest._side_text(SplitSide(ids, families)) == expected
+
+
+def unwritable(what: str, value: str) -> str:
+    return f"cannot write {what} {value!r}: it is empty or holds a tab, \\n or \\r"
+
+
+@pytest.mark.parametrize(
+    ("by_family", "benign", "message"),
+    [
+        # Written as is, this id would load as benign train "x" and malicious "y".
+        ({"alpha": ["a", "x\tbenign\t-\ttrain\ny"]}, {},
+         unwritable("sample id", "x\tbenign\t-\ttrain\ny")),
+        ({"alpha": ["a"]}, {"test": ["b", "c\rd"]}, unwritable("sample id", "c\rd")),
+        ({"alpha": ["a"], "al\npha": ["b"]}, {}, unwritable("family", "al\npha")),
+        ({"alpha": ["a"]}, {"train": ["b", ""]}, unwritable("sample id", "")),
+    ],
+    ids=["a record in an id", "cr in a benign id", "newline in a family", "empty id"],
+)
+def test_save_pool_refuses_ids_that_load_pool_cannot_read_back(
+    tmp_path, by_family, benign, message
+) -> None:
+    path = tmp_path / "pool.tsv"
+    with pytest.raises(PoolError) as err:
+        save_pool(SamplePool(by_family=by_family, benign=benign), path)
+    assert str(err.value) == message
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    ("train", "message"),
+    [
+        (SplitSide(["a", "b\tc"], ["alpha", None]), unwritable("sample id", "b\tc")),
+        (SplitSide(["a\r", "b"], ["alpha", None]), unwritable("sample id", "a\r")),
+        (SplitSide(["a", "b"], ["al\tpha", None]), unwritable("family", "al\tpha")),
+        (SplitSide(["", "b"], ["alpha", None]), unwritable("sample id", "")),
+    ],
+    ids=["tab in an id", "cr in an id", "tab in a family", "empty id"],
+)
+def test_write_split_refuses_ids_that_read_split_cannot_read_back(
+    tmp_path, train, message
+) -> None:
+    ms = MaterializedSplit("bad", train, SplitSide(["x", "y"], ["gamma", None]))
+    with pytest.raises(PoolError) as err:
+        write_split(ms, tmp_path, {"split_id": "bad"})
+    assert str(err.value) == message
+    assert not (tmp_path / "train.tsv").exists()
+
+
+# Record text: anything but a tab, "\n" or "\r", often one of the characters
+# that only str.splitlines() takes for a line break.
+RECORD_TEXT = st.text(
+    st.sampled_from(LINE_BREAKS[2:])
+    | st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    ids=st.lists(RECORD_TEXT, min_size=4, max_size=40, unique=True),
+    family=RECORD_TEXT.filter(lambda family: family != "-"),
+    scores=st.lists(st.floats(0, 1), min_size=40, max_size=40),
+)
+@example(ids=["\x85", "a\u2028b", "\x0b", "\x1c\x1d\x1e"], family="f\u2029", scores=[0.5] * 40)
+def test_ids_round_trip_through_every_record_file(tmp_path_factory, ids, family, scores) -> None:
+    directory = tmp_path_factory.mktemp("round-trip")
+    k = len(ids) // 4
+    pool = SamplePool(
+        by_family={family: ids[:k] + ids[2 * k : 3 * k]},
+        benign={"train": ids[k : 2 * k], "test": ids[3 * k : 4 * k]},
+    )
+    save_pool(pool, directory / "pool.tsv")
+    assert pool_outcome(load_pool, directory / "pool.tsv") == pool_outcome(lambda _: pool, None)
+
+    sides = [SplitSide(ids[a : a + 2 * k], [family] * k + [None] * k) for a in (0, 2 * k)]
+    ms = MaterializedSplit("round-trip", *sides)
+    counts = {"train_total": 2 * k, "test_total": 2 * k}
+    write_split(ms, directory / "split", {"split_id": ms.split_id, "counts": counts})
+    assert split_outcome(read_split, directory / "split") == split_outcome(lambda: ms)
+
+    expected = dict(zip(ids, scores))
+    (directory / "preds.tsv").write_text(
+        "".join(f"{sample_id}\t{score!r}\n" for sample_id, score in expected.items()),
+        encoding="utf-8",
+    )
+    assert load_predictions(directory / "preds.tsv").scores == expected
