@@ -3,8 +3,10 @@
 Every command is deterministic for fixed flags, seeds, and input bytes.
 Output documents embed a run manifest (command, resolved flags, input
 digests, tool version) instead of timestamps, so outputs are diffable and
-content-addressed; CSV/TSV outputs get a sidecar ``.manifest.json`` since
-their line formats leave no room for embedding.
+content-addressed. CSV/TSV line formats leave no room for embedding, so
+those outputs get a sidecar ``*.manifest.json`` or, inside an output
+directory such as ``recall_curve_*.tsv``'s, a directory-level
+``run_manifest.json``.
 
 Exit codes: 0 success, 1 domain error (bad input data, infeasible search,
 missing predictions), 2 usage error (bad flags).

@@ -11,7 +11,7 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Literal, Sequence, get_args
 
@@ -137,23 +137,24 @@ def evaluate_predictions(ms: MaterializedSplit, preds: PredictionSet) -> EvalRes
     Accuracy is raw accuracy; on these splits the classes are exactly
     balanced, so it coincides with balanced accuracy.
     """
-    ids, families = ms.test.ids, ms.test.families
     scores, threshold = preds.scores, preds.threshold
-    missing = [sample_id for sample_id in ids if sample_id not in scores]
+    missing = [sample_id for sample_id in ms.test.ids if sample_id not in scores]
     if missing:
         shown = ", ".join(missing[:10])
         more = "" if len(missing) <= 10 else f" (+{len(missing) - 10} more)"
         raise PredictionError(f"missing predictions for {len(missing)} ids: {shown}{more}")
-    flagged = [scores[sample_id] >= threshold for sample_id in ids]
     # Counters keep first-appearance order, which per_family_recall's keys
-    # (and so the evaluate report's bytes) follow. Benign samples count under None.
-    family_total = Counter(families)
-    family_hit = Counter(compress(families, flagged))
+    # (and so the evaluate report's bytes) follow. Benign runs count under None.
+    family_total: Counter = Counter()
+    family_hit: Counter = Counter()
+    for family, ids in ms.test.runs:
+        family_total[family] += len(ids)
+        family_hit[family] += sum(scores[sample_id] >= threshold for sample_id in ids)
     benign_total = family_total.pop(None)
-    benign_correct = benign_total - family_hit.pop(None, 0)
+    benign_correct = benign_total - family_hit.pop(None)
     per_family = {family: family_hit[family] / total for family, total in family_total.items()}
     return EvalResult(
-        overall_accuracy=(sum(family_hit.values()) + benign_correct) / len(ids),
+        overall_accuracy=(sum(family_hit.values()) + benign_correct) / len(ms.test),
         benign_accuracy=benign_correct / benign_total,
         malware_recall_mean=statistics.fmean(per_family.values()),
         per_family_recall=per_family,

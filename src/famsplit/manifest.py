@@ -9,12 +9,12 @@ Malicious counts are matched 1:1 by benign samples on each side.
 from __future__ import annotations
 
 import json
-import operator
 import random
 from collections import Counter
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import TypeVar
@@ -36,6 +36,11 @@ _ORIGINS = ("train", "test")
 SPLIT_FILES = MappingProxyType({"train": "train.tsv", "test": "test.tsv", "meta": "meta.json"})
 
 
+def _check_family_name(family: str) -> None:
+    if not family or family == "-":
+        raise PoolError(f"invalid family name {family!r}")
+
+
 @dataclass(frozen=True)
 class SamplePool:
     """Family -> sample ids, and benign origin ("train" or "test") -> sample ids.
@@ -52,8 +57,7 @@ class SamplePool:
     def __post_init__(self) -> None:
         by_family = {}
         for family, ids in self.by_family.items():
-            if not family or family == "-":
-                raise PoolError(f"invalid family name {family!r}")
+            _check_family_name(family)
             by_family[family] = tuple(ids)
         for origin in self.benign:
             if origin not in _ORIGINS:
@@ -83,28 +87,34 @@ class SamplePool:
 
 @dataclass(frozen=True)
 class SplitSide:
-    """One side of a split as parallel columns: sample ids and their families.
+    """One side of a split as family runs: (family, sample ids) pairs in record order.
 
-    A family of None marks a benign sample, so each label is derived from its
-    family and the two cannot disagree.
+    A family of None marks benign samples, so labels derive from families. Empty
+    runs are dropped and adjacent runs of one family merged, so equal sides
+    compare equal however they were cut.
     """
 
-    ids: tuple[str, ...]
-    families: tuple[str | None, ...]
+    runs: Iterable[tuple[str | None, Sequence[str]]]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "families", tuple(self.families))
-        if len(self.ids) != len(self.families):
-            raise PoolError(f"{len(self.ids)} sample ids but {len(self.families)} families")
+        runs = []
+        for family, group in groupby((run for run in self.runs if run[1]), key=itemgetter(0)):
+            if family is not None:
+                _check_family_name(family)
+            runs.append((family, tuple(chain.from_iterable(ids for _, ids in group))))
+        object.__setattr__(self, "runs", tuple(runs))
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        return tuple(chain.from_iterable(ids for _, ids in self.runs))
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return sum(len(ids) for _, ids in self.runs)
 
 
 @dataclass(frozen=True)
 class MaterializedSplit:
-    """Concrete train/test sample columns for one split."""
+    """Concrete train and test sides, as family runs, for one split."""
 
     split_id: str
     train: SplitSide
@@ -113,7 +123,7 @@ class MaterializedSplit:
     def __post_init__(self) -> None:
         sides = (("train", self.train), ("test", self.test))
         for name, side in sides:
-            if not side.ids:
+            if not side.runs:
                 raise PoolError(f"{name} side has no records")
         train_ids = set(self.train.ids)
         test_ids = set(self.test.ids)
@@ -121,20 +131,23 @@ class MaterializedSplit:
         if shared:
             raise PoolError(f"{len(shared)} sample ids appear in both train and test")
         for (name, side), ids in zip(sides, (train_ids, test_ids)):
-            if len(ids) != len(side.ids):
+            if len(ids) != len(side):
                 counts = Counter(side.ids)
                 repeated = next(sample_id for sample_id, n in counts.items() if n > 1)
                 raise PoolError(f"sample id {repeated!r} appears twice on the {name} side")
-            malicious = len(side.families) - side.families.count(None)
-            if 2 * malicious != len(side.ids):
+            malicious = sum(len(run) for family, run in side.runs if family is not None)
+            if 2 * malicious != len(side):
                 raise PoolError(
                     f"{name} side is not benign-balanced: {malicious} malicious"
-                    f" of {len(side.ids)} records"
+                    f" of {len(side)} records"
                 )
+        overlap = ({f for f, _ in self.train.runs} & {f for f, _ in self.test.runs}) - {None}
+        if overlap:
+            raise PoolError(f"train/test families overlap: {sorted(overlap)}")
 
 
-def _side_key(path: Path, lineno: int, parts: list[str]) -> str:
-    # The family ("-" if benign) of split TSV or pool line `lineno`, checked from `parts[:3]`.
+def _side_key(path: Path, lineno: int, parts: list[str]) -> str | None:
+    # The family (None if benign) of split TSV or pool line `lineno`, checked from `parts[:3]`.
     sample_id, label, family = parts[:3]
     if not sample_id:
         raise PoolError(f"{path}: line {lineno}: empty sample id")
@@ -145,15 +158,15 @@ def _side_key(path: Path, lineno: int, parts: list[str]) -> str:
             raise PoolError(f"{path}: line {lineno}: malicious record without family")
     elif family != "-":
         raise PoolError(f"{path}: line {lineno}: benign record with family {family!r}")
-    return family
+    return family if label == "malicious" else None
 
 
-def _pool_key(path: Path, lineno: int, parts: list[str]) -> tuple[str, str]:
+def _pool_key(path: Path, lineno: int, parts: list[str]) -> tuple[str | None, str]:
     # The (family, origin) of pool line `lineno`, split into its four `parts`.
     family, origin = _side_key(path, lineno, parts), parts[3]
-    if family != "-" and origin != "-":
+    if family is not None and origin != "-":
         raise PoolError(f"{path}: line {lineno}: malicious records carry no origin tag")
-    if family == "-" and origin not in _ORIGINS:
+    if family is None and origin not in _ORIGINS:
         raise PoolError(f"{path}: line {lineno}: benign origin must be train|test")
     return family, origin
 
@@ -315,29 +328,20 @@ def materialize_split(
     rng = random.Random(seed)
 
     def side(origin: str, side_families: tuple[str, ...], per_family: int) -> SplitSide:
-        ids: list[str] = []
-        families: list[str | None] = []
-        for family in side_families:
-            ids += _pick(rng, pool.by_family[family], per_family)
-            families += [family] * per_family
-        need = len(ids)  # benign matches the malicious ids 1:1
-        ids += _pick(rng, pool.benign[origin], need)
-        families += [None] * need
-        return SplitSide(ids, families)
+        runs = [(family, _pick(rng, pool.by_family[family], per_family)) for family in side_families]
+        need = len(side_families) * per_family  # benign matches the malicious ids 1:1
+        runs.append((None, _pick(rng, pool.benign[origin], need)))
+        return SplitSide(runs)
 
     train, test = (side(*entry) for entry in sides)
     return MaterializedSplit(split_id=split_id, train=train, test=test)
 
 
 def _side_text(side: SplitSide) -> str:
-    # One _run_text per run of equal families: a run starts at 0 and wherever
-    # the family differs from the one before.
-    ids, families = side.ids, side.families
-    starts = compress(range(len(ids)), chain((True,), map(operator.ne, families[1:], families)))
-    bounds = [*starts, len(ids)]
+    # One _run_text per family run; benign runs carry family "-".
     return "".join(
-        _run_text(ids[a:b], ("benign", "-") if families[a] is None else ("malicious", families[a]))
-        for a, b in zip(bounds, bounds[1:])
+        _run_text(ids, ("benign", "-") if family is None else ("malicious", family))
+        for family, ids in side.runs
     )
 
 
@@ -366,25 +370,17 @@ def split_meta(ms: MaterializedSplit, spec: SplitSpec, seed: int,
 
 def write_split(ms: MaterializedSplit, directory: str | Path, meta: dict) -> None:
     """Write the SPLIT_FILES under `directory`: both sides' TSVs, and `meta` as meta.json."""
+    # Every text is built first, so a side that cannot be written leaves no file.
+    texts = {"train": _side_text(ms.train), "test": _side_text(ms.test),
+             "meta": json.dumps(meta, indent=2) + "\n"}
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / SPLIT_FILES["train"]).write_text(_side_text(ms.train), encoding="utf-8")
-    (directory / SPLIT_FILES["test"]).write_text(_side_text(ms.test), encoding="utf-8")
-    (directory / SPLIT_FILES["meta"]).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-
-
-def _read_side(path: Path) -> SplitSide:
-    """Parse one split TSV into columns, a run of records at a time (see _read_runs)."""
-    ids: list[str] = []
-    families: list[str | None] = []
-    for family, run in _read_runs(path, 3, _side_key):
-        ids += run
-        families += [None if family == "-" else family] * len(run)
-    return SplitSide(ids, families)
+    for role, text in texts.items():
+        (directory / SPLIT_FILES[role]).write_text(text, encoding="utf-8")
 
 
 def read_split(directory: str | Path) -> MaterializedSplit:
-    """Load a split directory written by write_split."""
+    """Load a split directory written by write_split, each side as the runs _read_runs yields."""
     directory = Path(directory)
     meta_path = directory / SPLIT_FILES["meta"]
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -404,8 +400,8 @@ def read_split(directory: str | Path) -> MaterializedSplit:
             )
     ms = MaterializedSplit(
         split_id=meta["split_id"],
-        train=_read_side(directory / SPLIT_FILES["train"]),
-        test=_read_side(directory / SPLIT_FILES["test"]),
+        train=SplitSide(_read_runs(directory / SPLIT_FILES["train"], 3, _side_key)),
+        test=SplitSide(_read_runs(directory / SPLIT_FILES["test"], 3, _side_key)),
     )
     for name, side in (("train", ms.train), ("test", ms.test)):
         total = meta["counts"][f"{name}_total"]

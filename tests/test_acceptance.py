@@ -155,8 +155,12 @@ def test_criterion_6_materialization_counts() -> None:
     assert counts["test_total"] == 40_000
     assert len(ms.train) == 160_000
     assert len(ms.test) == 40_000
-    assert ms.train.families.count(None) == 80_000
-    assert ms.test.families.count(None) == 20_000
+    assert [(family, len(ids)) for family, ids in ms.train.runs] == [
+        *((family, 8000) for family in families[:10]), (None, 80_000)
+    ]
+    assert [(family, len(ids)) for family, ids in ms.test.runs] == [
+        *((family, 2000) for family in families[10:]), (None, 20_000)
+    ]
     train_ids = set(ms.train.ids)
     test_ids = set(ms.test.ids)
     assert len(train_ids) == 160_000

@@ -492,6 +492,21 @@ def test_evaluate_missing_ids_fail_with_listing(split_dir, tmp_path, capsys) -> 
     assert dropped in capsys.readouterr().err
 
 
+def test_evaluate_rejects_a_family_on_both_sides(split_dir, tmp_path, capsys) -> None:
+    meta = json.loads((split_dir / "meta.json").read_text())
+    moved, kept = meta["test_families"][0], meta["train_families"][0]
+    test_tsv = split_dir / "test.tsv"
+    test_tsv.write_text(test_tsv.read_text().replace(f"\t{moved}\n", f"\t{kept}\n"))
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("".join(f"{line.split(chr(9))[0]}\t1.0\n"
+                             for line in test_tsv.read_text().splitlines()))
+    out = tmp_path / "eval.json"
+    code = run("evaluate", "--split-dir", split_dir, "--predictions", preds, "--out", out)
+    assert code == 1
+    assert capsys.readouterr().err == f"famsplit: error: train/test families overlap: ['{kept}']\n"
+    assert not out.exists()
+
+
 def test_compare_identical_inputs_exit_one(tmp_path, capsys) -> None:
     a = tmp_path / "a.json"
     a.write_text("[0.5, 0.6, 0.7]")

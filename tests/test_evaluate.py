@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from famsplit.errors import MatrixFormatError, PredictionError
 from famsplit.evaluate import (
+    EvalResult,
     PredictionSet,
     evaluate_predictions,
     load_predictions,
@@ -139,17 +140,21 @@ def test_difficulty_tiers_are_strictly_ordered(paper_matrix) -> None:
 
 
 def toy_split():
-    train = SplitSide(("m1", "m2", "b1", "b2"), ("alpha", "alpha", None, None))
+    train = SplitSide([("alpha", ["m1", "m2"]), (None, ["b1", "b2"])])
     test = SplitSide(
-        ("t1", "t2", "t3", "t4", "u1", "u2", "u3", "u4"),
-        ("beta", "beta", "gamma", "gamma", None, None, None, None),
+        [("beta", ["t1", "t2"]), ("gamma", ["t3", "t4"]), (None, ["u1", "u2", "u3", "u4"])]
     )
     return MaterializedSplit("toy", train, test)
 
 
+def side_records(side):
+    """(sample id, family) per record, in record order."""
+    return [(sample_id, family) for family, ids in side.runs for sample_id in ids]
+
+
 def test_perfect_predictor_scores_one_everywhere() -> None:
     ms = toy_split()
-    scores = {i: (0.0 if f is None else 1.0) for i, f in zip(ms.test.ids, ms.test.families)}
+    scores = {i: (0.0 if f is None else 1.0) for i, f in side_records(ms.test)}
     result = evaluate_predictions(ms, PredictionSet(scores))
     assert result.overall_accuracy == 1.0
     assert result.benign_accuracy == 1.0
@@ -195,12 +200,26 @@ def test_overall_accuracy_matches_independent_recount() -> None:
     preds = PredictionSet(scores, threshold=0.5)
     result = evaluate_predictions(ms, preds)
     correct = 0
-    for sample_id, family in zip(ms.test.ids, ms.test.families):
+    for sample_id, family in side_records(ms.test):
         predicted_malicious = scores[sample_id] >= 0.5
         actually_malicious = family is not None
         if predicted_malicious == actually_malicious:
             correct += 1
     assert result.overall_accuracy == correct / len(ms.test)
+
+
+def test_a_family_split_over_two_runs_is_scored_as_one() -> None:
+    # Hits are counted per run and summed per family, keyed in first-appearance order.
+    train = SplitSide([("alpha", ["m1", "m2"]), (None, ["b1", "b2"])])
+    test = SplitSide([("gamma", ["t3"]), ("beta", ["t1"]), (None, ["u1", "u2"]),
+                      ("beta", ["t2"]), ("gamma", ["t4"]), (None, ["u3", "u4"])])
+    scores = {"t1": 1.0, "t2": 0.2, "t3": 0.9, "t4": 0.6, "u1": 0.1, "u2": 0.4, "u3": 0.7, "u4": 0.0}
+    result = evaluate_predictions(MaterializedSplit("split runs", train, test), PredictionSet(scores))
+    assert list(result.per_family_recall.items()) == [("gamma", 1.0), ("beta", 0.5)]
+    assert result == EvalResult(
+        overall_accuracy=0.75, benign_accuracy=0.75, malware_recall_mean=0.75,
+        per_family_recall={"gamma": 1.0, "beta": 0.5},
+    )
 
 
 def test_missing_predictions_are_reported_by_id() -> None:

@@ -43,6 +43,10 @@ def build_pool(
     return SamplePool(by_family=by_family, benign=benign)
 
 
+def run_sizes(side: SplitSide) -> list[tuple[str | None, int]]:
+    return [(family, len(ids)) for family, ids in side.runs]
+
+
 def toy_spec() -> SplitSpec:
     return SplitSpec(("alpha", "beta"), ("gamma", "delta"), 0.5, 0.05, 11, 0, 4)
 
@@ -205,11 +209,9 @@ def test_materialize_toy_counts() -> None:
     assert counts["test_total"] == 8
     assert len(ms.train) == 32
     assert len(ms.test) == 8
-    train_malicious = [family for family in ms.train.families if family is not None]
-    assert len(train_malicious) == 16
-    assert set(train_malicious) == {"alpha", "beta"}
-    test_malicious = [family for family in ms.test.families if family is not None]
-    assert set(test_malicious) == {"gamma", "delta"}
+    # One run per family in spec order, then the benign run.
+    assert run_sizes(ms.train) == [("alpha", 8), ("beta", 8), (None, 16)]
+    assert run_sizes(ms.test) == [("gamma", 2), ("delta", 2), (None, 4)]
 
 
 def test_materialize_is_deterministic_and_seed_sensitive() -> None:
@@ -219,7 +221,7 @@ def test_materialize_is_deterministic_and_seed_sensitive() -> None:
     b = materialize_split(pool, spec, 8, 2, seed=5, split_id="toy")
     assert a == b
     c = materialize_split(pool, spec, 8, 2, seed=6, split_id="toy")
-    assert (c.train.families, c.test.families) == (a.train.families, a.test.families)
+    assert (run_sizes(c.train), run_sizes(c.test)) == (run_sizes(a.train), run_sizes(a.test))
     assert c.train.ids[16:] != a.train.ids[16:]  # the benign tail
 
 
@@ -275,8 +277,8 @@ def test_materialize_has_no_leakage() -> None:
     ms = materialize_split(pool, spec, 8, 2, seed=9, split_id="toy")
     assert not set(ms.train.ids) & set(ms.test.ids)
     # No malicious record may sit on the wrong side of the family split.
-    assert set(ms.train.families) == {*spec.train_families, None}
-    assert set(ms.test.families) == {*spec.test_families, None}
+    assert {family for family, _ in ms.train.runs} == {*spec.train_families, None}
+    assert {family for family, _ in ms.test.runs} == {*spec.test_families, None}
 
 
 def test_materialize_errors_name_the_shortfall() -> None:
@@ -298,13 +300,61 @@ def test_materialize_errors_name_the_shortfall() -> None:
 
 
 def test_materialized_split_invariants_are_enforced() -> None:
-    side = SplitSide(("x", "y"), ("alpha", None))
+    side = SplitSide([("alpha", ["x"]), (None, ["y"])])
     with pytest.raises(PoolError, match="both train and test"):
         MaterializedSplit("dup", side, side)
     with pytest.raises(PoolError, match="not benign-balanced"):
-        MaterializedSplit("skew", SplitSide(("x",), ("alpha",)), SplitSide(("y",), (None,)))
-    with pytest.raises(PoolError, match="2 sample ids but 1 families"):
-        SplitSide(("x", "y"), ("alpha",))
+        MaterializedSplit("skew", SplitSide([("alpha", ["x"])]), SplitSide([(None, ["y"])]))
+
+
+def test_split_side_merges_adjacent_runs_and_drops_empty_ones() -> None:
+    side = SplitSide([("a", ["x"]), ("b", []), ("a", ("y", "z")), (None, []), (None, ["w", "v"])])
+    assert side.runs == (("a", ("x", "y", "z")), (None, ("w", "v")))
+    assert side == SplitSide([("a", ("x", "y", "z")), (None, ["w"]), (None, ["v"])])
+    assert side.ids == ("x", "y", "z", "w", "v")
+    assert len(side) == 5
+    # Runs of one family that other records separate stay apart.
+    assert run_sizes(SplitSide([("a", ["x"]), (None, ["y"]), ("a", ["z"])])) == [
+        ("a", 1), (None, 1), ("a", 1)
+    ]
+    assert SplitSide([]).runs == SplitSide([("a", [])]).runs == ()
+
+
+@pytest.mark.parametrize("family", ["-", ""])
+def test_split_side_refuses_the_family_names_a_pool_refuses(family) -> None:
+    message = f"invalid family name {family!r}"
+    with pytest.raises(PoolError) as err:
+        SplitSide([(family, ["a"]), (None, ["b"])])
+    assert str(err.value) == message
+    with pytest.raises(PoolError) as err:
+        SamplePool(by_family={family: ["a"]}, benign={"train": ["b"]})
+    assert str(err.value) == message
+
+
+def test_a_family_on_both_sides_is_rejected() -> None:
+    train = SplitSide([("alpha", ["a1"]), ("beta", ["b1"]), (None, ["t1", "t2"])])
+    test = SplitSide(
+        [("gamma", ["g1"]), ("beta", ["b2"]), ("alpha", ["a2"]), (None, ["u1", "u2", "u3"])]
+    )
+    with pytest.raises(PoolError) as err:
+        MaterializedSplit("shared", train, test)
+    assert str(err.value) == "train/test families overlap: ['alpha', 'beta']"
+    # The id, repeat and balance checks come first, so their messages win.
+    unbalanced = SplitSide([("alpha", ["a2"]), (None, ["u1", "u2"])])
+    with pytest.raises(PoolError, match="test side is not benign-balanced"):
+        MaterializedSplit("shared", train, unbalanced)
+    with pytest.raises(PoolError, match="1 sample ids appear in both train and test"):
+        MaterializedSplit("shared", train, SplitSide([("alpha", ["a1"]), (None, ["u1"])]))
+
+
+def test_read_split_rejects_a_family_on_both_sides(tmp_path) -> None:
+    directory = written_split(tmp_path / "split")
+    path = directory / "test.tsv"
+    path.write_text(path.read_text().replace("\tgamma\n", "\talpha\n"))
+    for read in (read_split, reference_read_split):
+        with pytest.raises(PoolError) as err:
+            read(directory)
+        assert str(err.value) == "train/test families overlap: ['alpha']"
 
 
 def test_write_split_produces_three_deterministic_files(tmp_path) -> None:
@@ -333,11 +383,12 @@ def test_split_round_trip_through_directory(tmp_path) -> None:
 
 
 def test_id_listed_under_two_train_families_is_rejected() -> None:
-    train = SplitSide(
-        ("alpha-000000", "alpha-000000", "ben-tr-000000", "ben-tr-000001"),
-        ("alpha", "beta", None, None),
-    )
-    test = SplitSide(("gamma-000000", "ben-te-000000"), ("gamma", None))
+    train = SplitSide([
+        ("alpha", ["alpha-000000"]),
+        ("beta", ["alpha-000000"]),
+        (None, ["ben-tr-000000", "ben-tr-000001"]),
+    ])
+    test = SplitSide([("gamma", ["gamma-000000"]), (None, ["ben-te-000000"])])
     with pytest.raises(PoolError, match="'alpha-000000' appears twice on the train side"):
         MaterializedSplit("toy-split", train, test)
 
@@ -423,6 +474,9 @@ class ReferenceMaterializedSplit:
                     f"{name} side is not benign-balanced: {malicious} malicious"
                     f" of {len(records)} records"
                 )
+        overlap = ({r.family for r in self.train} & {r.family for r in self.test}) - {None}
+        if overlap:
+            raise PoolError(f"train/test families overlap: {sorted(overlap)}")
 
 
 def _reference_check_family(pool: SamplePool, family: str, needed: int) -> None:
@@ -545,7 +599,7 @@ def reference_columns(records) -> tuple[tuple[str, ...], tuple[str | None, ...]]
 
 
 def side_columns(side: SplitSide) -> tuple[tuple[str, ...], tuple[str | None, ...]]:
-    return side.ids, side.families
+    return side.ids, tuple(family for family, ids in side.runs for _ in ids)
 
 
 def split_outcome(make, *args, **kwargs):
@@ -939,15 +993,29 @@ def test_read_split_reads_family_runs_without_the_line_loop(tmp_path, monkeypatc
         assert sum(called == path for called, _ in calls) <= most_rule_calls(path, 2)
 
 
+# Runs of 0 to 4 records, so adjacent runs of one family and empty runs are common.
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(families=st.lists(st.sampled_from([None, None, "alpha", "beta", "gamma"]), max_size=40))
-def test_side_text_matches_one_line_per_record(families) -> None:
+@given(
+    runs=st.lists(
+        st.tuples(st.sampled_from([None, None, "alpha", "beta", "gamma"]), st.integers(0, 4)),
+        max_size=20,
+    )
+)
+def test_side_text_matches_one_line_per_record(runs) -> None:
+    families = [family for family, size in runs for _ in range(size)]
     ids = [f"s{i:0{i % 5}d}" for i in range(len(families))]
     expected = "".join(
         f"{sample_id}\tbenign\t-\n" if family is None else f"{sample_id}\tmalicious\t{family}\n"
         for sample_id, family in zip(ids, families)
     )
-    assert manifest._side_text(SplitSide(ids, families)) == expected
+    ends = [sum(size for _, size in runs[: i + 1]) for i in range(len(runs))]
+    side = SplitSide((family, ids[end - size : end]) for (family, size), end in zip(runs, ends))
+    assert manifest._side_text(side) == expected
+    assert side_columns(side) == (tuple(ids), tuple(families))
+    assert len(side) == len(ids)
+    # Merged: no run is empty, and no two adjacent runs share a family.
+    assert all(run for _, run in side.runs)
+    assert all(a != b for (a, _), (b, _) in zip(side.runs, side.runs[1:]))
 
 
 def unwritable(what: str, value: str) -> str:
@@ -976,24 +1044,36 @@ def test_save_pool_refuses_ids_that_load_pool_cannot_read_back(
     assert not path.exists()
 
 
+def two_records(sample_id: str, other: str, family: str) -> SplitSide:
+    return SplitSide([(family, [sample_id]), (None, [other])])
+
+
+GOOD_TRAIN = two_records("a", "b", "alpha")
+GOOD_TEST = two_records("x", "y", "gamma")
+
+
 @pytest.mark.parametrize(
-    ("train", "message"),
+    ("train", "test", "message"),
     [
-        (SplitSide(["a", "b\tc"], ["alpha", None]), unwritable("sample id", "b\tc")),
-        (SplitSide(["a\r", "b"], ["alpha", None]), unwritable("sample id", "a\r")),
-        (SplitSide(["a", "b"], ["al\tpha", None]), unwritable("family", "al\tpha")),
-        (SplitSide(["", "b"], ["alpha", None]), unwritable("sample id", "")),
+        (two_records("a", "b\tc", "alpha"), GOOD_TEST, unwritable("sample id", "b\tc")),
+        (two_records("a\r", "b", "alpha"), GOOD_TEST, unwritable("sample id", "a\r")),
+        (two_records("a", "b", "al\tpha"), GOOD_TEST, unwritable("family", "al\tpha")),
+        (two_records("", "b", "alpha"), GOOD_TEST, unwritable("sample id", "")),
+        (GOOD_TRAIN, two_records("x", "c\td", "gamma"), unwritable("sample id", "c\td")),
     ],
-    ids=["tab in an id", "cr in an id", "tab in a family", "empty id"],
+    ids=["tab in an id", "cr in an id", "tab in a family", "empty id", "tab in a test id"],
 )
 def test_write_split_refuses_ids_that_read_split_cannot_read_back(
-    tmp_path, train, message
+    tmp_path, train, test, message
 ) -> None:
-    ms = MaterializedSplit("bad", train, SplitSide(["x", "y"], ["gamma", None]))
+    ms = MaterializedSplit("bad", train, test)
+    directory = tmp_path / "split"
     with pytest.raises(PoolError) as err:
-        write_split(ms, tmp_path, {"split_id": "bad"})
+        write_split(ms, directory, {"split_id": "bad"})
     assert str(err.value) == message
-    assert not (tmp_path / "train.tsv").exists()
+    # Every text is built before the directory is made, so nothing is left behind.
+    assert not any((directory / name).exists() for name in manifest.SPLIT_FILES.values())
+    assert not directory.exists()
 
 
 # Record text: anything but a tab, "\n" or "\r", often one of the characters
@@ -1006,27 +1086,40 @@ RECORD_TEXT = st.text(
 )
 
 
+# The train side's family is drawn, and the test side's is the same text
+# with a "+" appended, so the two sides never share a family.
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(
     ids=st.lists(RECORD_TEXT, min_size=4, max_size=40, unique=True),
     family=RECORD_TEXT.filter(lambda family: family != "-"),
     scores=st.lists(st.floats(0, 1), min_size=40, max_size=40),
+    chunk=st.integers(0, 48),
 )
-@example(ids=["\x85", "a\u2028b", "\x0b", "\x1c\x1d\x1e"], family="f\u2029", scores=[0.5] * 40)
-def test_ids_round_trip_through_every_record_file(tmp_path_factory, ids, family, scores) -> None:
+@example(
+    ids=["\x85", "a\u2028b", "\x0b", "\x1c\x1d\x1e"], family="f\u2029", scores=[0.5] * 40, chunk=0
+)
+def test_ids_round_trip_through_every_record_file(
+    tmp_path_factory, ids, family, scores, chunk
+) -> None:
     directory = tmp_path_factory.mktemp("round-trip")
     k = len(ids) // 4
+    families = (family, family + "+")
     pool = SamplePool(
-        by_family={family: ids[:k] + ids[2 * k : 3 * k]},
+        by_family={families[0]: ids[:k], families[1]: ids[2 * k : 3 * k]},
         benign={"train": ids[k : 2 * k], "test": ids[3 * k : 4 * k]},
     )
     save_pool(pool, directory / "pool.tsv")
     assert pool_outcome(load_pool, directory / "pool.tsv") == pool_outcome(lambda _: pool, None)
 
-    sides = [SplitSide(ids[a : a + 2 * k], [family] * k + [None] * k) for a in (0, 2 * k)]
+    sides = [SplitSide([(f, ids[a : a + k]), (None, ids[a + k : a + 2 * k])])
+             for f, a in zip(families, (0, 2 * k))]
     ms = MaterializedSplit("round-trip", *sides)
     counts = {"train_total": 2 * k, "test_total": 2 * k}
     write_split(ms, directory / "split", {"split_id": ms.split_id, "counts": counts})
+    # Chunks of 0 to 48 characters cut the family runs at every place.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(manifest, "_POOL_CHUNK", chunk)
+        assert read_split(directory / "split") == ms
     assert split_outcome(read_split, directory / "split") == split_outcome(lambda: ms)
 
     expected = dict(zip(ids, scores))
