@@ -138,18 +138,22 @@ def evaluate_predictions(ms: MaterializedSplit, preds: PredictionSet) -> EvalRes
     balanced, so it coincides with balanced accuracy.
     """
     scores, threshold = preds.scores, preds.threshold
-    missing = [sample_id for sample_id in ms.test.ids if sample_id not in scores]
-    if missing:
-        shown = ", ".join(missing[:10])
-        more = "" if len(missing) <= 10 else f" (+{len(missing) - 10} more)"
-        raise PredictionError(f"missing predictions for {len(missing)} ids: {shown}{more}")
     # Counters keep first-appearance order, which per_family_recall's keys
     # (and so the evaluate report's bytes) follow. Benign runs count under None.
     family_total: Counter = Counter()
     family_hit: Counter = Counter()
-    for family, ids in ms.test.runs:
-        family_total[family] += len(ids)
-        family_hit[family] += sum(scores[sample_id] >= threshold for sample_id in ids)
+    try:
+        for family, ids in ms.test.runs:
+            values = np.fromiter(map(scores.__getitem__, ids), dtype=float, count=len(ids))
+            family_total[family] += len(ids)
+            family_hit[family] += int(np.count_nonzero(values >= threshold))
+    except KeyError:
+        missing = [sample_id for sample_id in ms.test.ids if sample_id not in scores]
+        shown = ", ".join(missing[:10])
+        more = "" if len(missing) <= 10 else f" (+{len(missing) - 10} more)"
+        raise PredictionError(
+            f"missing predictions for {len(missing)} ids: {shown}{more}"
+        ) from None
     benign_total = family_total.pop(None)
     benign_correct = benign_total - family_hit.pop(None)
     per_family = {family: family_hit[family] / total for family, total in family_total.items()}
@@ -161,8 +165,11 @@ def evaluate_predictions(ms: MaterializedSplit, preds: PredictionSet) -> EvalRes
     )
 
 
-def load_predictions(path: str | Path, threshold: float = PredictionSet.threshold) -> PredictionSet:
-    """Read a tab-separated "sample_id<TAB>score" file, whose lines end at "\n" only."""
+def _read_score_lines(path: str | Path) -> dict[str, float]:
+    """The scores of prediction file `path`, read one line at a time.
+
+    The one reader that reports faults: each names its line number.
+    """
     scores: dict[str, float] = {}
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     for lineno, line in enumerate(lines, start=1):
@@ -183,4 +190,46 @@ def load_predictions(path: str | Path, threshold: float = PredictionSet.threshol
             scores[parts[0]] = float(parts[1])
         except ValueError:
             raise PredictionError(f"{path}: line {lineno}: bad score {parts[1]!r}") from None
+    return scores
+
+
+def _scores_in_one_pass(path: str | Path) -> dict[str, float] | None:
+    """The scores of a prediction file whose every line is a non-empty id, one
+    tab and a score, each id once, read in one pass; None for any other file."""
+    text = Path(path).read_text(encoding="utf-8")
+    if not text.endswith("\n"):
+        text += "\n"  # a last line reads the same with or without its newline
+    # UTF-8 puts no byte below 0x80 inside another character, so the bytes up
+    # to "\n" alternate tab, "\n" (ending on the final "\n") exactly when each
+    # line holds one tab and no other control byte up to "\n".
+    breaks = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    breaks = breaks[breaks <= ord("\n")]
+    if (
+        np.any(breaks[0::2] != ord("\t"))
+        or np.any(breaks[1::2] != ord("\n"))
+        or text.startswith("\t")
+        or "\n\t" in text
+    ):
+        return None
+    lines = len(breaks) // 2
+    fields = text.replace("\t", "\n").split("\n")
+    del text, breaks  # the fields hold the text now
+    fields.pop()  # the empty text after the last "\n"
+    pairs = iter(fields)  # id, score, id, score, ...
+    try:
+        scores = dict(zip(pairs, map(float, pairs)))
+    except ValueError:
+        return None
+    return scores if len(scores) == lines else None  # else an id is repeated
+
+
+def load_predictions(path: str | Path, threshold: float = PredictionSet.threshold) -> PredictionSet:
+    """Read a tab-separated "sample_id<TAB>score" file, whose lines end at "\n" only.
+
+    A well-formed file is read in one pass; any other is read line by line,
+    which names the first faulty line.
+    """
+    scores = _scores_in_one_pass(path)
+    if scores is None:
+        scores = _read_score_lines(path)
     return PredictionSet(scores=scores, threshold=threshold)

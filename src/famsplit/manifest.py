@@ -292,7 +292,18 @@ def _pick(rng: random.Random, ids: Sequence[str], n: int) -> list[str]:
     """
     count = len(ids)
     keys = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u8")
-    return [ids[i] for i in np.argsort(keys, kind="stable")[:n].tolist()]
+    # Only keys at or below the n-th smallest can be picked; flatnonzero lists
+    # them in pool order. Distinct keys have one sorted order, so the fast
+    # default sort serves unless two are equal, when a stable one keeps pool order.
+    at = np.arange(count)
+    if 0 < n < count:
+        at = np.flatnonzero(keys <= np.partition(keys, n - 1)[n - 1])
+    below = keys[at]
+    order = np.argsort(below)
+    ranked = below[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        order = np.argsort(below, kind="stable")
+    return [ids[i] for i in at[order[:n]].tolist()]
 
 
 def materialize_split(
@@ -380,34 +391,58 @@ def write_split(ms: MaterializedSplit, directory: str | Path, meta: dict) -> Non
 
 
 def read_split(directory: str | Path) -> MaterializedSplit:
-    """Load a split directory written by write_split, each side as the runs _read_runs yields."""
+    """Load a split directory written by write_split, each side as the runs _read_runs yields.
+
+    The sides must hold what meta.json says: `counts.<side>_total` records,
+    the malicious families of `<side>_families` in that order of first
+    appearance, and `counts.per_family` records of each.
+    """
     directory = Path(directory)
     meta_path = directory / SPLIT_FILES["meta"]
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     if not isinstance(meta, dict) or not isinstance(meta.get("counts", {}), dict):
         raise PoolError(f"{meta_path}: meta and its 'counts' must be JSON objects")
-    missing = [key for key in ("split_id", "counts") if key not in meta] or [
-        f"counts.{key}" for key in ("train_total", "test_total") if key not in meta["counts"]
-    ]
+    counts = meta.get("counts", {})
+    wanted = [("split_id", meta), ("counts", meta)]
+    wanted += [(f"counts.{key}", counts) for key in ("train_total", "test_total", "per_family")]
+    wanted += [(f"{side}_families", meta) for side in ("train", "test")]
+    missing = [name for name, doc in wanted if name.rpartition(".")[2] not in doc]
     if missing:
         raise PoolError(f"{meta_path}: missing key {missing[0]!r}")
     if type(meta["split_id"]) is not str:
         raise PoolError(f"{meta_path}: 'split_id' must be a string, got {meta['split_id']!r}")
     for key in ("train_total", "test_total"):
-        if type(meta["counts"][key]) is not int:
+        if type(counts[key]) is not int:
             raise PoolError(
-                f"{meta_path}: 'counts.{key}' must be an integer, got {meta['counts'][key]!r}"
+                f"{meta_path}: 'counts.{key}' must be an integer, got {counts[key]!r}"
             )
     ms = MaterializedSplit(
         split_id=meta["split_id"],
         train=SplitSide(_read_runs(directory / SPLIT_FILES["train"], 3, _side_key)),
         test=SplitSide(_read_runs(directory / SPLIT_FILES["test"], 3, _side_key)),
     )
+    held: dict[str, int] = {}  # malicious records per family, train side first
     for name, side in (("train", ms.train), ("test", ms.test)):
-        total = meta["counts"][f"{name}_total"]
+        total = counts[f"{name}_total"]
         if total != len(side):
             raise PoolError(
                 f"{meta_path}: counts.{name}_total is {total},"
                 f" but {SPLIT_FILES[name]} holds {len(side)} records"
             )
+        families: dict[str, int] = {}
+        for family, ids in side.runs:
+            if family is not None:
+                families[family] = families.get(family, 0) + len(ids)
+        named = meta[f"{name}_families"]
+        if list(families) != named:
+            raise PoolError(
+                f"{meta_path}: {name}_families is {named!r},"
+                f" but {SPLIT_FILES[name]} holds {list(families)!r}"
+            )
+        held.update(families)
+    per_family = counts["per_family"]
+    if per_family != held or any(type(n) is not int for n in per_family.values()):
+        raise PoolError(
+            f"{meta_path}: counts.per_family is {per_family!r}, but the split holds {held!r}"
+        )
     return ms

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -189,6 +192,34 @@ def test_materialize_is_repeatable(benchmark_file, pool_file, tmp_path) -> None:
         )
         assert code == 0
     for rel in ("split-00/train.tsv", "split-01/test.tsv", "split-00/meta.json", "run_manifest.json"):
+        assert (dirs[0] / rel).read_bytes() == (dirs[1] / rel).read_bytes()
+
+
+def test_console_materialize_writes_the_same_bytes_under_any_hash_seed(tmp_path) -> None:
+    # A 40-family pipeline's Hard tier over a pool of 4 ids per family, taken
+    # through `python -m famsplit.cli` in two processes whose string hashes differ.
+    assert run("pipeline", "--families", "40", "--seed", "7", "--out-dir", tmp_path / "p") == 0
+    pool = SamplePool(
+        by_family={name: [f"{name}-{i}" for i in range(4)] for name in synth_family_names(40)},
+        benign={origin: [f"ben-{origin}-{i}" for i in range(40)] for origin in ("train", "test")},
+    )
+    save_pool(pool, tmp_path / "pool.tsv")
+    src = str(Path(manifest.__file__).resolve().parents[1])
+    dirs = [tmp_path / "m", tmp_path / "m2"]
+    for hash_seed, out_dir in zip(("1", "2"), dirs):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        subprocess.run(
+            [sys.executable, "-m", "famsplit.cli", "materialize",
+             "--benchmark", str(tmp_path / "p" / "benchmark_hard.json"),
+             "--pool", str(tmp_path / "pool.tsv"), "--train-per-family", "2",
+             "--test-per-family", "2", "--out-dir", str(out_dir)],
+            env=env, check=True, timeout=120,
+        )
+    files = [sorted(p.relative_to(d) for p in d.rglob("*") if p.is_file()) for d in dirs]
+    assert files[0] == files[1]
+    assert len(files[0]) == 1 + 3 * 10  # the run manifest, and three files per split
+    for rel in files[0]:
         assert (dirs[0] / rel).read_bytes() == (dirs[1] / rel).read_bytes()
 
 

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import statistics
+from collections import Counter
+from dataclasses import asdict
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from famsplit import evaluate
 from famsplit.errors import MatrixFormatError, PredictionError
 from famsplit.evaluate import (
     EvalResult,
@@ -227,7 +233,14 @@ def test_missing_predictions_are_reported_by_id() -> None:
     scores = {sample_id: 1.0 for sample_id in ms.test.ids if sample_id != "t3"}
     with pytest.raises(PredictionError) as err:
         evaluate_predictions(ms, PredictionSet(scores))
-    assert "t3" in str(err.value)
+    assert str(err.value) == "missing predictions for 1 ids: t3"
+    # The first ten in record order are listed, and the rest counted.
+    test = SplitSide([("beta", [f"t{i:02d}" for i in range(12)]),
+                      (None, [f"u{i:02d}" for i in range(12)])])
+    with pytest.raises(PredictionError) as err:
+        evaluate_predictions(MaterializedSplit("many", ms.train, test), PredictionSet({"u05": 0.0}))
+    listed = ", ".join(f"t{i:02d}" for i in range(10))
+    assert str(err.value) == f"missing predictions for 23 ids: {listed} (+13 more)"
 
 
 def test_scores_outside_unit_interval_are_rejected() -> None:
@@ -273,3 +286,180 @@ def test_empty_prediction_id_is_rejected(tmp_path, text, line) -> None:
     with pytest.raises(PredictionError) as err:
         load_predictions(path)
     assert str(err.value) == f"{path}: line {line}: empty sample id"
+
+
+def reference_load_predictions(path, threshold: float = 0.5) -> PredictionSet:
+    """The line-at-a-time prediction reader that load_predictions must match on every input."""
+    scores: dict[str, float] = {}
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise PredictionError(f"{path}: line {lineno}: expected 2 fields, got {len(parts)}")
+        if not parts[0]:
+            raise PredictionError(f"{path}: line {lineno}: empty sample id")
+        if parts[0] in scores:
+            first = next(n for n, seen in enumerate(lines, start=1)
+                         if seen.split("\t")[0] == parts[0])
+            raise PredictionError(
+                f"{path}: line {lineno}: duplicate sample id {parts[0]!r} (first on line {first})"
+            )
+        try:
+            scores[parts[0]] = float(parts[1])
+        except ValueError:
+            raise PredictionError(f"{path}: line {lineno}: bad score {parts[1]!r}") from None
+    return PredictionSet(scores=scores, threshold=threshold)
+
+
+def predictions_outcome(load, path):
+    """The scores as an item list, so order counts, with their float types; or the error."""
+    try:
+        preds = load(path)
+    except PredictionError as err:
+        return PredictionError, str(err)
+    return [(i, type(v), v.hex()) for i, v in preds.scores.items()]
+
+
+PREDICTION_EDITS = [
+    None, "1 field", "3 fields", "two lines in one", "tab as newline", "empty id", "repeated id", "bad score", "empty line",
+    "no final newline", "crlf", "line break in id", "control byte", "empty file",
+]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    scores=st.lists(st.floats(0, 1).map(repr) | st.sampled_from(["0", "1", "1.", " 0.5", "1e-3"]),
+                    min_size=1, max_size=30),
+    edit=st.sampled_from(PREDICTION_EDITS),
+    data=st.data(),
+)
+def test_load_predictions_matches_reference_on_edited_files(
+    tmp_path_factory, scores, edit, data
+) -> None:
+    lines = [f"s{i:0{i % 4}d}\t{score}" for i, score in enumerate(scores)]
+    row = data.draw(st.integers(0, len(lines) - 1), label="edited line")
+    sample_id, score = lines[row].split("\t")
+    if edit == "1 field":
+        lines[row] = sample_id
+    elif edit == "3 fields":
+        lines[row] += "\t" + data.draw(st.sampled_from(["", "x", score]), label="third field")
+    elif edit == "two lines in one" and len(lines) > 1:  # 4 fields, still a tab per "\n"
+        at = min(row, len(lines) - 2)
+        lines[at : at + 2] = ["\t".join(lines[at : at + 2])]
+    elif edit == "tab as newline":  # two lines of 1 field, still a "\n" per tab
+        lines[row] = f"{sample_id}\n{score}"
+    elif edit == "empty id":  # as the first line or any other
+        lines[row] = "\t" + score
+    elif edit == "repeated id":
+        lines.insert(row, lines[data.draw(st.integers(0, len(lines) - 1), label="repeated")])
+    elif edit == "bad score":
+        bad = st.sampled_from(["", "x", "nan", "-nan", "inf", "1.5", "0,5", "0.5\x85", "--1"])
+        lines[row] = f"{sample_id}\t{data.draw(bad, label='score')}"
+    elif edit == "empty line":
+        lines.insert(row, "")
+    elif edit in ("line break in id", "control byte"):
+        chars = ["\u2028", "\x85", "\x0b", "\x0c"] if edit == "line break in id" else ["\x00", "\x08"]
+        at = data.draw(st.integers(0, len(sample_id)), label="position in id")
+        lines[row] = sample_id[:at] + data.draw(st.sampled_from(chars)) + sample_id[at:] + "\t" + score
+    newline = "\r\n" if edit == "crlf" else "\n"
+    text = newline.join(lines) + ("" if edit == "no final newline" else newline)
+    path = tmp_path_factory.mktemp("preds") / "preds.tsv"
+    path.write_text("" if edit == "empty file" else text, encoding="utf-8", newline="")
+    outcome = predictions_outcome(load_predictions, path)
+    assert outcome == predictions_outcome(reference_load_predictions, path)
+    if edit in (None, "empty line", "no final newline", "crlf"):
+        assert outcome == [(f"s{i:0{i % 4}d}", float, float(score).hex())
+                           for i, score in enumerate(scores)]
+
+
+def spy_score_lines(monkeypatch) -> list:
+    """Record each path that the line-at-a-time reader is handed."""
+    calls = []
+    read = evaluate._read_score_lines
+
+    def spy(path):
+        calls.append(path)
+        return read(path)
+
+    monkeypatch.setattr(evaluate, "_read_score_lines", spy)
+    return calls
+
+
+def test_load_predictions_reads_a_canonical_file_without_the_line_loop(
+    tmp_path, monkeypatch
+) -> None:
+    path = tmp_path / "preds.tsv"
+    path.write_text("".join(f"id-{i:06d}\t{(i % 997) / 996!r}\n" for i in range(150_000)))
+    calls = spy_score_lines(monkeypatch)
+    outcome = predictions_outcome(load_predictions, path)
+    assert calls == []
+    assert len(outcome) == 150_000
+    assert outcome == predictions_outcome(reference_load_predictions, path)
+    # One empty line is not canonical: that file goes to the line loop.
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:7] + ["\n"] + lines[7:]))
+    assert predictions_outcome(load_predictions, path) == outcome
+    assert calls == [path]
+
+
+def reference_evaluate(ms: MaterializedSplit, preds: PredictionSet) -> EvalResult:
+    """The per-id scoring that evaluate_predictions must match on every split."""
+    scores, threshold = preds.scores, preds.threshold
+    missing = [sample_id for sample_id in ms.test.ids if sample_id not in scores]
+    if missing:
+        shown = ", ".join(missing[:10])
+        more = "" if len(missing) <= 10 else f" (+{len(missing) - 10} more)"
+        raise PredictionError(f"missing predictions for {len(missing)} ids: {shown}{more}")
+    family_total: Counter = Counter()
+    family_hit: Counter = Counter()
+    for family, ids in ms.test.runs:
+        family_total[family] += len(ids)
+        family_hit[family] += sum(scores[sample_id] >= threshold for sample_id in ids)
+    benign_total = family_total.pop(None)
+    benign_correct = benign_total - family_hit.pop(None)
+    per_family = {family: family_hit[family] / total for family, total in family_total.items()}
+    return EvalResult(
+        overall_accuracy=(sum(family_hit.values()) + benign_correct) / len(ms.test),
+        benign_accuracy=benign_correct / benign_total,
+        malware_recall_mean=statistics.fmean(per_family.values()),
+        per_family_recall=per_family,
+    )
+
+
+def evaluation_outcome(score, ms, preds):
+    """The result's fields as reprs, so a numpy scalar or a float's last bit shows; or the error."""
+    try:
+        result = score(ms, preds)
+    except PredictionError as err:
+        return PredictionError, str(err)
+    return repr(asdict(result))
+
+
+# Scores sit on the threshold, one step either side of it, or anywhere; up
+# to 40 test ids lack a score, so the "(+N more)" listing shows.
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    runs=st.lists(st.tuples(st.sampled_from(["beta", "gamma", "delta", None]), st.integers(1, 6)),
+                  min_size=1, max_size=12),
+    threshold=st.sampled_from([0.0, 0.5, 0.7, 1.0]) | st.floats(0, 1),
+    data=st.data(),
+)
+def test_evaluate_predictions_matches_reference(runs, threshold, data) -> None:
+    malicious = sum(size for family, size in runs if family is not None)
+    benign = sum(size for family, size in runs if family is None)
+    runs.append((None, malicious - benign) if malicious > benign else ("beta", benign - malicious))
+    ends = np.cumsum([size for _, size in runs]).tolist()
+    test = SplitSide((family, [f"t{i}" for i in range(end - size, end)])
+                     for (family, size), end in zip(runs, ends))
+    ms = MaterializedSplit("drawn", SplitSide([("alpha", ["m1"]), (None, ["b1"])]), test)
+    near = [threshold, np.nextafter(threshold, 0.0), np.nextafter(threshold, 1.0)]
+    score = st.sampled_from([float(v) for v in near]) | st.floats(0, 1)
+    scores = {sample_id: data.draw(score) for sample_id in ms.test.ids}
+    for sample_id in data.draw(st.lists(st.sampled_from(ms.test.ids), max_size=40), label="missing"):
+        scores.pop(sample_id, None)
+    preds = PredictionSet(scores, threshold)
+    outcome = evaluation_outcome(evaluate_predictions, ms, preds)
+    assert outcome == evaluation_outcome(reference_evaluate, ms, preds)
+

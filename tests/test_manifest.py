@@ -7,6 +7,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -255,6 +256,46 @@ def test_sampler_takes_smallest_keys_with_ties_in_pool_order(keys, n, expected) 
     assert manifest._pick(FixedKeys(keys), "abcde"[: len(keys)], n) == expected
 
 
+def reference_pick(rng, ids: Sequence[str], n: int) -> list[str]:
+    """The sampler as one stable sort of every key, which keeps equal keys in pool order."""
+    count = len(ids)
+    keys = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u8")
+    return [ids[i] for i in np.argsort(keys, kind="stable")[:n].tolist()]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(count=st.integers(0, 3000), seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_pick_matches_the_stable_sort_on_drawn_keys(count, seed, data) -> None:
+    ids = [f"id-{i}" for i in range(count)]
+    n = data.draw(st.sampled_from([0, count]) | st.integers(0, count), label="n")
+    picked = manifest._pick(random.Random(seed), ids, n)
+    assert picked == reference_pick(random.Random(seed), ids, n)
+
+
+# Ties are forced between the last picked and the first unpicked key, between
+# two picked keys, between two unpicked keys, or among all keys.
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    keys=st.lists(st.integers(0, 2**64 - 1) | st.sampled_from([0, 1, 2**63, 2**64 - 1]),
+                  max_size=40),
+    tie=st.sampled_from([None, "at the cut", "picked", "unpicked", "all"]),
+    data=st.data(),
+)
+def test_pick_matches_the_stable_sort_on_equal_keys(keys, tie, data) -> None:
+    count = len(keys)
+    n = data.draw(st.sampled_from([0, count]) | st.integers(0, count), label="n")
+    rank = sorted(range(count), key=lambda i: (keys[i], i))
+    lo, hi = {"at the cut": (n - 1, n + 1), "picked": (0, n), "unpicked": (n, count)}.get(tie, (0, 0))
+    if 0 <= lo and hi <= count and hi - lo >= 2:
+        tied = st.lists(st.integers(lo, hi - 1), min_size=2, max_size=2, unique=True)
+        a, b = sorted(data.draw(tied, label="tied ranks"))
+        keys[rank[b]] = keys[rank[a]]
+    elif tie == "all":
+        keys = keys[:1] * count
+    ids = [f"id-{i}" for i in range(count)]
+    assert manifest._pick(FixedKeys(keys), ids, n) == reference_pick(FixedKeys(keys), ids, n)
+
+
 def test_sampler_selects_every_id_about_equally_often() -> None:
     # 2,000 fixed seeds, 3 of 10 ids each: a count is Binomial(2000, 0.3),
     # mean 600 and sd 20.5, and a first pick Binomial(2000, 0.1), mean 200
@@ -345,6 +386,60 @@ def test_a_family_on_both_sides_is_rejected() -> None:
         MaterializedSplit("shared", train, unbalanced)
     with pytest.raises(PoolError, match="1 sample ids appear in both train and test"):
         MaterializedSplit("shared", train, SplitSide([("alpha", ["a1"]), (None, ["u1"])]))
+
+
+def reverse_train_families(directory: Path) -> None:
+    meta = json.loads((directory / "meta.json").read_text())
+    meta["train_families"].reverse()
+    (directory / "meta.json").write_text(json.dumps(meta))
+
+
+def rename_gamma(directory: Path) -> None:
+    path = directory / "test.tsv"
+    path.write_text(path.read_text().replace("\tgamma\n", "\tzeta\n"))
+
+
+@pytest.mark.parametrize(
+    ("edit", "message"),
+    [
+        (rename_gamma, "test_families is ['gamma', 'delta'], but test.tsv holds ['zeta', 'delta']"),
+        (reverse_train_families,
+         "train_families is ['beta', 'alpha'], but train.tsv holds ['alpha', 'beta']"),
+    ],
+)
+def test_read_split_rejects_families_that_meta_does_not_name(tmp_path, edit, message) -> None:
+    directory = written_split(tmp_path / "split")
+    edit(directory)
+    for read in (read_split, reference_read_split):
+        with pytest.raises(PoolError) as err:
+            read(directory)
+        assert str(err.value) == f"{directory / 'meta.json'}: {message}"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda per_family: per_family.update(gamma=3),
+        lambda per_family: per_family.update(alpha=True),  # equal to 1, but not an integer
+        lambda per_family: per_family.update(beta=8.0),
+        lambda per_family: per_family.update(zeta=2),
+        lambda per_family: per_family.pop("delta"),
+    ],
+    ids=["count", "bool", "float", "extra family", "missing family"],
+)
+def test_read_split_rejects_per_family_counts_that_disagree_with_the_rows(tmp_path, edit) -> None:
+    directory = written_split(tmp_path / "split")
+    meta = json.loads((directory / "meta.json").read_text())
+    assert meta["counts"]["per_family"] == {"alpha": 8, "beta": 8, "gamma": 2, "delta": 2}
+    edit(meta["counts"]["per_family"])
+    (directory / "meta.json").write_text(json.dumps(meta))
+    for read in (read_split, reference_read_split):
+        with pytest.raises(PoolError) as err:
+            read(directory)
+        assert str(err.value) == (
+            f"{directory / 'meta.json'}: counts.per_family is {meta['counts']['per_family']!r},"
+            " but the split holds {'alpha': 8, 'beta': 8, 'gamma': 2, 'delta': 2}"
+        )
 
 
 def test_read_split_rejects_a_family_on_both_sides(tmp_path) -> None:
@@ -585,13 +680,30 @@ def _reference_read_records(path: Path) -> list[ReferenceSampleRecord]:
 
 def reference_read_split(directory: str | Path) -> ReferenceMaterializedSplit:
     directory = Path(directory)
-    meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
-    return ReferenceMaterializedSplit(
+    meta_path = directory / "meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    ms = ReferenceMaterializedSplit(
         split_id=meta["split_id"],
         train=tuple(_reference_read_records(directory / "train.tsv")),
         test=tuple(_reference_read_records(directory / "test.tsv")),
         counts=meta["counts"],
     )
+    # Each side holds the families meta.json names, in order, and as many records of each.
+    held: dict[str, int] = {}
+    for name, records in (("train", ms.train), ("test", ms.test)):
+        families = Counter(r.family for r in records if r.family is not None)
+        named = meta[f"{name}_families"]
+        if list(families) != named:
+            raise PoolError(
+                f"{meta_path}: {name}_families is {named!r}, but {name}.tsv holds {list(families)!r}"
+            )
+        held.update(families)
+    per_family = meta["counts"]["per_family"]
+    if per_family != held or any(type(n) is not int for n in per_family.values()):
+        raise PoolError(
+            f"{meta_path}: counts.per_family is {per_family!r}, but the split holds {held!r}"
+        )
+    return ms
 
 
 def reference_columns(records) -> tuple[tuple[str, ...], tuple[str | None, ...]]:
@@ -678,7 +790,8 @@ ODD_LABELS = st.text(
     seed=st.integers(0, 2**32),
     name=st.sampled_from(["train.tsv", "test.tsv"]),
     edit=st.sampled_from(
-        [None, "stray tab", "missing field", "empty line", "crlf", "line break", "unknown label"]
+        [None, "stray tab", "missing field", "empty line", "crlf", "line break", "unknown label",
+         "family"]
     ),
     final_newline=st.booleans(),
     data=st.data(),
@@ -708,6 +821,11 @@ def test_read_split_matches_reference_on_edited_files(
     elif edit == "unknown label":
         sample_id, _, family = line.split("\t")
         lines[row] = "\t".join((sample_id, data.draw(ODD_LABELS), family))
+    elif edit == "family":
+        # Another family of the split, one it never names, or this one with a line break.
+        sample_id, label, family = line.split("\t")
+        other = st.sampled_from(["alpha", "beta", "gamma", "delta", "zeta", f"{family}\x85"])
+        lines[row] = "\t".join((sample_id, label, data.draw(other, label="family")))
     newline = "\r\n" if edit == "crlf" else "\n"
     text = newline.join(lines) + (newline if final_newline else "")
     path.write_text(text, encoding="utf-8", newline="")
@@ -745,6 +863,17 @@ def test_read_split_matches_reference_where_only_line_structure_is_wrong(
         ({"split_id": "x"}, "'counts'"),
         ({"counts": {"train_total": 32, "test_total": 8}}, "'split_id'"),
         ({"split_id": "x", "counts": {"test_total": 8}}, "'counts.train_total'"),
+        ({"split_id": "x", "counts": {"train_total": 32, "test_total": 8}}, "'counts.per_family'"),
+        (
+            {"split_id": "x", "counts": {"train_total": 32, "test_total": 8, "per_family": {}},
+             "test_families": []},
+            "'train_families'",
+        ),
+        (
+            {"split_id": "x", "counts": {"train_total": 32, "test_total": 8, "per_family": {}},
+             "train_families": []},
+            "'test_families'",
+        ),
     ],
 )
 def test_read_split_names_a_missing_meta_key(tmp_path, meta, key) -> None:
@@ -1114,8 +1243,10 @@ def test_ids_round_trip_through_every_record_file(
     sides = [SplitSide([(f, ids[a : a + k]), (None, ids[a + k : a + 2 * k])])
              for f, a in zip(families, (0, 2 * k))]
     ms = MaterializedSplit("round-trip", *sides)
-    counts = {"train_total": 2 * k, "test_total": 2 * k}
-    write_split(ms, directory / "split", {"split_id": ms.split_id, "counts": counts})
+    counts = {"train_total": 2 * k, "test_total": 2 * k, "per_family": dict.fromkeys(families, k)}
+    meta = {"split_id": ms.split_id, "counts": counts,
+            "train_families": [families[0]], "test_families": [families[1]]}
+    write_split(ms, directory / "split", meta)
     # Chunks of 0 to 48 characters cut the family runs at every place.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(manifest, "_POOL_CHUNK", chunk)
