@@ -32,6 +32,7 @@ from famsplit.manifest import (
     TEST_PER_FAMILY,
     TRAIN_PER_FAMILY,
     SamplePool,
+    check_pool_needs,
     load_pool,
     materialize_split,
     read_split,
@@ -135,22 +136,21 @@ def cmd_search(args: argparse.Namespace) -> int:
     return _report(args, benchmark_to_dict(bench), summary)
 
 
-def _materialize(bench: BenchmarkSet, pool: SamplePool, args: argparse.Namespace, seed: int,
-                 out_dir: Path, manifest: dict) -> None:
-    """Write split-NN directories for every split of `bench` under `out_dir`."""
-    for i, spec in enumerate(bench.splits):
-        split_seed = derive_seed(seed, f"materialize:{i}")
-        ms = materialize_split(
-            pool,
-            spec,
-            train_per_family=args.train_per_family,
-            test_per_family=args.test_per_family,
-            seed=split_seed,
-            split_id=f"split-{i:02d}",
-        )
-        meta = split_meta(ms, spec, split_seed, args.train_per_family, args.test_per_family)
-        meta["run_manifest"] = manifest
-        write_split(ms, out_dir / ms.split_id, meta=meta)
+def _materialize(pool: SamplePool, args: argparse.Namespace, manifest: dict,
+                 tiers: list[tuple[BenchmarkSet, int, Path]]) -> None:
+    """Write split-NN directories for every split of each (bench, seed, out_dir) in
+    `tiers`, once the pool is known to supply them all, so a shortfall writes nothing."""
+    for bench, _, _ in tiers:
+        for spec in bench.splits:
+            check_pool_needs(pool, spec, args.train_per_family, args.test_per_family)
+    for bench, seed, out_dir in tiers:
+        for i, spec in enumerate(bench.splits):
+            split_seed = derive_seed(seed, f"materialize:{i}")
+            ms = materialize_split(pool, spec, args.train_per_family, args.test_per_family,
+                                   split_seed, split_id=f"split-{i:02d}")
+            meta = split_meta(ms, spec, split_seed, args.train_per_family, args.test_per_family)
+            meta["run_manifest"] = manifest
+            write_split(ms, out_dir / ms.split_id, meta=meta)
 
 
 def cmd_materialize(args: argparse.Namespace) -> int:
@@ -158,7 +158,7 @@ def cmd_materialize(args: argparse.Namespace) -> int:
     pool = load_pool(args.pool)
     out_dir = Path(args.out_dir)
     manifest = _run_manifest(args)
-    _materialize(bench, pool, args, args.seed, out_dir, manifest)
+    _materialize(pool, args, manifest, [(bench, args.seed, out_dir)])
     _write_json(out_dir / "run_manifest.json", manifest)
     print(f"materialized {len(bench.splits)} splits under {out_dir}")
     return 0
@@ -207,29 +207,29 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     manifest = _run_manifest(args)
     matrix = synth_matrix(SynthParams(k=args.families, seed=args.seed))
-    _save_matrix(matrix, out_dir / "matrix.csv", manifest)
-
     pool = load_pool(args.pool) if args.pool else None
+    # Every tier is searched and validated before the first write, so a refused run writes nothing.
     tiers = []
     for tier_index, (tau, label) in enumerate(STANDARD_LABELS.items()):
         tier_seed = derive_seed(args.seed, tier_index)
-        slug = label.lower()
         bench = _search(matrix, args, tau, tier_seed, label)
+        tiers.append((label.lower(), tier_seed, bench, validate_benchmark(matrix, bench, args.agg)))
+    if pool is not None:
+        _materialize(pool, args, manifest,
+                     [(bench, seed, out_dir / "splits" / slug) for slug, seed, bench, _ in tiers])
+
+    _save_matrix(matrix, out_dir / "matrix.csv", manifest)
+    for slug, _, bench, validation in tiers:
         _write_json(out_dir / f"benchmark_{slug}.json",
                     {**benchmark_to_dict(bench), "run_manifest": manifest})
-
-        validation = validate_benchmark(matrix, bench, args.agg)
-        tiers.append(asdict(validation))
         (out_dir / f"recall_curve_{slug}.tsv").write_text(
             "".join(f"{s.split_index}\t{s.mean_recall:.6f}\n" for s in validation.splits),
             encoding="utf-8",
         )
-        if pool is not None:
-            _materialize(bench, pool, args, tier_seed, out_dir / "splits" / slug, manifest)
-
-    _write_json(out_dir / "validation.json", {"tiers": tiers, "run_manifest": manifest})
+    _write_json(out_dir / "validation.json",
+                {"tiers": [asdict(v) for *_, v in tiers], "run_manifest": manifest})
     _write_json(out_dir / "run_manifest.json", manifest)
-    means = ", ".join(f"{t['difficulty_label']}={t['mean_recall']:.4f}" for t in tiers)
+    means = ", ".join(f"{v.difficulty_label}={v.mean_recall:.4f}" for *_, v in tiers)
     print(f"pipeline complete under {out_dir}: mean surrogate recall {means}")
     return 0
 

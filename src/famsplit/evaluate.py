@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -138,14 +137,13 @@ def evaluate_predictions(ms: MaterializedSplit, preds: PredictionSet) -> EvalRes
     balanced, so it coincides with balanced accuracy.
     """
     scores, threshold = preds.scores, preds.threshold
-    # Counters keep first-appearance order, which per_family_recall's keys
-    # (and so the evaluate report's bytes) follow. Benign runs count under None.
-    family_total: Counter = Counter()
-    family_hit: Counter = Counter()
+    # counts() keeps first-appearance order, which per_family_recall's keys
+    # (and so the evaluate report's bytes) follow. Benign records count under None.
+    family_total = ms.test.counts()
+    family_hit = dict.fromkeys(family_total, 0)
     try:
         for family, ids in ms.test.runs:
             values = np.fromiter(map(scores.__getitem__, ids), dtype=float, count=len(ids))
-            family_total[family] += len(ids)
             family_hit[family] += int(np.count_nonzero(values >= threshold))
     except KeyError:
         missing = [sample_id for sample_id in ms.test.ids if sample_id not in scores]

@@ -111,6 +111,13 @@ class SplitSide:
     def __len__(self) -> int:
         return sum(len(ids) for _, ids in self.runs)
 
+    def counts(self) -> dict[str | None, int]:
+        """Records per family (None for benign), in order of first appearance."""
+        counts: dict[str | None, int] = {}
+        for family, ids in self.runs:
+            counts[family] = counts.get(family, 0) + len(ids)
+        return counts
+
 
 @dataclass(frozen=True)
 class MaterializedSplit:
@@ -121,6 +128,8 @@ class MaterializedSplit:
     test: SplitSide
 
     def __post_init__(self) -> None:
+        if type(self.split_id) is not str:
+            raise PoolError(f"split_id must be a string, got {self.split_id!r}")
         sides = (("train", self.train), ("test", self.test))
         for name, side in sides:
             if not side.runs:
@@ -130,18 +139,18 @@ class MaterializedSplit:
         shared = train_ids & test_ids
         if shared:
             raise PoolError(f"{len(shared)} sample ids appear in both train and test")
-        for (name, side), ids in zip(sides, (train_ids, test_ids)):
+        counts = [side.counts() for _, side in sides]
+        for (name, side), ids, held in zip(sides, (train_ids, test_ids), counts):
             if len(ids) != len(side):
-                counts = Counter(side.ids)
-                repeated = next(sample_id for sample_id, n in counts.items() if n > 1)
+                repeated = next(sample_id for sample_id, n in Counter(side.ids).items() if n > 1)
                 raise PoolError(f"sample id {repeated!r} appears twice on the {name} side")
-            malicious = sum(len(run) for family, run in side.runs if family is not None)
+            malicious = len(side) - held.get(None, 0)
             if 2 * malicious != len(side):
                 raise PoolError(
                     f"{name} side is not benign-balanced: {malicious} malicious"
                     f" of {len(side)} records"
                 )
-        overlap = ({f for f, _ in self.train.runs} & {f for f, _ in self.test.runs}) - {None}
+        overlap = (counts[0].keys() & counts[1].keys()) - {None}
         if overlap:
             raise PoolError(f"train/test families overlap: {sorted(overlap)}")
 
@@ -271,17 +280,6 @@ def save_pool(pool: SamplePool, path: str | Path) -> None:
     Path(path).write_text("".join(_run_text(*block) for block in blocks), encoding="utf-8")
 
 
-def _check_family(pool: SamplePool, family: str, needed: int) -> None:
-    ids = pool.by_family.get(family)
-    if ids is None:
-        raise PoolError(f"family {family!r} missing from pool")
-    if len(ids) < needed:
-        raise PoolError(
-            f"family {family!r} has {len(ids)} samples, needs {needed}"
-            f" (short by {needed - len(ids)})"
-        )
-
-
 def _pick(rng: random.Random, ids: Sequence[str], n: int) -> list[str]:
     """The ids with the n smallest of one 64-bit key per id, in key order.
 
@@ -306,6 +304,27 @@ def _pick(rng: random.Random, ids: Sequence[str], n: int) -> list[str]:
     return [ids[i] for i in at[order[:n]].tolist()]
 
 
+def check_pool_needs(pool: SamplePool, spec: SplitSpec, train_per_family: int,
+                     test_per_family: int) -> None:
+    """Raise PoolError unless `pool` holds every id materialize_split draws for `spec`."""
+    if train_per_family < 1 or test_per_family < 1:
+        raise PoolError("per-family counts must be >= 1")
+    sides = (("train", spec.train_families, train_per_family),
+             ("test", spec.test_families, test_per_family))
+    for _, side_families, needed in sides:
+        for family in side_families:
+            if family not in pool.by_family:
+                raise PoolError(f"family {family!r} missing from pool")
+            have = len(pool.by_family[family])
+            if have < needed:
+                raise PoolError(f"family {family!r} has {have} samples, needs {needed}"
+                                f" (short by {needed - have})")
+    for origin, side_families, per_family in sides:
+        need, have = len(side_families) * per_family, len(pool.benign[origin])
+        if have < need:
+            raise PoolError(f"benign {origin} pool has {have} samples, needs {need}")
+
+
 def materialize_split(
     pool: SamplePool,
     spec: SplitSpec,
@@ -322,20 +341,7 @@ def materialize_split(
     1:1 against the malicious counts. Draw order is fixed: train families
     (in spec order), train benign, test families, test benign.
     """
-    if train_per_family < 1 or test_per_family < 1:
-        raise PoolError("per-family counts must be >= 1")
-    sides = (
-        ("train", spec.train_families, train_per_family),
-        ("test", spec.test_families, test_per_family),
-    )
-    for _, side_families, per_family in sides:
-        for family in side_families:
-            _check_family(pool, family, per_family)
-    for origin, side_families, per_family in sides:
-        need, have = len(side_families) * per_family, len(pool.benign[origin])
-        if have < need:
-            raise PoolError(f"benign {origin} pool has {have} samples, needs {need}")
-
+    check_pool_needs(pool, spec, train_per_family, test_per_family)
     rng = random.Random(seed)
 
     def side(origin: str, side_families: tuple[str, ...], per_family: int) -> SplitSide:
@@ -344,7 +350,8 @@ def materialize_split(
         runs.append((None, _pick(rng, pool.benign[origin], need)))
         return SplitSide(runs)
 
-    train, test = (side(*entry) for entry in sides)
+    train = side("train", spec.train_families, train_per_family)
+    test = side("test", spec.test_families, test_per_family)
     return MaterializedSplit(split_id=split_id, train=train, test=test)
 
 
@@ -356,18 +363,35 @@ def _side_text(side: SplitSide) -> str:
     )
 
 
+def _side_facts(ms: MaterializedSplit) -> dict:
+    """The meta.json keys that the sides of `ms` determine, as the sides give them.
+
+    `<side>_per_family` is the one record count of the side's families, or
+    the count of each when they differ.
+    """
+    held = {"train": ms.train.counts(), "test": ms.test.counts()}
+    benign = {name: counts.pop(None, 0) for name, counts in held.items()}
+    facts: dict = {f"{name}_families": list(counts) for name, counts in held.items()}
+    for name, counts in held.items():
+        sizes = set(counts.values())
+        facts[f"{name}_per_family"] = sizes.pop() if len(sizes) == 1 else counts
+    facts["counts"] = {"train_total": len(ms.train), "test_total": len(ms.test),
+                       "train_benign": benign["train"], "test_benign": benign["test"],
+                       "per_family": {**held["train"], **held["test"]}}
+    return facts
+
+
 def split_meta(ms: MaterializedSplit, spec: SplitSpec, seed: int,
                train_per_family: int, test_per_family: int) -> dict:
-    """The meta.json document of `ms`, materialized from `spec` with these arguments."""
-    sides = (("train", spec.train_families, train_per_family),
-             ("test", spec.test_families, test_per_family))
-    counts = {f"{origin}_total": 2 * len(fams) * n for origin, fams, n in sides}
-    counts.update({f"{origin}_benign": len(fams) * n for origin, fams, n in sides})
-    counts["per_family"] = {family: n for _, fams, n in sides for family in fams}
+    """The meta.json document of `ms`, materialized from `spec` with these arguments.
+
+    Its families and counts are the ones the sides hold.
+    """
+    facts = _side_facts(ms)
     return {
         "split_id": ms.split_id,
-        "train_families": list(spec.train_families),
-        "test_families": list(spec.test_families),
+        "train_families": facts["train_families"],
+        "test_families": facts["test_families"],
         "tau": spec.tau,
         "epsilon_final": spec.epsilon_final,
         "search_seed": spec.seed,
@@ -375,7 +399,7 @@ def split_meta(ms: MaterializedSplit, spec: SplitSpec, seed: int,
         "sampler": SAMPLER_VERSION,
         "train_per_family": train_per_family,
         "test_per_family": test_per_family,
-        "counts": counts,
+        "counts": facts["counts"],
     }
 
 
@@ -390,59 +414,36 @@ def write_split(ms: MaterializedSplit, directory: str | Path, meta: dict) -> Non
         (directory / SPLIT_FILES[role]).write_text(text, encoding="utf-8")
 
 
+def _json_at(doc: object, key: str) -> str:
+    """The JSON text, keys sorted, at dotted `key` of `doc`; "missing" if there is none."""
+    for part in key.split("."):
+        if not isinstance(doc, dict) or part not in doc:
+            return "missing"
+        doc = doc[part]
+    return json.dumps(doc, sort_keys=True)
+
+
 def read_split(directory: str | Path) -> MaterializedSplit:
     """Load a split directory written by write_split, each side as the runs _read_runs yields.
 
-    The sides must hold what meta.json says: `counts.<side>_total` records,
-    the malicious families of `<side>_families` in that order of first
-    appearance, and `counts.per_family` records of each.
+    meta.json must hold an object, and each key of it that the sides
+    determine (`_side_facts`; `counts.<key>` for the counts block), in
+    document order, must be as JSON text what the sides give.
     """
     directory = Path(directory)
     meta_path = directory / SPLIT_FILES["meta"]
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    if not isinstance(meta, dict) or not isinstance(meta.get("counts", {}), dict):
-        raise PoolError(f"{meta_path}: meta and its 'counts' must be JSON objects")
-    counts = meta.get("counts", {})
-    wanted = [("split_id", meta), ("counts", meta)]
-    wanted += [(f"counts.{key}", counts) for key in ("train_total", "test_total", "per_family")]
-    wanted += [(f"{side}_families", meta) for side in ("train", "test")]
-    missing = [name for name, doc in wanted if name.rpartition(".")[2] not in doc]
-    if missing:
-        raise PoolError(f"{meta_path}: missing key {missing[0]!r}")
-    if type(meta["split_id"]) is not str:
-        raise PoolError(f"{meta_path}: 'split_id' must be a string, got {meta['split_id']!r}")
-    for key in ("train_total", "test_total"):
-        if type(counts[key]) is not int:
-            raise PoolError(
-                f"{meta_path}: 'counts.{key}' must be an integer, got {counts[key]!r}"
-            )
+    if not isinstance(meta, dict):
+        raise PoolError(f"{meta_path}: expected a JSON object")
     ms = MaterializedSplit(
-        split_id=meta["split_id"],
+        split_id=meta.get("split_id"),
         train=SplitSide(_read_runs(directory / SPLIT_FILES["train"], 3, _side_key)),
         test=SplitSide(_read_runs(directory / SPLIT_FILES["test"], 3, _side_key)),
     )
-    held: dict[str, int] = {}  # malicious records per family, train side first
-    for name, side in (("train", ms.train), ("test", ms.test)):
-        total = counts[f"{name}_total"]
-        if total != len(side):
-            raise PoolError(
-                f"{meta_path}: counts.{name}_total is {total},"
-                f" but {SPLIT_FILES[name]} holds {len(side)} records"
-            )
-        families: dict[str, int] = {}
-        for family, ids in side.runs:
-            if family is not None:
-                families[family] = families.get(family, 0) + len(ids)
-        named = meta[f"{name}_families"]
-        if list(families) != named:
-            raise PoolError(
-                f"{meta_path}: {name}_families is {named!r},"
-                f" but {SPLIT_FILES[name]} holds {list(families)!r}"
-            )
-        held.update(families)
-    per_family = counts["per_family"]
-    if per_family != held or any(type(n) is not int for n in per_family.values()):
-        raise PoolError(
-            f"{meta_path}: counts.per_family is {per_family!r}, but the split holds {held!r}"
-        )
+    facts = _side_facts(ms)
+    facts.update({f"counts.{key}": value for key, value in facts.pop("counts").items()})
+    for key, value in facts.items():
+        said, held = _json_at(meta, key), json.dumps(value, sort_keys=True)
+        if said != held:
+            raise PoolError(f"{meta_path}: {key} is {said}, but the split holds {held}")
     return ms

@@ -268,12 +268,16 @@ def test_materialize_at_paper_defaults_hits_paper_totals(tmp_path) -> None:
     assert meta["counts"]["test_total"] == 40_000
 
 
-def test_materialize_shortfall_names_family(benchmark_file, pool_file, tmp_path, capsys) -> None:
+def thin_pool(pool_file: Path, family: str, path: Path) -> Path:
+    """Save `pool_file`'s pool to `path` with only 3 ids left for `family`."""
     pool = load_pool(pool_file)
+    save_pool(SamplePool({**pool.by_family, family: pool.by_family[family][:3]}, pool.benign), path)
+    return path
+
+
+def test_materialize_shortfall_names_family(benchmark_file, pool_file, tmp_path, capsys) -> None:
     needed = json.loads(benchmark_file.read_text())["splits"][0]["train_families"][0]
-    thin_pool = SamplePool({**pool.by_family, needed: pool.by_family[needed][:3]}, pool.benign)
-    thin = tmp_path / "thin.tsv"
-    save_pool(thin_pool, thin)
+    thin = thin_pool(pool_file, needed, tmp_path / "thin.tsv")
     code = run(
         "materialize", "--benchmark", benchmark_file, "--pool", thin,
         "--train-per-family", "8", "--test-per-family", "2",
@@ -281,6 +285,23 @@ def test_materialize_shortfall_names_family(benchmark_file, pool_file, tmp_path,
     )
     assert code == 1
     assert needed in capsys.readouterr().err
+
+
+def test_materialize_shortfall_in_a_later_split_writes_nothing(
+    benchmark_file, pool_file, tmp_path, capsys
+) -> None:
+    # Every split's pool needs are checked before split-00 is written.
+    first, later = json.loads(benchmark_file.read_text())["splits"]
+    short = next(f for f in later["train_families"]
+                 if f not in first["train_families"] + first["test_families"])
+    thin = thin_pool(pool_file, short, tmp_path / "thin.tsv")
+    code = run(
+        "materialize", "--benchmark", benchmark_file, "--pool", thin,
+        "--train-per-family", "8", "--test-per-family", "2", "--out-dir", tmp_path / "out",
+    )
+    assert code == 1
+    assert f"family {short!r} has 3 samples, needs 8" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_ablate_report_matches_library(matrix_file, tmp_path) -> None:
@@ -631,3 +652,38 @@ def test_pipeline_validation_reports_zero_flags(pool_file, tmp_path) -> None:
     assert all(tier["total_flags"] == 0 for tier in doc["tiers"])
     curve = (out_dir / "recall_curve_easy.tsv").read_text().splitlines()
     assert len(curve) == 2
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["--families", "10"], "need at least 20 families for set_size=10, matrix has 10"),
+        (["--families", "12", "--set-size", "2", "--epsilon", "-1"],
+         "epsilon0 must be positive and finite, got -1.0"),
+        (["--families", "12", "--set-size", "2", "--pool", "BAD_POOL"],
+         "line 2: expected 4 fields, got 3"),
+    ],
+    ids=["too few families", "negative epsilon", "malformed pool"],
+)
+def test_a_refused_pipeline_writes_nothing(tmp_path, capsys, argv, message) -> None:
+    bad_pool = tmp_path / "bad_pool.tsv"
+    bad_pool.write_text("a1\tmalicious\tfam00\t-\na2\tmalicious\tfam00\n")
+    argv = [str(bad_pool) if arg == "BAD_POOL" else arg for arg in argv]
+    assert run("pipeline", *argv, "--splits", "2", "--out-dir", tmp_path / "out") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_pipeline_whose_pool_falls_short_writes_nothing(pool_file, tmp_path, capsys) -> None:
+    # The Hard tier's last split needs a family that the Easy tier's first split does not.
+    argv = ["pipeline", "--families", "24", "--seed", "11", "--splits", "2", "--set-size", "2",
+            "--train-per-family", "8", "--test-per-family", "2"]
+    assert run(*argv, "--pool", pool_file, "--out-dir", tmp_path / "ok") == 0
+    first = json.loads((tmp_path / "ok" / "benchmark_easy.json").read_text())["splits"][0]
+    last = json.loads((tmp_path / "ok" / "benchmark_hard.json").read_text())["splits"][-1]
+    short = next(f for f in last["train_families"]
+                 if f not in first["train_families"] + first["test_families"])
+    thin = thin_pool(pool_file, short, tmp_path / "thin.tsv")
+    assert run(*argv, "--pool", thin, "--out-dir", tmp_path / "refused") == 1
+    assert f"family {short!r} has 3 samples, needs 8" in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -388,60 +388,6 @@ def test_a_family_on_both_sides_is_rejected() -> None:
         MaterializedSplit("shared", train, SplitSide([("alpha", ["a1"]), (None, ["u1"])]))
 
 
-def reverse_train_families(directory: Path) -> None:
-    meta = json.loads((directory / "meta.json").read_text())
-    meta["train_families"].reverse()
-    (directory / "meta.json").write_text(json.dumps(meta))
-
-
-def rename_gamma(directory: Path) -> None:
-    path = directory / "test.tsv"
-    path.write_text(path.read_text().replace("\tgamma\n", "\tzeta\n"))
-
-
-@pytest.mark.parametrize(
-    ("edit", "message"),
-    [
-        (rename_gamma, "test_families is ['gamma', 'delta'], but test.tsv holds ['zeta', 'delta']"),
-        (reverse_train_families,
-         "train_families is ['beta', 'alpha'], but train.tsv holds ['alpha', 'beta']"),
-    ],
-)
-def test_read_split_rejects_families_that_meta_does_not_name(tmp_path, edit, message) -> None:
-    directory = written_split(tmp_path / "split")
-    edit(directory)
-    for read in (read_split, reference_read_split):
-        with pytest.raises(PoolError) as err:
-            read(directory)
-        assert str(err.value) == f"{directory / 'meta.json'}: {message}"
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda per_family: per_family.update(gamma=3),
-        lambda per_family: per_family.update(alpha=True),  # equal to 1, but not an integer
-        lambda per_family: per_family.update(beta=8.0),
-        lambda per_family: per_family.update(zeta=2),
-        lambda per_family: per_family.pop("delta"),
-    ],
-    ids=["count", "bool", "float", "extra family", "missing family"],
-)
-def test_read_split_rejects_per_family_counts_that_disagree_with_the_rows(tmp_path, edit) -> None:
-    directory = written_split(tmp_path / "split")
-    meta = json.loads((directory / "meta.json").read_text())
-    assert meta["counts"]["per_family"] == {"alpha": 8, "beta": 8, "gamma": 2, "delta": 2}
-    edit(meta["counts"]["per_family"])
-    (directory / "meta.json").write_text(json.dumps(meta))
-    for read in (read_split, reference_read_split):
-        with pytest.raises(PoolError) as err:
-            read(directory)
-        assert str(err.value) == (
-            f"{directory / 'meta.json'}: counts.per_family is {meta['counts']['per_family']!r},"
-            " but the split holds {'alpha': 8, 'beta': 8, 'gamma': 2, 'delta': 2}"
-        )
-
-
 def test_read_split_rejects_a_family_on_both_sides(tmp_path) -> None:
     directory = written_split(tmp_path / "split")
     path = directory / "test.tsv"
@@ -551,6 +497,8 @@ class ReferenceMaterializedSplit:
     counts: dict
 
     def __post_init__(self) -> None:
+        if not isinstance(self.split_id, str):
+            raise PoolError(f"split_id must be a string, got {self.split_id!r}")
         object.__setattr__(self, "train", tuple(self.train))
         object.__setattr__(self, "test", tuple(self.test))
         train_ids = {r.sample_id for r in self.train}
@@ -682,27 +630,35 @@ def reference_read_split(directory: str | Path) -> ReferenceMaterializedSplit:
     directory = Path(directory)
     meta_path = directory / "meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    if not isinstance(meta, dict):
+        raise PoolError(f"{meta_path}: expected a JSON object")
     ms = ReferenceMaterializedSplit(
-        split_id=meta["split_id"],
+        split_id=meta.get("split_id"),
         train=tuple(_reference_read_records(directory / "train.tsv")),
         test=tuple(_reference_read_records(directory / "test.tsv")),
-        counts=meta["counts"],
+        counts=meta.get("counts"),
     )
-    # Each side holds the families meta.json names, in order, and as many records of each.
-    held: dict[str, int] = {}
-    for name, records in (("train", ms.train), ("test", ms.test)):
-        families = Counter(r.family for r in records if r.family is not None)
-        named = meta[f"{name}_families"]
-        if list(families) != named:
-            raise PoolError(
-                f"{meta_path}: {name}_families is {named!r}, but {name}.tsv holds {list(families)!r}"
-            )
-        held.update(families)
-    per_family = meta["counts"]["per_family"]
-    if per_family != held or any(type(n) is not int for n in per_family.values()):
-        raise PoolError(
-            f"{meta_path}: counts.per_family is {per_family!r}, but the split holds {held!r}"
-        )
+    # Each key of meta.json that the records determine, in document order,
+    # must read as JSON text what a Counter over the records gives.
+    records = {name: Counter(r.family for r in side) for name, side in
+               (("train", ms.train), ("test", ms.test))}
+    malicious = {name: {f: n for f, n in c.items() if f is not None} for name, c in records.items()}
+    held: dict = {f"{name}_families": list(families) for name, families in malicious.items()}
+    for name, families in malicious.items():
+        sizes = sorted(set(families.values()))
+        held[f"{name}_per_family"] = sizes[0] if len(sizes) == 1 else families
+    held["counts.train_total"] = len(ms.train)
+    held["counts.test_total"] = len(ms.test)
+    held["counts.train_benign"] = records["train"][None]
+    held["counts.test_benign"] = records["test"][None]
+    held["counts.per_family"] = {**malicious["train"], **malicious["test"]}
+    for key, value in held.items():
+        doc, name = (meta.get("counts"), key[7:]) if key.startswith("counts.") else (meta, key)
+        found = isinstance(doc, dict) and name in doc
+        said = json.dumps(doc[name], sort_keys=True) if found else "missing"
+        text = json.dumps(value, sort_keys=True)
+        if said != text:
+            raise PoolError(f"{meta_path}: {key} is {said}, but the split holds {text}")
     return ms
 
 
@@ -857,68 +813,146 @@ def test_read_split_matches_reference_where_only_line_structure_is_wrong(
     assert "expected 3 fields" in outcome[1]
 
 
+DROP = object()
+
+
+def edit_meta(changes: dict) -> Callable[[Path], None]:
+    """An edit of a written split's meta.json: each dotted key gets its value (DROP deletes it)."""
+    def edit(directory: Path) -> None:
+        path = directory / "meta.json"
+        meta = json.loads(path.read_text())
+        for key, value in changes.items():
+            *parents, last = key.split(".")
+            doc = meta
+            for part in parents:
+                doc = doc[part]
+            if value is DROP:
+                del doc[last]
+            else:
+                doc[last] = value
+        path.write_text(json.dumps(meta))
+    return edit
+
+
+def replace_meta(doc: object) -> Callable[[Path], None]:
+    return lambda directory: (directory / "meta.json").write_text(json.dumps(doc))
+
+
+def rename_gamma(directory: Path) -> None:
+    path = directory / "test.tsv"
+    path.write_text(path.read_text().replace("\tgamma\n", "\tzeta\n"))
+
+
+def drop_an_alpha_and_a_benign_train_line(directory: Path) -> None:
+    path = directory / "train.tsv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[1:-1]))
+
+
+HELD_PER_FAMILY = '{"alpha": 8, "beta": 8, "delta": 2, "gamma": 2}'
+
+
+# Each edit of a written toy split (train: alpha and beta of 8, 16 benign;
+# test: gamma and delta of 2, 4 benign) and the refusal both readers give.
+# "META: " stands for the meta.json path.
 @pytest.mark.parametrize(
-    ("meta", "key"),
+    ("edit", "message"),
     [
-        ({"split_id": "x"}, "'counts'"),
-        ({"counts": {"train_total": 32, "test_total": 8}}, "'split_id'"),
-        ({"split_id": "x", "counts": {"test_total": 8}}, "'counts.train_total'"),
-        ({"split_id": "x", "counts": {"train_total": 32, "test_total": 8}}, "'counts.per_family'"),
-        (
-            {"split_id": "x", "counts": {"train_total": 32, "test_total": 8, "per_family": {}},
-             "test_families": []},
-            "'train_families'",
-        ),
-        (
-            {"split_id": "x", "counts": {"train_total": 32, "test_total": 8, "per_family": {}},
-             "train_families": []},
-            "'test_families'",
-        ),
+        (replace_meta({"split_id": "x"}),
+         'META: train_families is missing, but the split holds ["alpha", "beta"]'),
+        (replace_meta({"counts": {"train_total": 32, "test_total": 8}}),
+         "split_id must be a string, got None"),
+        (replace_meta({"split_id": "x", "counts": {"test_total": 8}}),
+         'META: train_families is missing, but the split holds ["alpha", "beta"]'),
+        (replace_meta({"split_id": "x", "counts": {"train_total": 32, "test_total": 8}}),
+         'META: train_families is missing, but the split holds ["alpha", "beta"]'),
+        (replace_meta({"split_id": "x", "test_families": [],
+                       "counts": {"train_total": 32, "test_total": 8, "per_family": {}}}),
+         'META: train_families is missing, but the split holds ["alpha", "beta"]'),
+        (replace_meta({"split_id": "x", "train_families": [],
+                       "counts": {"train_total": 32, "test_total": 8, "per_family": {}}}),
+         'META: train_families is [], but the split holds ["alpha", "beta"]'),
+        (edit_meta({"counts.train_benign": DROP}),
+         "META: counts.train_benign is missing, but the split holds 16"),
+        (edit_meta({"split_id": {"x": [1]}}), "split_id must be a string, got {'x': [1]}"),
+        (edit_meta({"split_id": 7}), "split_id must be a string, got 7"),
+        (edit_meta({"counts.train_total": 32.0}),
+         "META: counts.train_total is 32.0, but the split holds 32"),
+        (edit_meta({"counts.test_total": True}),
+         "META: counts.test_total is true, but the split holds 8"),
+        (edit_meta({"counts.train_total": "32"}),
+         'META: counts.train_total is "32", but the split holds 32'),
+        (replace_meta([]), "META: expected a JSON object"),
+        (replace_meta(5), "META: expected a JSON object"),
+        (replace_meta({"split_id": "x", "counts": 5}),
+         'META: train_families is missing, but the split holds ["alpha", "beta"]'),
+        (edit_meta({"counts": 5}), "META: counts.train_total is missing, but the split holds 32"),
+        (edit_meta({"counts.train_total": 34}),
+         "META: counts.train_total is 34, but the split holds 32"),
+        (edit_meta({"counts.test_total": 10}),
+         "META: counts.test_total is 10, but the split holds 8"),
+        (rename_gamma,
+         'META: test_families is ["gamma", "delta"], but the split holds ["zeta", "delta"]'),
+        (edit_meta({"train_families": ["beta", "alpha"]}),
+         'META: train_families is ["beta", "alpha"], but the split holds ["alpha", "beta"]'),
+        (edit_meta({"counts.per_family.gamma": 3}),
+         'META: counts.per_family is {"alpha": 8, "beta": 8, "delta": 2, "gamma": 3},'
+         f" but the split holds {HELD_PER_FAMILY}"),
+        (edit_meta({"counts.per_family.alpha": True}),  # equal to 1, but not an integer
+         'META: counts.per_family is {"alpha": true, "beta": 8, "delta": 2, "gamma": 2},'
+         f" but the split holds {HELD_PER_FAMILY}"),
+        (edit_meta({"counts.per_family.beta": 8.0}),
+         'META: counts.per_family is {"alpha": 8, "beta": 8.0, "delta": 2, "gamma": 2},'
+         f" but the split holds {HELD_PER_FAMILY}"),
+        (edit_meta({"counts.per_family.zeta": 2}),
+         'META: counts.per_family is {"alpha": 8, "beta": 8, "delta": 2, "gamma": 2, "zeta": 2},'
+         f" but the split holds {HELD_PER_FAMILY}"),
+        (edit_meta({"counts.per_family.delta": DROP}),
+         'META: counts.per_family is {"alpha": 8, "beta": 8, "gamma": 2},'
+         f" but the split holds {HELD_PER_FAMILY}"),
+        (edit_meta({"counts.train_benign": 7}),
+         "META: counts.train_benign is 7, but the split holds 16"),
+        (edit_meta({"counts.test_benign": 5}),
+         "META: counts.test_benign is 5, but the split holds 4"),
+        (edit_meta({"train_per_family": 99}),
+         "META: train_per_family is 99, but the split holds 8"),
+        (edit_meta({"test_per_family": "2"}),
+         'META: test_per_family is "2", but the split holds 2'),
+        (edit_meta({"counts.train_benign": 7, "train_per_family": 99}),
+         "META: train_per_family is 99, but the split holds 8"),
+        (drop_an_alpha_and_a_benign_train_line,
+         'META: train_per_family is 8, but the split holds {"alpha": 7, "beta": 8}'),
+    ],
+    ids=[
+        "missing counts", "missing split_id", "missing counts.train_total",
+        "missing counts.per_family", "missing train_families", "missing test_families",
+        "missing counts.train_benign",
+        "type split_id object", "type split_id int", "type train_total float",
+        "type test_total bool", "type train_total string",
+        "not an object list", "not an object number", "not an object stub counts",
+        "not an object counts",
+        "totals train", "totals test",
+        "families renamed in test.tsv", "families reordered",
+        "per_family count", "per_family bool", "per_family float",
+        "per_family extra family", "per_family missing family",
+        "train_benign", "test_benign", "train_per_family", "test_per_family",
+        "train_benign with per_family", "unequal train families",
     ],
 )
-def test_read_split_names_a_missing_meta_key(tmp_path, meta, key) -> None:
+def test_read_split_checks_meta_against_the_sides(tmp_path, edit, message) -> None:
     directory = written_split(tmp_path / "split")
-    (directory / "meta.json").write_text(json.dumps(meta))
-    with pytest.raises(PoolError, match=rf"meta\.json: missing key {key}"):
-        read_split(directory)
+    edit(directory)
+    for read in (read_split, reference_read_split):
+        with pytest.raises(PoolError) as err:
+            read(directory)
+        assert str(err.value) == message.replace("META", str(directory / "meta.json"))
 
 
-@pytest.mark.parametrize(
-    ("key", "value", "message"),
-    [
-        ("split_id", {"x": [1]}, "'split_id' must be a string, got {'x': [1]}"),
-        ("split_id", 7, "'split_id' must be a string, got 7"),
-        ("train_total", 32.0, "'counts.train_total' must be an integer, got 32.0"),
-        ("test_total", True, "'counts.test_total' must be an integer, got True"),
-        ("train_total", "32", "'counts.train_total' must be an integer, got '32'"),
-    ],
-)
-def test_read_split_rejects_a_meta_value_of_the_wrong_type(tmp_path, key, value, message) -> None:
+def test_read_split_takes_per_family_counts_in_any_key_order(tmp_path) -> None:
     directory = written_split(tmp_path / "split")
-    meta = json.loads((directory / "meta.json").read_text())
-    (meta if key == "split_id" else meta["counts"])[key] = value
-    (directory / "meta.json").write_text(json.dumps(meta))
-    with pytest.raises(PoolError) as err:
-        read_split(directory)
-    assert str(err.value) == f"{directory / 'meta.json'}: {message}"
-
-
-@pytest.mark.parametrize("meta", [[], 5, {"split_id": "x", "counts": 5}])
-def test_read_split_rejects_meta_that_is_not_an_object(tmp_path, meta) -> None:
-    directory = written_split(tmp_path / "split")
-    (directory / "meta.json").write_text(json.dumps(meta))
-    with pytest.raises(PoolError, match=r"meta\.json: meta and its 'counts' must be JSON objects"):
-        read_split(directory)
-
-
-@pytest.mark.parametrize("side", ["train", "test"])
-def test_read_split_rejects_totals_that_disagree_with_the_rows(tmp_path, side) -> None:
-    directory = written_split(tmp_path / "split")
-    meta = json.loads((directory / "meta.json").read_text())
-    meta["counts"][f"{side}_total"] += 2
-    (directory / "meta.json").write_text(json.dumps(meta))
-    with pytest.raises(PoolError, match=rf"counts\.{side}_total is \d+, but {side}\.tsv holds"):
-        read_split(directory)
+    edit_meta({"counts.per_family": {"gamma": 2, "delta": 2, "beta": 8, "alpha": 8}})(directory)
+    again = written_split(tmp_path / "again")
+    assert split_outcome(read_split, directory) == split_outcome(read_split, again)
 
 
 @pytest.mark.parametrize("side", ["train", "test"])
@@ -1243,10 +1277,8 @@ def test_ids_round_trip_through_every_record_file(
     sides = [SplitSide([(f, ids[a : a + k]), (None, ids[a + k : a + 2 * k])])
              for f, a in zip(families, (0, 2 * k))]
     ms = MaterializedSplit("round-trip", *sides)
-    counts = {"train_total": 2 * k, "test_total": 2 * k, "per_family": dict.fromkeys(families, k)}
-    meta = {"split_id": ms.split_id, "counts": counts,
-            "train_families": [families[0]], "test_families": [families[1]]}
-    write_split(ms, directory / "split", meta)
+    spec = SplitSpec((families[0],), (families[1],), 0.5, 0.05, 0, 0, 1)
+    write_split(ms, directory / "split", split_meta(ms, spec, 0, k, k))
     # Chunks of 0 to 48 characters cut the family runs at every place.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(manifest, "_POOL_CHUNK", chunk)
