@@ -22,7 +22,7 @@ from typing import TypeVar
 import numpy as np
 
 from famsplit.errors import PoolError
-from famsplit.search import SplitSpec
+from famsplit.search import SplitSpec, _stream_words
 
 TRAIN_PER_FAMILY = 8000
 TEST_PER_FAMILY = 2000
@@ -283,13 +283,14 @@ def save_pool(pool: SamplePool, path: str | Path) -> None:
 def _pick(rng: random.Random, ids: Sequence[str], n: int) -> list[str]:
     """The ids with the n smallest of one 64-bit key per id, in key order.
 
-    The key of ids[i] is the i-th of rng's next len(ids) `getrandbits(64)`
-    values, read from one bulk draw; equal keys keep pool order. The draw
-    rests only on the Mersenne Twister stream words, not on `shuffle`'s or
-    numpy's sampling algorithms, which may change between versions.
+    The key of ids[i] is rng's i-th next 64-bit value: stream words 2i (low)
+    and 2i + 1 (high) of one `_stream_words` draw. Equal keys keep pool order.
+    The draw rests only on the Mersenne Twister stream words, not on
+    `shuffle`'s or numpy's sampling algorithms, which may change between
+    versions.
     """
     count = len(ids)
-    keys = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u8")
+    keys = _stream_words(rng, 2 * count).view("<u8")
     # Only keys at or below the n-th smallest can be picked; flatnonzero lists
     # them in pool order. Distinct keys have one sorted order, so the fast
     # default sort serves unless two are equal, when a stable one keeps pool order.
@@ -385,9 +386,15 @@ def split_meta(ms: MaterializedSplit, spec: SplitSpec, seed: int,
                train_per_family: int, test_per_family: int) -> dict:
     """The meta.json document of `ms`, materialized from `spec` with these arguments.
 
-    Its families and counts are the ones the sides hold.
+    Its families and counts are the ones the sides hold. A per-family count
+    that differs, as JSON text, from the sides' is a PoolError, as read_split
+    would refuse it.
     """
     facts = _side_facts(ms)
+    for name, given in (("train", train_per_family), ("test", test_per_family)):
+        said, held = json.dumps(given), json.dumps(facts[f"{name}_per_family"], sort_keys=True)
+        if said != held:
+            raise PoolError(f"{name}_per_family is {said}, but the split holds {held}")
     return {
         "split_id": ms.split_id,
         "train_families": facts["train_families"],

@@ -61,6 +61,9 @@ class SearchConfig:
             # A NaN band admits no entry at any level, and an infinite one is not JSON.
             if not 0.0 < value < math.inf:
                 raise InfeasibleSearchError(f"{name} must be positive and finite, got {value}")
+        if self.epsilon0 + self.step == self.epsilon0:
+            # Every level would be epsilon0's band, so a stalled pass would relax forever.
+            raise InfeasibleSearchError(f"step {self.step} does not widen epsilon0 {self.epsilon0}")
         if self.max_attempts < 1:
             raise InfeasibleSearchError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.set_size < 1:
@@ -73,13 +76,14 @@ class SearchConfig:
 class SplitSpec:
     """One train/test split over family names, plus how it was found."""
 
+    # Field order is the benchmark document's split key order; tau is the tier's.
     train_families: tuple[str, ...]
     test_families: tuple[str, ...]
-    tau: float
     epsilon_final: float
-    seed: int
     relaxations: int
     attempts_total: int
+    seed: int
+    tau: float
 
     def __post_init__(self) -> None:
         train = tuple(self.train_families)
@@ -163,8 +167,8 @@ class _Band:
 
 
 def _stream_words(rng: random.Random, count: int) -> np.ndarray:
-    # rng's next `count` 32-bit Mersenne Twister outputs, in order: getrandbits
-    # fills its result from the least significant word up.
+    # rng's next `count` 32-bit Mersenne Twister outputs, in order: a bulk
+    # draw fills its result from the least significant word up.
     return np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), dtype="<u4")
 
 
@@ -300,21 +304,10 @@ def generate_benchmark(
 
 def benchmark_to_dict(bench: BenchmarkSet) -> dict:
     """JSON-ready form of a benchmark set (no timestamps)."""
-    return {
-        "difficulty_label": bench.difficulty_label,
-        **asdict(bench.config),
-        "splits": [
-            {
-                "train_families": list(s.train_families),
-                "test_families": list(s.test_families),
-                "epsilon_final": s.epsilon_final,
-                "relaxations": s.relaxations,
-                "attempts_total": s.attempts_total,
-                "seed": s.seed,
-            }
-            for s in bench.splits
-        ],
-    }
+    # Each split's keys are SplitSpec's fields but the tier's tau, with lists for tuples.
+    splits = [{k: list(v) if type(v) is tuple else v for k, v in asdict(s).items() if k != "tau"}
+              for s in bench.splits]
+    return {"difficulty_label": bench.difficulty_label, **asdict(bench.config), "splits": splits}
 
 
 # The JSON value each benchmark document field must hold, by its annotation.

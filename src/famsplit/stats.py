@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from famsplit.errors import ComparisonError
 
 
@@ -29,18 +31,11 @@ class WilcoxonResult:
 
 
 def _midranks(magnitudes: Sequence[float]) -> list[float]:
-    order = sorted(range(len(magnitudes)), key=lambda i: magnitudes[i])
-    ranks = [0.0] * len(magnitudes)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and magnitudes[order[j + 1]] == magnitudes[order[i]]:
-            j += 1
-        midrank = (i + j + 2) / 2  # average of 1-based positions i+1 .. j+1
-        for pos in range(i, j + 1):
-            ranks[order[pos]] = midrank
-        i = j + 1
-    return ranks
+    # A run of tied values at 1-based sorted positions end - count + 1 .. end
+    # takes their average, (2 * end - count + 1) / 2.
+    _, inverse, counts = np.unique(magnitudes, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return ((2 * ends - counts + 1) / 2)[inverse].tolist()
 
 
 def _sum_distribution(scaled_ranks: list[int]) -> list[int]:

@@ -149,6 +149,11 @@ def test_selection_curve_spans_requested_ks(paper_matrix) -> None:
     assert all(0.0 <= y <= 1.0 for _, y in points)
 
 
+def test_selection_curve_rejects_an_unknown_mode(paper_matrix) -> None:
+    with pytest.raises(MatrixFormatError, match="mode must be 'top' or 'worst', got 'best'"):
+        selection_curve(paper_matrix, "best", (5,), agg="mean")
+
+
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(
     grid=st.sampled_from([2, 3, 17, 40, 184, 1000]).flatmap(

@@ -124,6 +124,18 @@ def test_search_infinite_epsilon_fails_cleanly(matrix_file, tmp_path, capsys) ->
     assert not out.exists()
 
 
+def test_search_step_that_cannot_widen_the_band_fails_cleanly(tmp_path, capsys) -> None:
+    # 0.001 + 1e-300 == 0.001, so every level would be the first one.
+    matrix = tmp_path / "m40.csv"
+    assert run("synth", "--families", "40", "--seed", "1", "--out", matrix) == 0
+    out = tmp_path / "stuck.json"
+    code = run("search", "--matrix", matrix, "--tau", "0.9", "--epsilon", "0.001",
+               "--step", "1e-300", "--out", out)
+    assert code == 1
+    assert "step 1e-300 does not widen epsilon0 0.001" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_search_infeasible_set_size_fails_cleanly(tmp_path, capsys) -> None:
     small = tmp_path / "m8.csv"
     assert run("synth", "--families", "8", "--seed", "1", "--out", small) == 0
@@ -273,6 +285,21 @@ def thin_pool(pool_file: Path, family: str, path: Path) -> Path:
     pool = load_pool(pool_file)
     save_pool(SamplePool({**pool.by_family, family: pool.by_family[family][:3]}, pool.benign), path)
     return path
+
+
+def test_materialize_rejects_a_benchmark_that_repeats_a_family(
+    benchmark_file, pool_file, tmp_path, capsys
+) -> None:
+    doc = json.loads(benchmark_file.read_text())
+    split = doc["splits"][0]
+    split["train_families"] = [split["train_families"][0]] * len(split["train_families"])
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(json.dumps(doc))
+    code = run("materialize", "--benchmark", repeated, "--pool", pool_file,
+               "--train-per-family", "8", "--test-per-family", "2", "--out-dir", tmp_path / "out")
+    assert code == 1
+    assert "split sides must not repeat families" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_materialize_shortfall_names_family(benchmark_file, pool_file, tmp_path, capsys) -> None:
@@ -544,6 +571,20 @@ def test_evaluate_missing_ids_fail_with_listing(split_dir, tmp_path, capsys) -> 
     assert dropped in capsys.readouterr().err
 
 
+def test_evaluate_threshold_outside_the_unit_interval_is_a_domain_error(
+    split_dir, tmp_path, capsys
+) -> None:
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("".join(f"{line.split(chr(9))[0]}\t1.0\n"
+                             for line in (split_dir / "test.tsv").read_text().splitlines()))
+    out = tmp_path / "eval.json"
+    code = run("evaluate", "--split-dir", split_dir, "--predictions", preds,
+               "--threshold", "1.5", "--out", out)
+    assert code == 1
+    assert "threshold 1.5 outside [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_rejects_a_family_on_both_sides(split_dir, tmp_path, capsys) -> None:
     meta = json.loads((split_dir / "meta.json").read_text())
     moved, kept = meta["test_families"][0], meta["train_families"][0]
@@ -616,6 +657,22 @@ def test_compare_matches_oracle_on_metric_files(tmp_path) -> None:
     assert doc["p_two_sided"] == p_two
     assert doc["p_one_sided"] == p_one
     assert doc["metric"] == "malware_recall_mean"
+
+
+def test_compare_pools_the_tiers_of_two_pipelines(tmp_path) -> None:
+    # Three tiers of ten splits from each of two pipeline runs: 30 pairs in one exact test.
+    vectors = []
+    for seed in ("7", "8"):
+        out_dir = tmp_path / f"p{seed}"
+        assert run("pipeline", "--families", "40", "--seed", seed, "--out-dir", out_dir) == 0
+        tiers = json.loads((out_dir / "validation.json").read_text())["tiers"]
+        vectors.append(tmp_path / f"p{seed}-splits.json")
+        vectors[-1].write_text(json.dumps([s for tier in tiers for s in tier["splits"]]))
+    out = tmp_path / "cmp.json"
+    code = run("compare", "--a", vectors[0], "--b", vectors[1], "--metric", "mean_recall",
+               "--out", out)
+    assert code == 0
+    assert json.loads(out.read_text())["n_pairs"] == 30
 
 
 def test_pipeline_outputs_are_location_independent(pool_file, tmp_path) -> None:

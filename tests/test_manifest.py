@@ -49,7 +49,8 @@ def run_sizes(side: SplitSide) -> list[tuple[str | None, int]]:
 
 
 def toy_spec() -> SplitSpec:
-    return SplitSpec(("alpha", "beta"), ("gamma", "delta"), 0.5, 0.05, 11, 0, 4)
+    return SplitSpec(train_families=("alpha", "beta"), test_families=("gamma", "delta"), tau=0.5,
+                     epsilon_final=0.05, seed=11, relaxations=0, attempts_total=4)
 
 
 def written_split(directory: Path) -> Path:
@@ -213,6 +214,23 @@ def test_materialize_toy_counts() -> None:
     # One run per family in spec order, then the benign run.
     assert run_sizes(ms.train) == [("alpha", 8), ("beta", 8), (None, 16)]
     assert run_sizes(ms.test) == [("gamma", 2), ("delta", 2), (None, 4)]
+
+
+@pytest.mark.parametrize(
+    ("train_per_family", "test_per_family", "message"),
+    [(5, 2, "train_per_family is 5, but the split holds 4"),
+     (4, 3, "test_per_family is 3, but the split holds 2"),
+     (4.0, 2, "train_per_family is 4.0, but the split holds 4")],
+)
+def test_split_meta_refuses_a_per_family_count_the_split_does_not_hold(
+    train_per_family, test_per_family, message
+) -> None:
+    # read_split would refuse such a meta.json with the same message.
+    pool = build_pool({n: 10 for n in ("alpha", "beta", "gamma", "delta")})
+    ms = materialize_split(pool, toy_spec(), 4, 2, seed=3, split_id="toy")
+    with pytest.raises(PoolError) as err:
+        split_meta(ms, toy_spec(), 3, train_per_family, test_per_family)
+    assert str(err.value) == message
 
 
 def test_materialize_is_deterministic_and_seed_sensitive() -> None:
@@ -691,7 +709,9 @@ def pools_and_specs(draw):
     )
     order = draw(st.permutations([*names, "absent"]))
     side = draw(st.integers(1, len(order) // 2))
-    spec = SplitSpec(tuple(order[:side]), tuple(order[side : 2 * side]), 0.5, 0.05, 3, 0, 1)
+    spec = SplitSpec(train_families=tuple(order[:side]),
+                     test_families=tuple(order[side : 2 * side]), tau=0.5, epsilon_final=0.05,
+                     seed=3, relaxations=0, attempts_total=1)
     return pool, spec
 
 
@@ -1277,7 +1297,8 @@ def test_ids_round_trip_through_every_record_file(
     sides = [SplitSide([(f, ids[a : a + k]), (None, ids[a + k : a + 2 * k])])
              for f, a in zip(families, (0, 2 * k))]
     ms = MaterializedSplit("round-trip", *sides)
-    spec = SplitSpec((families[0],), (families[1],), 0.5, 0.05, 0, 0, 1)
+    spec = SplitSpec(train_families=(families[0],), test_families=(families[1],), tau=0.5,
+                     epsilon_final=0.05, seed=0, relaxations=0, attempts_total=1)
     write_split(ms, directory / "split", split_meta(ms, spec, 0, k, k))
     # Chunks of 0 to 48 characters cut the family runs at every place.
     with pytest.MonkeyPatch.context() as patch:

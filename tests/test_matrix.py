@@ -360,6 +360,7 @@ def test_synth_matrix_saved_twice_is_byte_identical(tmp_path) -> None:
         ("family,a,b\na,0.5,oops\nb,0.5,0.5\n", "unparseable number 'oops' at line 2, column 1"),
         ("families,a,b\na,0.5,0.5\nb,0.5,0.5\n", "line 1 must start with"),
         ("family,a,b\nb,0.5,0.5\na,0.5,0.5\n", "does not match header"),
+        ("", "empty file"),
     ],
 )
 def test_load_rejects_malformed_files(tmp_path, text: str, fragment: str) -> None:
@@ -381,6 +382,8 @@ def test_constructor_rejects_bad_grids() -> None:
         CrossErrorMatrix(("a", "a"), np.zeros((2, 2)))
     with pytest.raises(MatrixFormatError):
         CrossErrorMatrix(("a", "has,comma"), np.zeros((2, 2)))
+    with pytest.raises(MatrixFormatError, match="non-finite entry at row 1, column 0"):
+        CrossErrorMatrix(("a", "b"), np.array([[0.5, 0.5], [np.nan, 0.5]]))
 
 
 def test_row_mean_constant_matrix_returns_constant() -> None:
@@ -428,6 +431,12 @@ def test_synth_is_pure_function_of_params() -> None:
 def test_synth_rejects_tiny_k() -> None:
     with pytest.raises(MatrixFormatError):
         SynthParams(k=1, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_synth_rejects_a_seed_out_of_range(seed) -> None:
+    with pytest.raises(MatrixFormatError, match=f"seed must be an unsigned 64-bit value, got {seed}"):
+        SynthParams(k=4, seed=seed)
 
 
 def test_synth_rejects_bad_ranges() -> None:

@@ -311,6 +311,25 @@ def test_search_config_requires_a_positive_finite_band(field, value) -> None:
         SearchConfig(tau=0.5, **{field: value})
 
 
+@pytest.mark.parametrize(
+    ("fields", "message"),
+    [
+        ({"tau": 0.0}, "tau must be in (0, 1), got 0.0"),
+        ({"tau": 1.0}, "tau must be in (0, 1), got 1.0"),
+        ({"max_attempts": 0}, "max_attempts must be >= 1, got 0"),
+        ({"set_size": 0}, "set_size must be >= 1, got 0"),
+        ({"seed": -1}, "seed must be an unsigned 64-bit value, got -1"),
+        ({"seed": 2**64}, f"seed must be an unsigned 64-bit value, got {2**64}"),
+        # A step too small to change epsilon0 leaves every level at the first band.
+        ({"epsilon0": 0.001, "step": 1e-300}, "step 1e-300 does not widen epsilon0 0.001"),
+    ],
+)
+def test_search_config_rejects_out_of_range_fields(fields, message) -> None:
+    with pytest.raises(InfeasibleSearchError) as err:
+        SearchConfig(**{"tau": 0.5, **fields})
+    assert str(err.value) == message
+
+
 def test_adversarial_matrix_relaxes_to_the_oracle_level() -> None:
     m = adversarial_matrix()
     oracle_eps = min_feasible_grid_eps(m.values, tau=0.5, set_size=2)
@@ -360,7 +379,14 @@ def test_a_later_pass_stops_once_it_relaxes_as_often_as_the_best(monkeypatch) ->
 
 def test_split_spec_rejects_overlap() -> None:
     with pytest.raises(InfeasibleSearchError):
-        SplitSpec(("a", "b"), ("b", "c"), 0.5, 0.05, 0, 0, 0)
+        SplitSpec(train_families=("a", "b"), test_families=("b", "c"), tau=0.5,
+                  epsilon_final=0.05, seed=0, relaxations=0, attempts_total=0)
+
+
+def test_split_spec_rejects_a_repeated_family() -> None:
+    with pytest.raises(InfeasibleSearchError, match="split sides must not repeat families"):
+        SplitSpec(train_families=("a", "a"), test_families=("b", "c"), tau=0.5,
+                  epsilon_final=0.05, seed=0, relaxations=0, attempts_total=2)
 
 
 def test_search_is_deterministic() -> None:
@@ -398,6 +424,11 @@ def test_generate_benchmark_constant_matrix() -> None:
     assert len(bench.splits) == 10
     assert all(s.epsilon_final == 0.05 for s in bench.splits)
     assert bench.difficulty_label == "Medium"
+
+
+def test_generate_benchmark_rejects_zero_splits() -> None:
+    with pytest.raises(InfeasibleSearchError, match="n_splits must be >= 1, got 0"):
+        generate_benchmark(constant_matrix(20, 0.5), SearchConfig(tau=0.5), n_splits=0)
 
 
 def test_three_difficulty_configs_give_thirty_splits(paper_matrix) -> None:

@@ -71,6 +71,11 @@ def test_identical_vectors_are_degenerate() -> None:
         wilcoxon_exact([0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
 
 
+def test_empty_vectors_are_rejected() -> None:
+    with pytest.raises(ComparisonError, match="empty metric vectors"):
+        wilcoxon_exact([], [])
+
+
 def test_length_mismatch_is_rejected() -> None:
     with pytest.raises(ComparisonError, match="length mismatch"):
         wilcoxon_exact([1.0], [1.0, 2.0])
@@ -240,6 +245,7 @@ def test_metric_vector_accepts_three_layouts(tmp_path) -> None:
         ('[0.5, false]', "entry 1 value is not a number: False"),
         ('[0.5, "0.5"]', "entry 1 value is not a number: '0.5'"),
         ('{"per_split": [{"m": 0.5}]}', "no 'splits' array"),
+        ("[]", "expected a non-empty array of results"),
     ],
 )
 def test_metric_vector_rejects_non_finite_or_non_numeric_values(tmp_path, text, fault) -> None:

@@ -171,7 +171,9 @@ def random_benchmark(m: CrossErrorMatrix, rng: np.random.Generator) -> Benchmark
     splits = []
     for _ in range(3):
         order = [m.families[i] for i in rng.permutation(m.k)[:20]]
-        splits.append(SplitSpec(tuple(order[:10]), tuple(order[10:]), 0.5, 0.1, 0, 0, 10))
+        splits.append(SplitSpec(train_families=tuple(order[:10]), test_families=tuple(order[10:]),
+                                tau=0.5, epsilon_final=0.1, seed=0, relaxations=0,
+                                attempts_total=10))
     return BenchmarkSet("random", SearchConfig(tau=0.5), splits)
 
 
@@ -194,7 +196,9 @@ def test_invalid_inputs_raise_the_reference_errors() -> None:
     m = constant_matrix(4, 0.5)
 
     def bench(train: str, test: str) -> BenchmarkSet:
-        return BenchmarkSet("x", SearchConfig(tau=0.5), [SplitSpec((train,), (test,), 0.5, 0.05, 0, 0, 1)])
+        spec = SplitSpec(train_families=(train,), test_families=(test,), tau=0.5,
+                         epsilon_final=0.05, seed=0, relaxations=0, attempts_total=1)
+        return BenchmarkSet("x", SearchConfig(tau=0.5), [spec])
 
     def message(call) -> str:
         with pytest.raises(MatrixFormatError) as err:
