@@ -16,6 +16,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 from sys import float_info
 
@@ -304,8 +305,10 @@ def generate_benchmark(
 
 def benchmark_to_dict(bench: BenchmarkSet) -> dict:
     """JSON-ready form of a benchmark set (no timestamps)."""
-    # Each split's keys are SplitSpec's fields but the tier's tau, with lists for tuples.
-    splits = [{k: list(v) if type(v) is tuple else v for k, v in asdict(s).items() if k != "tau"}
+    # A split's keys are SplitSpec's fields but the tier's tau, with lists for tuples.
+    # Read with attrgetter, not asdict, which deep-copies every value.
+    keys = [f.name for f in fields(SplitSpec) if f.name != "tau"]
+    splits = [{k: list(v) if type(v) is tuple else v for k, v in zip(keys, attrgetter(*keys)(s))}
               for s in bench.splits]
     return {"difficulty_label": bench.difficulty_label, **asdict(bench.config), "splits": splits}
 
