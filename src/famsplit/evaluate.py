@@ -57,8 +57,7 @@ def surrogate_recalls(
 ) -> dict[str, float]:
     """Aggregate of M[t][v] over the trained families t, per target v, from one block.
 
-    The mean is fsum / n, `statistics.fmean` bit for bit; max and min keep the
-    first of equal extremes, as the built-ins do, so a -0.0 before a 0.0 survives.
+    The mean is fsum / n, `statistics.fmean` bit for bit.
     """
     if agg not in get_args(Aggregation):
         raise MatrixFormatError(f"unknown aggregation {agg!r}")
@@ -69,8 +68,7 @@ def surrogate_recalls(
     block = m.values[np.ix_(rows, cols)]
     if agg == "mean":
         return dict(zip(targets, (math.fsum(col) / len(rows) for col in block.T.tolist())))
-    first = block.argmax(axis=0) if agg == "max" else block.argmin(axis=0)
-    return dict(zip(targets, block[first, range(len(cols))].tolist()))
+    return dict(zip(targets, (block.max(axis=0) if agg == "max" else block.min(axis=0)).tolist()))
 
 
 @dataclass(frozen=True)

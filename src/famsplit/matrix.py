@@ -4,6 +4,7 @@ The matrix is oriented rows = training family, columns = testing family:
 ``values[t][v]`` is the recall of a detector trained only on family ``t``
 when tested on samples of family ``v``. Values are fractions in [0, 1],
 never percentages; loaders reject values above 1 instead of rescaling.
+A matrix holds each value on the 1e-6 grid that its CSV stores.
 """
 
 from __future__ import annotations
@@ -57,7 +58,12 @@ class CrossErrorMatrix:
             raise MatrixFormatError(
                 f"entry {values[t, v]} at row {t}, column {v} outside [0, 1]"
             )
-        values = values.copy()
+        # Hold the 1e-6 grid the CSV stores: the nearest multiple of 1e-6, ties
+        # to even, and +0.0 for -0.0, so a saved and reloaded matrix is this one.
+        values = np.multiply(values, 1e6)
+        np.rint(values, out=values)
+        values /= 1e6
+        values += 0.0
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -167,19 +173,12 @@ def load_matrix(path: str | Path) -> CrossErrorMatrix:
     return CrossErrorMatrix(tuple(families), values)
 
 
-def _canonical_cells(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_cells(block: np.ndarray) -> np.ndarray:
     """The ``%.6f`` text of a block of rows as a (rows, K, 9) byte array, each
-    row ending in LF, and per row whether that text is exact.
-
-    A cell is written as n = floor(v * 1e6 + 0.5), which is what ``%.6f``
-    prints except at a decimal tie, where ``%.6f`` rounds half to even, and
-    for ``-0.0``, which it prints with a sign. A row holding either is
-    marked inexact.
+    row ending in LF. Every value is on the 1e-6 grid, so its digits are
+    the integer n = rint(v * 1e6).
     """
-    scaled = block * 1e6
-    near_tie = np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6
-    exact = ~(near_tie | np.signbit(block)).any(axis=1)
-    n = np.floor(scaled + 0.5).astype(np.int32)
+    n = np.rint(block * 1e6).astype(np.int32)
     text = np.empty(block.shape + (9,), dtype=np.uint8)
     for j in range(7, 1, -1):
         n, digit = np.divmod(n, 10)
@@ -188,25 +187,20 @@ def _canonical_cells(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     text[..., 1] = ord(".")
     text[..., 8] = ord(",")
     text[:, -1, 8] = ord("\n")
-    return text, exact
+    return text
 
 
 def save_matrix(m: CrossErrorMatrix, path: str | Path) -> None:
     """Write the canonical CSV form (fixed 6-digit decimals, LF newlines)."""
     path = Path(path)
-    row_format = ",".join(["%.6f"] * m.k) + "\n"
     block_rows = max(1, _SAVE_BLOCK_CELLS // m.k)
     with path.open("wb") as out:
         out.write((",".join((HEADER_CELL, *m.families)) + "\n").encode("utf-8"))
         for start in range(0, m.k, block_rows):
-            block = m.values[start : start + block_rows]
-            text, exact = _canonical_cells(block)
-            for family, row, row_text, row_exact in zip(m.families[start:], block, text, exact):
+            text = _canonical_cells(m.values[start : start + block_rows])
+            for family, row_text in zip(m.families[start:], text):
                 out.write(f"{family},".encode("utf-8"))
-                if row_exact:
-                    out.write(row_text.tobytes())
-                else:
-                    out.write((row_format % tuple(row.tolist())).encode("ascii"))
+                out.write(row_text.tobytes())
 
 
 @dataclass(frozen=True)

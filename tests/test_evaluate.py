@@ -51,22 +51,23 @@ def test_surrogate_two_element_aggregations() -> None:
     assert surrogate_recalls(m, ["a", "b"], ["c"], "min") == {"c": pytest.approx(0.2)}
 
 
-def test_surrogate_mean_is_exactly_rounded_and_extremes_keep_the_first_zero() -> None:
+def test_surrogate_mean_is_exactly_rounded_and_a_negative_zero_is_held_as_zero() -> None:
     # Column 3 holds 0.7, 0.1, 0.1, 0.1: a left-to-right or pairwise sum
-    # gives 0.24999999999999997, fsum / n gives 0.25. Columns 4 and 5 tie
-    # -0.0 with 0.0; max and min keep whichever comes first, as built-ins do.
-    grid = np.eye(6)
+    # gives 0.24999999999999997, fsum / n gives 0.25. Column 4 is built with
+    # -0.0 cells, which the matrix holds as +0.0, so no aggregate meets -0.0.
+    grid = np.eye(5)
     grid[:3, 3] = [0.7, 0.1, 0.1]
     grid[3, 3] = 0.1
-    grid[:4, 4] = [-0.0, 0.0, 0.0, 0.0]
-    grid[:4, 5] = [0.0, -0.0, -0.0, -0.0]
+    grid[:4, 4] = [-0.0, 0.0, -0.0, -0.0]
     m = make_matrix(grid)
+    assert not np.signbit(m.values).any()
     trained = m.families[:4]
     assert surrogate_recalls(m, trained, ["fam03"], "mean") == {"fam03": 0.25}
-    extremes = {agg: surrogate_recalls(m, trained, m.families[4:], agg) for agg in ("max", "min")}
+    extremes = {agg: surrogate_recalls(m, trained, ["fam04"], agg) for agg in ("max", "mean", "min")}
     assert {agg: [v.hex() for v in r.values()] for agg, r in extremes.items()} == {
-        "max": ["-0x0.0p+0", "0x0.0p+0"],
-        "min": ["-0x0.0p+0", "0x0.0p+0"],
+        "max": ["0x0.0p+0"],
+        "mean": ["0x0.0p+0"],
+        "min": ["0x0.0p+0"],
     }
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -132,12 +132,16 @@ def matrix_csv(families: list[str], rows: list[str], newline: str = "\n") -> str
         )
     )
 )
+# Every edge value in every column: decimal ties and the floats either side of them.
+@example(grid=np.array([np.roll(EDGE_VALUES, i) for i in range(len(EDGE_VALUES))]))
 def test_save_load_save_is_byte_exact_and_matches_reference(tmp_path_factory, grid) -> None:
     directory = tmp_path_factory.mktemp("roundtrip")
     m = make_matrix(grid)
     save_matrix(m, directory / "a.csv")
     reference_save_matrix(m, directory / "ref.csv")
     loaded = load_matrix(directory / "a.csv")
+    assert loaded.families == m.families
+    assert loaded.values.tobytes() == m.values.tobytes()
     save_matrix(loaded, directory / "b.csv")
     first = (directory / "a.csv").read_bytes()
     assert first == (directory / "ref.csv").read_bytes()
@@ -402,7 +406,7 @@ def test_row_mean_matches_independent_recomputation() -> None:
     m = make_matrix(grid)
     means = _row_means(m)
     for t in range(4):
-        expected = (sum(grid[t]) - grid[t][t]) / 3
+        expected = (sum(m.values[t]) - m.values[t][t]) / 3
         assert means[t] == pytest.approx(expected, abs=1e-12)
 
 
