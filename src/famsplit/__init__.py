@@ -9,6 +9,7 @@ materializes the abstract splits into concrete balanced sample manifests.
 __version__ = "0.1.0"
 
 from famsplit.errors import (
+    ComparisonError,
     FamsplitError,
     InfeasibleSearchError,
     MatrixFormatError,
@@ -17,6 +18,7 @@ from famsplit.errors import (
 )
 
 __all__ = [
+    "ComparisonError",
     "FamsplitError",
     "InfeasibleSearchError",
     "MatrixFormatError",

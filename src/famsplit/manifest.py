@@ -138,7 +138,10 @@ class MaterializedSplit:
         test_ids = set(self.test.ids)
         shared = train_ids & test_ids
         if shared:
-            raise PoolError(f"{len(shared)} sample ids appear in both train and test")
+            first = next(sample_id for sample_id in self.train.ids if sample_id in shared)
+            raise PoolError(
+                f"sample id {first!r} appears in both train and test ({len(shared)} shared)"
+            )
         counts = [side.counts() for _, side in sides]
         for (name, side), ids, held in zip(sides, (train_ids, test_ids), counts):
             if len(ids) != len(side):

@@ -4,16 +4,19 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from famsplit.ablation import ablation_report, select_worst_k
 from famsplit.cli import main
+from famsplit.evaluate import validate_benchmark
 from famsplit import manifest
 from famsplit.manifest import SPLIT_FILES, load_pool, read_split, save_pool, SamplePool, write_split
 from famsplit.matrix import load_matrix, save_matrix, synth_family_names
-from famsplit.search import SearchConfig, benchmark_to_dict, derive_seed, generate_benchmark
+from famsplit.search import (STANDARD_LABELS, SearchConfig, benchmark_to_dict, derive_seed,
+                             generate_benchmark, load_benchmark)
 
 from test_stats import brute_force_wilcoxon
 
@@ -709,6 +712,52 @@ def test_pipeline_validation_reports_zero_flags(pool_file, tmp_path) -> None:
     assert all(tier["total_flags"] == 0 for tier in doc["tiers"])
     curve = (out_dir / "recall_curve_easy.tsv").read_text().splitlines()
     assert len(curve) == 2
+
+
+def without_manifest(path: Path) -> dict:
+    doc = json.loads(path.read_text())
+    del doc["run_manifest"]
+    return doc
+
+
+# --families 184 --seed 5 is a run whose Medium tier searched on the unrounded
+# matrix picked other splits than a search of its own matrix.csv.
+@pytest.mark.parametrize(("families", "seed"), [("184", "5"), ("40", "7")])
+def test_a_pipeline_is_its_commands_composed(tmp_path, families, seed) -> None:
+    pool = tmp_path / "pool.tsv"
+    save_pool(SamplePool(
+        by_family={name: [f"{name}-{i:02d}" for i in range(10)]
+                   for name in synth_family_names(int(families))},
+        benign={"train": [f"ben-tr-{i:03d}" for i in range(96)],
+                "test": [f"ben-te-{i:03d}" for i in range(24)]},
+    ), pool)
+    per_family = ["--train-per-family", "8", "--test-per-family", "2"]
+    out = tmp_path / "pipeline"
+    assert run("pipeline", "--families", families, "--seed", seed, "--pool", pool, *per_family,
+               "--out-dir", out) == 0
+    matrix = out / "matrix.csv"
+    assert run("synth", "--families", families, "--seed", seed, "--out", tmp_path / "m.csv") == 0
+    assert (tmp_path / "m.csv").read_bytes() == matrix.read_bytes()
+    tiers = json.loads((out / "validation.json").read_text())["tiers"]
+    for i, (tau, label) in enumerate(STANDARD_LABELS.items()):
+        slug, tier_seed = label.lower(), str(derive_seed(int(seed), i))
+        bench = tmp_path / f"benchmark_{slug}.json"
+        assert run("search", "--matrix", matrix, "--tau", repr(tau), "--seed", tier_seed,
+                   "--out", bench) == 0
+        assert without_manifest(bench) == without_manifest(out / f"benchmark_{slug}.json")
+        validation = validate_benchmark(load_matrix(matrix), load_benchmark(bench))
+        assert json.loads(json.dumps(asdict(validation))) == tiers[i]
+        splits, expected = tmp_path / "splits" / slug, out / "splits" / slug
+        assert run("materialize", "--benchmark", bench, "--pool", pool, *per_family,
+                   "--seed", tier_seed, "--out-dir", splits) == 0
+        split_dirs = sorted(p.name for p in expected.iterdir())
+        assert split_dirs == sorted(p.name for p in splits.iterdir() if p.is_dir())
+        for name in split_dirs:
+            for role in ("train", "test"):
+                filename = SPLIT_FILES[role]
+                assert (splits / name / filename).read_bytes() == (expected / name / filename).read_bytes()
+            meta = SPLIT_FILES["meta"]
+            assert without_manifest(splits / name / meta) == without_manifest(expected / name / meta)
 
 
 @pytest.mark.parametrize(

@@ -402,8 +402,17 @@ def test_a_family_on_both_sides_is_rejected() -> None:
     unbalanced = SplitSide([("alpha", ["a2"]), (None, ["u1", "u2"])])
     with pytest.raises(PoolError, match="test side is not benign-balanced"):
         MaterializedSplit("shared", train, unbalanced)
-    with pytest.raises(PoolError, match="1 sample ids appear in both train and test"):
+    with pytest.raises(PoolError) as err:
         MaterializedSplit("shared", train, SplitSide([("alpha", ["a1"]), (None, ["u1"])]))
+    assert str(err.value) == "sample id 'a1' appears in both train and test (1 shared)"
+
+
+def test_a_shared_sample_id_is_named_first_in_train_order() -> None:
+    train = SplitSide([("alpha", ["a1", "a2"]), (None, ["t1", "t2"])])
+    test = SplitSide([("gamma", ["g1", "t2"]), (None, ["a2", "u1"])])
+    with pytest.raises(PoolError) as err:
+        MaterializedSplit("shared", train, test)
+    assert str(err.value) == "sample id 'a2' appears in both train and test (2 shared)"
 
 
 def test_read_split_rejects_a_family_on_both_sides(tmp_path) -> None:
@@ -523,7 +532,10 @@ class ReferenceMaterializedSplit:
         test_ids = {r.sample_id for r in self.test}
         shared = train_ids & test_ids
         if shared:
-            raise PoolError(f"{len(shared)} sample ids appear in both train and test")
+            first = next(r.sample_id for r in self.train if r.sample_id in shared)
+            raise PoolError(
+                f"sample id {first!r} appears in both train and test ({len(shared)} shared)"
+            )
         for name, records, ids in (("train", self.train, train_ids), ("test", self.test, test_ids)):
             if len(ids) != len(records):
                 counts = Counter(r.sample_id for r in records)

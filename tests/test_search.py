@@ -383,6 +383,18 @@ def test_split_spec_rejects_overlap() -> None:
                   epsilon_final=0.05, seed=0, relaxations=0, attempts_total=0)
 
 
+@pytest.mark.parametrize(
+    ("train", "test", "sizes"),
+    [(("a",), ("b", "c"), "1/2"), (("a", "b"), ("c",), "2/1"), ((), (), "0/0")],
+    ids=["short train", "short test", "empty"],
+)
+def test_split_spec_rejects_unequal_or_empty_sides(train, test, sizes) -> None:
+    with pytest.raises(InfeasibleSearchError) as err:
+        SplitSpec(train_families=train, test_families=test, tau=0.5,
+                  epsilon_final=0.05, seed=0, relaxations=0, attempts_total=1)
+    assert str(err.value) == f"split sides must be equal-sized and non-empty, got {sizes}"
+
+
 def test_split_spec_rejects_a_repeated_family() -> None:
     with pytest.raises(InfeasibleSearchError, match="split sides must not repeat families"):
         SplitSpec(train_families=("a", "a"), test_families=("b", "c"), tau=0.5,
