@@ -174,9 +174,9 @@ def load_matrix(path: str | Path) -> CrossErrorMatrix:
 
 
 def _canonical_cells(block: np.ndarray) -> np.ndarray:
-    """The ``%.6f`` text of a block of rows as a (rows, K, 9) byte array, each
-    row ending in LF. Every value is on the 1e-6 grid, so its digits are
-    the integer n = rint(v * 1e6).
+    """The canonical ``d.dddddd`` cells of a block of rows as a (rows, K, 9)
+    byte array, each row ending in LF. Every value is on the 1e-6 grid, so
+    its digits are those of the integer n = rint(v * 1e6).
     """
     n = np.rint(block * 1e6).astype(np.int32)
     text = np.empty(block.shape + (9,), dtype=np.uint8)

@@ -753,11 +753,12 @@ def test_a_pipeline_is_its_commands_composed(tmp_path, families, seed) -> None:
         split_dirs = sorted(p.name for p in expected.iterdir())
         assert split_dirs == sorted(p.name for p in splits.iterdir() if p.is_dir())
         for name in split_dirs:
+            rebuilt, written = splits / name, expected / name
             for role in ("train", "test"):
                 filename = SPLIT_FILES[role]
-                assert (splits / name / filename).read_bytes() == (expected / name / filename).read_bytes()
+                assert (rebuilt / filename).read_bytes() == (written / filename).read_bytes()
             meta = SPLIT_FILES["meta"]
-            assert without_manifest(splits / name / meta) == without_manifest(expected / name / meta)
+            assert without_manifest(rebuilt / meta) == without_manifest(written / meta)
 
 
 @pytest.mark.parametrize(
