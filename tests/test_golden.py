@@ -46,8 +46,7 @@ def write_outputs(root: Path) -> None:
     run("pipeline", "--out-dir", root / "pipeline-no-pool", "--families", 24, "--seed", 2,
         "--splits", 2, "--set-size", 2)
 
-    run("synth", "--families", 24, "--seed", 3, "--generality", 0.2, 0.9,
-        "--out", root / "synth" / "matrix.csv")
+    run("synth", "--families", 24, "--seed", 3, "--out", root / "synth" / "matrix.csv")
     matrix = root / "synth" / "matrix.csv"
     run("search", "--matrix", matrix, "--tau", 0.5, "--set-size", 3, "--splits", 2,
         "--seed", 5, "--out", root / "search.json")
