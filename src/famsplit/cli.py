@@ -39,7 +39,7 @@ from famsplit.manifest import (
     split_meta,
     write_split,
 )
-from famsplit.matrix import CrossErrorMatrix, SynthParams, load_matrix, save_matrix, synth_matrix
+from famsplit.matrix import CrossErrorMatrix, load_matrix, save_matrix, synth_matrix
 from famsplit.search import (
     STANDARD_LABELS,
     BenchmarkSet,
@@ -98,17 +98,7 @@ def _report(args: argparse.Namespace, doc: dict, summary: str) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    params = SynthParams(
-        k=args.families,
-        seed=args.seed,
-        generality_range=tuple(args.generality),
-        detectability_range=tuple(args.detectability),
-        noise_sd=args.noise_sd,
-        diag_floor=args.diag_floor,
-        loner_fraction=args.loner_fraction,
-        hermit_fraction=args.hermit_fraction,
-    )
-    matrix = synth_matrix(params)
+    matrix = synth_matrix(args.families, args.seed)
     out = Path(args.out)
     _save_matrix(matrix, out, _run_manifest(args))
     print(f"wrote {out} ({matrix.k} families)")
@@ -206,7 +196,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_pipeline(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     manifest = _run_manifest(args)
-    matrix = synth_matrix(SynthParams(k=args.families, seed=args.seed))
+    matrix = synth_matrix(args.families, args.seed)
     pool = load_pool(args.pool) if args.pool else None
     # Every tier is searched and validated before the first write, so a refused run writes nothing.
     tiers = []
@@ -274,13 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", type=_at_least(2), required=True, help="family count K (>= 2)")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="matrix CSV output path")
-    for flag, default in (("--generality", SynthParams.generality_range),
-                          ("--detectability", SynthParams.detectability_range)):
-        p.add_argument(flag, type=float, nargs=2, default=list(default), metavar=("LO", "HI"))
-    p.add_argument("--noise-sd", type=float, default=SynthParams.noise_sd)
-    p.add_argument("--diag-floor", type=float, default=SynthParams.diag_floor)
-    p.add_argument("--loner-fraction", type=float, default=SynthParams.loner_fraction)
-    p.add_argument("--hermit-fraction", type=float, default=SynthParams.hermit_fraction)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("search", help="search disjoint train/test family splits")

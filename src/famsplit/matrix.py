@@ -203,41 +203,17 @@ def save_matrix(m: CrossErrorMatrix, path: str | Path) -> None:
                 out.write(row_text.tobytes())
 
 
-@dataclass(frozen=True)
-class SynthParams:
-    """Knobs for the planted-structure synthetic matrix generator.
-
-    Off-diagonal entries follow a noisy rank-one model: a per-row generality
-    factor g times a per-column detectability factor d. A fraction of rows is
-    forced to near-zero generality (dark horizontal bands) and a fraction of
-    columns to near-zero detectability (dark vertical bands); diagonals are
-    floored near 1 to mimic self-recall.
-    """
-
-    k: int
-    seed: int = 0
-    generality_range: tuple[float, float] = (0.3, 1.0)
-    detectability_range: tuple[float, float] = (0.3, 1.0)
-    noise_sd: float = 0.02
-    diag_floor: float = 0.99
-    loner_fraction: float = 0.1
-    hermit_fraction: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.k < 2:
-            raise MatrixFormatError(f"k must be >= 2, got {self.k}")
-        if not 0 <= self.seed < 2**64:
-            raise MatrixFormatError(f"seed must be an unsigned 64-bit value, got {self.seed}")
-        for name in ("generality_range", "detectability_range"):
-            lo, hi = getattr(self, name)
-            if not (0.0 <= lo <= hi <= 1.0):
-                raise MatrixFormatError(f"{name} must satisfy 0 <= lo <= hi <= 1, got ({lo}, {hi})")
-        for name in ("noise_sd", "diag_floor", "loner_fraction", "hermit_fraction"):
-            x = getattr(self, name)
-            if not 0.0 <= x <= 1.0:
-                raise MatrixFormatError(f"{name} must be a fraction in [0, 1], got {x}")
-
-
+# The synthetic recipe. Off-diagonal entries follow a noisy rank-one model: a
+# per-row generality factor g times a per-column detectability factor d. A
+# fraction of rows is forced to near-zero generality (dark horizontal bands)
+# and a fraction of columns to near-zero detectability (dark vertical bands);
+# diagonals are floored near 1 to mimic self-recall.
+GENERALITY_RANGE = (0.3, 1.0)
+DETECTABILITY_RANGE = (0.3, 1.0)
+NOISE_SD = 0.02
+DIAG_FLOOR = 0.99
+LONER_FRACTION = 0.1
+HERMIT_FRACTION = 0.1
 LOW_FACTOR_MAX = 0.1  # forced generality/detectability ceiling for loners/hermits
 
 
@@ -251,20 +227,20 @@ class PlantedStructure:
     hermit_cols: tuple[int, ...]
 
 
-def synth_structure(p: SynthParams) -> PlantedStructure:
-    """Draw the latent row/column factors for the given params (deterministic)."""
-    rng = np.random.default_rng(p.seed)
-    g = rng.uniform(p.generality_range[0], p.generality_range[1], p.k)
-    d = rng.uniform(p.detectability_range[0], p.detectability_range[1], p.k)
-    n_loners = int(round(p.loner_fraction * p.k))
-    n_hermits = int(round(p.hermit_fraction * p.k))
-    loners = np.sort(rng.choice(p.k, size=n_loners, replace=False)) if n_loners else np.array([], dtype=int)
-    hermits = np.sort(rng.choice(p.k, size=n_hermits, replace=False)) if n_hermits else np.array([], dtype=int)
-    if n_loners:
-        g[loners] = rng.uniform(0.0, LOW_FACTOR_MAX, n_loners)
-    if n_hermits:
-        d[hermits] = rng.uniform(0.0, LOW_FACTOR_MAX, n_hermits)
-    return PlantedStructure(g, d, tuple(int(i) for i in loners), tuple(int(i) for i in hermits))
+def synth_structure(k: int, seed: int = 0) -> PlantedStructure:
+    """Draw the latent row/column factors of the K-family matrix for `seed`."""
+    if k < 2:
+        raise MatrixFormatError(f"k must be >= 2, got {k}")
+    if not 0 <= seed < 2**64:
+        raise MatrixFormatError(f"seed must be an unsigned 64-bit value, got {seed}")
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(*GENERALITY_RANGE, k)
+    d = rng.uniform(*DETECTABILITY_RANGE, k)
+    loners = np.sort(rng.choice(k, size=round(LONER_FRACTION * k), replace=False))
+    hermits = np.sort(rng.choice(k, size=round(HERMIT_FRACTION * k), replace=False))
+    g[loners] = rng.uniform(0.0, LOW_FACTOR_MAX, len(loners))
+    d[hermits] = rng.uniform(0.0, LOW_FACTOR_MAX, len(hermits))
+    return PlantedStructure(g, d, tuple(map(int, loners)), tuple(map(int, hermits)))
 
 
 def synth_family_names(k: int) -> tuple[str, ...]:
@@ -275,14 +251,14 @@ def synth_family_names(k: int) -> tuple[str, ...]:
     return FAMILY_NAMES + extra
 
 
-def synth_matrix(p: SynthParams) -> CrossErrorMatrix:
-    """Generate a planted-structure matrix; pure function of the params."""
-    structure = synth_structure(p)
-    # Separate noise stream so factor-count knobs do not shift the noise draws.
-    rng = np.random.default_rng((p.seed, 0xA5))
-    noise = rng.normal(0.0, 1.0, (p.k, p.k)) * p.noise_sd
+def synth_matrix(k: int, seed: int = 0) -> CrossErrorMatrix:
+    """Generate the planted-structure matrix; a pure function of `k` and `seed`."""
+    structure = synth_structure(k, seed)
+    # A separate noise stream, kept so existing matrices keep their bytes.
+    rng = np.random.default_rng((seed, 0xA5))
+    noise = rng.normal(0.0, 1.0, (k, k)) * NOISE_SD
     values = np.outer(structure.generality, structure.detectability) + noise
     np.clip(values, 0.0, 1.0, out=values)
-    diag = np.maximum(p.diag_floor, structure.generality * structure.detectability)
+    diag = np.maximum(DIAG_FLOOR, structure.generality * structure.detectability)
     np.fill_diagonal(values, diag)
-    return CrossErrorMatrix(synth_family_names(p.k), values)
+    return CrossErrorMatrix(synth_family_names(k), values)

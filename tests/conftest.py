@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from famsplit.matrix import CrossErrorMatrix, SynthParams, synth_matrix
+from famsplit.matrix import CrossErrorMatrix, synth_matrix
 
 
 def make_matrix(values, families=None) -> CrossErrorMatrix:
@@ -22,4 +22,4 @@ def constant_matrix(k: int, value: float, diag: float = 1.0) -> CrossErrorMatrix
 @pytest.fixture(scope="session")
 def paper_matrix() -> CrossErrorMatrix:
     """Planted-structure matrix at paper scale: defaults, k=184, seed=7."""
-    return synth_matrix(SynthParams(k=184, seed=7))
+    return synth_matrix(184, seed=7)

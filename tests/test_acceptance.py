@@ -18,7 +18,7 @@ from famsplit.cli import main
 from famsplit.evaluate import validate_benchmark
 from famsplit.manifest import (TEST_PER_FAMILY, TRAIN_PER_FAMILY, SamplePool, materialize_split,
                                save_pool, split_meta)
-from famsplit.matrix import SynthParams, synth_matrix
+from famsplit.matrix import synth_matrix
 from famsplit.search import SearchConfig, SplitSpec, generate_benchmark, search_split
 from famsplit.stats import wilcoxon_exact
 
@@ -31,7 +31,7 @@ TAUS = (0.9, 0.5, 0.25)
 def paper_benchmarks():
     """Matrix and 3x10 splits at paper scale, with the build time recorded."""
     start = time.monotonic()
-    matrix = synth_matrix(SynthParams(k=184, seed=7))
+    matrix = synth_matrix(184, seed=7)
     benchmarks = {
         tau: generate_benchmark(matrix, SearchConfig(tau=tau, seed=7), n_splits=10)
         for tau in TAUS
@@ -106,7 +106,7 @@ def min_feasible_grid_eps(values, tau, set_size, eps0=0.05, step=0.05):
 def test_criterion_4_small_instance_oracle() -> None:
     start = time.monotonic()
     for seed in range(100):
-        matrix = synth_matrix(SynthParams(k=8, seed=seed))
+        matrix = synth_matrix(8, seed=seed)
         tau = TAUS[seed % 3]
         spec = search_split(matrix, SearchConfig(tau=tau, set_size=2, seed=seed))
         oracle = min_feasible_grid_eps(matrix.values.tolist(), tau, set_size=2)
@@ -194,7 +194,7 @@ def test_criterion_7_wilcoxon_exactness() -> None:
 
 
 def test_criterion_8_pipeline_determinism(tmp_path) -> None:
-    matrix = synth_matrix(SynthParams(k=24, seed=11))
+    matrix = synth_matrix(24, seed=11)
     pool = SamplePool(
         by_family={name: [f"{name}-{i:04x}" for i in range(12)] for name in matrix.families},
         benign={

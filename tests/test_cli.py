@@ -73,6 +73,19 @@ def test_synth_rejects_single_family() -> None:
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("shape", [
+    ["--generality", "0.2", "0.9"], ["--detectability", "0.2", "0.9"], ["--noise-sd", "0.1"],
+    ["--diag-floor", "0.9"], ["--loner-fraction", "0.2"], ["--hermit-fraction", "0.2"],
+], ids=lambda shape: shape[0])
+def test_synth_takes_no_shape_flags(tmp_path, capsys, shape) -> None:
+    out = tmp_path / "m.csv"
+    with pytest.raises(SystemExit) as exc:
+        run("synth", "--families", "8", "--out", out, *shape)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(shape)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_is_repeatable(tmp_path) -> None:
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from famsplit.errors import InfeasibleSearchError, MatrixFormatError
 from famsplit import search
-from famsplit.matrix import CrossErrorMatrix, SynthParams, synth_matrix
+from famsplit.matrix import CrossErrorMatrix, synth_matrix
 from famsplit.search import (
     _MAX_FAMILIES,
     SEARCH_RESTARTS,
@@ -264,7 +264,7 @@ def test_paper_scale_tiers_match_reference_searches(matrix_seed) -> None:
     # The property test above stays at K <= 30 and a few attempts per level.
     # Here, at K=184 with the default max_attempts, passes draw thousands of
     # candidates, run levels to their cap, relax, and restart.
-    m = synth_matrix(SynthParams(k=184, seed=matrix_seed))
+    m = synth_matrix(184, seed=matrix_seed)
     relaxations = 0
     for tau in (0.9, 0.5, 0.25):
         config = SearchConfig(tau=tau, seed=matrix_seed)
@@ -422,7 +422,7 @@ def test_returned_split_stays_within_final_band() -> None:
 
 def test_small_instance_oracle_property() -> None:
     for trial in range(20):
-        m = synth_matrix(SynthParams(k=8, seed=trial))
+        m = synth_matrix(8, seed=trial)
         tau = (0.9, 0.5, 0.25)[trial % 3]
         config = SearchConfig(tau=tau, set_size=2, seed=trial)
         spec = search_split(m, config)
