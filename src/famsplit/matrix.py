@@ -21,9 +21,11 @@ from famsplit.families import FAMILY_NAMES
 HEADER_CELL = "family"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossErrorMatrix:
-    """K x K recall grid over an ordered list of unique family names."""
+    """K x K recall grid over an ordered list of unique family names. Two are
+    equal when their families and values are, which is bit for bit: values
+    are finite and hold -0.0 as 0.0."""
 
     families: tuple[str, ...]
     values: np.ndarray
@@ -38,7 +40,7 @@ class CrossErrorMatrix:
         for i, name in enumerate(families):
             if not name:
                 raise MatrixFormatError(f"empty family name at index {i}")
-            if "," in name or "\n" in name:
+            if "," in name or "\n" in name or "\r" in name:
                 raise MatrixFormatError(f"family name {name!r} contains a delimiter")
             if name in index:
                 raise MatrixFormatError(f"duplicate family name {name!r}")
@@ -66,6 +68,11 @@ class CrossErrorMatrix:
         values += 0.0
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CrossErrorMatrix):
+            return NotImplemented
+        return self.families == other.families and np.array_equal(self.values, other.values)
 
     @property
     def k(self) -> int:

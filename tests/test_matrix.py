@@ -360,6 +360,17 @@ SYNTH_CSV_SHA256 = {
 }
 
 
+def test_a_saved_matrix_loads_equal_and_one_changed_cell_is_not(tmp_path) -> None:
+    m = synth_matrix(12, seed=7)
+    path = tmp_path / "m.csv"
+    save_matrix(m, path)
+    assert load_matrix(path) == m
+    changed = m.values.copy()
+    changed[3, 5] += 1e-6 if changed[3, 5] < 1.0 else -1e-6
+    assert CrossErrorMatrix(m.families, changed) != m
+    assert CrossErrorMatrix(m.families[::-1], m.values) != m
+
+
 def test_synth_matrix_saved_twice_is_byte_identical(tmp_path) -> None:
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -406,6 +417,8 @@ def test_constructor_rejects_bad_grids() -> None:
         CrossErrorMatrix(("a", "a"), np.zeros((2, 2)))
     with pytest.raises(MatrixFormatError):
         CrossErrorMatrix(("a", "has,comma"), np.zeros((2, 2)))
+    with pytest.raises(MatrixFormatError, match=r"family name 'a\\rb' contains a delimiter"):
+        CrossErrorMatrix(("a\rb", "c"), np.zeros((2, 2)))
     with pytest.raises(MatrixFormatError, match="non-finite entry at row 1, column 0"):
         CrossErrorMatrix(("a", "b"), np.array([[0.5, 0.5], [np.nan, 0.5]]))
 
