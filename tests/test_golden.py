@@ -17,6 +17,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from famsplit.cli import main
 from famsplit.manifest import SamplePool, save_pool
 from famsplit.matrix import synth_family_names
@@ -89,7 +91,11 @@ def test_every_output_matches_its_golden_digest(tmp_path) -> None:
     actual = digests(tmp_path)
     assert sorted(actual) == sorted(expected)
     changed = [name for name in expected if actual[name] != expected[name]]
-    assert not changed, f"{len(changed)} outputs changed bytes: {changed[:10]}"
+    # Every synthetic-matrix key rests on numpy's Generator streams, which
+    # numpy does not promise to keep across versions.
+    assert not changed, (
+        f"{len(changed)} outputs changed bytes under numpy {np.__version__}: {changed[:10]}"
+    )
 
 
 if __name__ == "__main__":
