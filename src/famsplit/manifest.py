@@ -196,11 +196,12 @@ def _read_runs(
     A record line is `fields` tab-separated fields, an id and then a suffix,
     ended by "\n" alone: any other line break, such as U+2028, is field text.
     `rule(path, lineno, parts)` checks one line's fields and returns its key.
-    The text is read in chunks of about _POOL_CHUNK characters, each cut at a
-    newline. A chunk whose lines all end in its first line's suffix, as
-    inside a save_pool block or a write_split family run, is one run, taken
-    with one split on that suffix. Any other chunk is read line by line, one
-    run per non-empty line, which reports the first fault by line number.
+    The text is read in chunks of at most about _POOL_CHUNK characters, each
+    cut after its last line that ends in its first line's suffix. A chunk
+    whose lines all end in that suffix, as inside a save_pool block or a
+    write_split family run, is one run, taken with one split on that suffix.
+    Any other chunk is read line by line, one run per non-empty line, which
+    reports the first fault by line number.
     """
     text = path.read_text(encoding="utf-8")
     if not text.endswith("\n"):
@@ -212,16 +213,26 @@ def _read_runs(
             raise PoolError(f"{path}: line {lineno}: expected {fields} fields, got {len(parts)}")
         return parts, rule(path, lineno, parts)
 
-    start, lineno = 0, 1
+    start, lineno, cut_short = 0, 1, False
     while start < len(text):
         end = text.find("\n", start + _POOL_CHUNK) + 1 or len(text)
+        first = text[start : text.index("\n", start)]
+        if first:
+            parts, run_key = key(lineno, first)
+            suffix = first[len(parts[0]) :] + "\n"
+            # Cut after the chunk's last line that ends in the first line's
+            # suffix, so the next chunk starts at the next run. Two chunks in
+            # a row cut below half their window are interleaved runs, whose
+            # cuts would each rescan a window: read that window line by line.
+            cut = text.rfind(suffix, start, end) + len(suffix)
+            was_short, cut_short = cut_short, 2 * (cut - start) < end - start
+            if not (was_short and cut_short):
+                end = cut
         chunk = text[start:end]
         start = end
-        first = chunk[: chunk.index("\n")]
         if first:
             newlines = chunk.count("\n")
-            parts, run_key = key(lineno, first)
-            pieces = chunk.split(first[len(parts[0]) :] + "\n")
+            pieces = chunk.split(suffix)
             # Each suffix match holds one newline, so one piece per newline
             # leaves every line `piece + suffix` and the last piece empty;
             # fields - 1 tabs a line leave none in a piece, and no other

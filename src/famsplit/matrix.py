@@ -21,6 +21,23 @@ from famsplit.families import FAMILY_NAMES
 HEADER_CELL = "family"
 
 
+def _family_index(families: tuple[str, ...]) -> dict[str, int]:
+    """Each family's position; at least two names, none empty, repeated or
+    holding a delimiter."""
+    if len(families) < 2:
+        raise MatrixFormatError(f"need at least 2 families, got {len(families)}")
+    index: dict[str, int] = {}
+    for i, name in enumerate(families):
+        if not name:
+            raise MatrixFormatError(f"empty family name at index {i}")
+        if "," in name or "\n" in name or "\r" in name:
+            raise MatrixFormatError(f"family name {name!r} contains a delimiter")
+        if name in index:
+            raise MatrixFormatError(f"duplicate family name {name!r}")
+        index[name] = i
+    return index
+
+
 @dataclass(frozen=True, eq=False)
 class CrossErrorMatrix:
     """K x K recall grid over an ordered list of unique family names. Two are
@@ -34,18 +51,8 @@ class CrossErrorMatrix:
         families = tuple(self.families)
         object.__setattr__(self, "families", families)
         k = len(families)
-        if k < 2:
-            raise MatrixFormatError(f"need at least 2 families, got {k}")
-        index: dict[str, int] = {}
-        for i, name in enumerate(families):
-            if not name:
-                raise MatrixFormatError(f"empty family name at index {i}")
-            if "," in name or "\n" in name or "\r" in name:
-                raise MatrixFormatError(f"family name {name!r} contains a delimiter")
-            if name in index:
-                raise MatrixFormatError(f"duplicate family name {name!r}")
-            index[name] = i
-        object.__setattr__(self, "_index", index)  # name -> position, for index_of
+        # name -> position, for index_of
+        object.__setattr__(self, "_index", _family_index(families))
         values = np.asarray(self.values, dtype=np.float64)
         if values.shape != (k, k):
             raise MatrixFormatError(
@@ -129,26 +136,40 @@ def load_matrix(path: str | Path) -> CrossErrorMatrix:
     parsed cell by cell, so an error names its first bad cell.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    # read_text turns CRLF and CR into LF, so such a file reads like its LF copy.
+    text = path.read_text(encoding="utf-8")
+    if not text:
         raise MatrixFormatError(f"{path}: empty file")
-    header = lines[0].split(",")
+    if not text.endswith("\n"):
+        text += "\n"  # a last line reads the same with or without its newline
+    # Lines are walked from newline to newline (str.index finds each), so no
+    # list of them is built.
+    pos = text.index("\n") + 1
+    header = text[: pos - 1].split(",")
     if header[0] != HEADER_CELL:
         raise MatrixFormatError(
             f"{path}: line 1 must start with {HEADER_CELL!r}, got {header[0]!r}"
         )
-    families = header[1:]
+    families = tuple(header[1:])
+    try:
+        _family_index(families)
+    except MatrixFormatError as exc:
+        raise MatrixFormatError(f"{path}: line 1: {exc}") from None
     k = len(families)
-    if len(lines) - 1 != k:
+    n_rows, end = 0, pos
+    while end < len(text):
+        end = text.index("\n", end) + 1
+        n_rows += 1
+    if n_rows != k:
         raise MatrixFormatError(
-            f"{path}: header names {k} families but file has {len(lines) - 1} data rows"
+            f"{path}: header names {k} families but file has {n_rows} data rows"
         )
     values = np.empty((k, k), dtype=np.float64)
     parse_fixed_width = _fixed_width_parser(k)
-    for t, line in enumerate(lines[1:], start=2):
-        prefix = families[t - 2] + ","
+    for t, family in enumerate(families, start=2):
+        end = text.index("\n", pos)
+        line, pos = text[pos:end], end + 1
+        prefix = family + ","
         if line.startswith(prefix):
             row = parse_fixed_width(line[len(prefix) :])
             if row is not None:
@@ -159,10 +180,10 @@ def load_matrix(path: str | Path) -> CrossErrorMatrix:
             raise MatrixFormatError(
                 f"{path}: line {t} has {len(cells) - 1} entries, expected {k}"
             )
-        if cells[0] != families[t - 2]:
+        if cells[0] != family:
             raise MatrixFormatError(
                 f"{path}: line {t} row name {cells[0]!r} does not match header "
-                f"name {families[t - 2]!r}"
+                f"name {family!r}"
             )
         row = values[t - 2]
         for v, cell in enumerate(cells[1:]):
@@ -177,7 +198,8 @@ def load_matrix(path: str | Path) -> CrossErrorMatrix:
                     f"{path}: entry {cell} at line {t}, column {v} outside [0, 1]"
                 )
             row[v] = x
-    return CrossErrorMatrix(tuple(families), values)
+    del text  # so the text and the constructor's copy of the grid are never both held
+    return CrossErrorMatrix(families, values)
 
 
 def _canonical_cells(block: np.ndarray) -> np.ndarray:

@@ -41,6 +41,8 @@ _MAX_FAMILIES = 65_536
 # draws, while one that relaxes spends max_attempts draws on each level.
 _FIRST_CHUNK = 64
 _MAX_CHUNK = 4096
+# Cells of |M - tau| that _Band.at compares to a level's bounds at once.
+_BAND_BLOCK_CELLS = 65_536
 
 
 @dataclass(frozen=True)
@@ -152,17 +154,28 @@ class _Band:
             )
         self.m = m
         self.config = config
-        self.dist = np.abs(m.values - config.tau)
+        # In place, so the band holds one K x K array beside the matrix.
+        self.dist = m.values - config.tau
+        np.abs(self.dist, out=self.dist)
         np.fill_diagonal(self.dist, np.inf)
         self._entries = np.empty(0, dtype=np.intp)
         self._ends: list[int] = []
 
     def at(self, level: int) -> np.ndarray:
+        flat = self.dist.ravel()
         while len(self._ends) <= level:
-            joins = self.dist <= _eps_at(self.config, len(self._ends))
-            if self._ends:
-                joins &= self.dist > _eps_at(self.config, len(self._ends) - 1)
-            self._entries = np.concatenate((self._entries, np.flatnonzero(joins)))
+            r = len(self._ends)
+            hi = _eps_at(self.config, r)
+            lo = _eps_at(self.config, r - 1) if r else -1.0  # dist >= 0
+            # A block of cells at a time, so no K x K mask is held beside dist.
+            # A block's indices wait as uint32 (K * K <= 2**32), so the level's
+            # new entries are held at 4 bytes, not 8, while they are joined.
+            joins = [self._entries]
+            for start in range(0, flat.size, _BAND_BLOCK_CELLS):
+                block = flat[start : start + _BAND_BLOCK_CELLS]
+                in_level = np.flatnonzero((block <= hi) & (block > lo))
+                joins.append(in_level.astype(np.uint32) + start)
+            self._entries = np.concatenate(joins, dtype=np.intp)
             self._ends.append(len(self._entries))
         return self._entries[: self._ends[level]]
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,21 @@ def make_matrix(values, families=None) -> CrossErrorMatrix:
     if families is None:
         families = tuple(f"fam{i:02d}" for i in range(grid.shape[0]))
     return CrossErrorMatrix(tuple(families), grid)
+
+
+def traced_peak(fn):
+    """fn()'s result and the most bytes it held at once, by tracemalloc.
+
+    numpy reports its array buffers to tracemalloc, so arrays count too.
+    """
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def constant_matrix(k: int, value: float, diag: float = 1.0) -> CrossErrorMatrix:

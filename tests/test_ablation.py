@@ -15,8 +15,9 @@ from famsplit.ablation import (
     selection_curve,
 )
 from famsplit.errors import MatrixFormatError
+from famsplit.matrix import synth_matrix
 
-from conftest import constant_matrix, make_matrix
+from conftest import constant_matrix, make_matrix, traced_peak
 
 
 # Reference row mean: the per-row library function that `_row_means`
@@ -179,3 +180,10 @@ def test_row_means_match_on_dense_random_matrices(k) -> None:
     m = make_matrix(np.random.default_rng(k).random((k, k)))
     reference = [reference_row_mean_recall(m, t) for t in range(m.k)]
     assert list(map(float.hex, _row_means(m))) == list(map(float.hex, reference))
+
+
+def test_row_means_copy_a_block_of_rows_at_a_time() -> None:
+    m = synth_matrix(400, seed=1)
+    means, peak = traced_peak(lambda: _row_means(m))
+    assert len(means) == m.k
+    assert peak <= m.values.nbytes // 4

@@ -1146,16 +1146,15 @@ def spy_rule(monkeypatch, name: str) -> list[tuple[Path, int]]:
     return calls
 
 
-def most_rule_calls(path: Path, line_loop_chunks: int) -> int:
-    """Most rule calls `_read_runs` makes on `path` if only this many chunks go to the line loop.
+def most_rule_calls(path: Path) -> int:
+    """Most rule calls `_read_runs` makes on `path` if no chunk reaches the line loop.
 
-    A chunk read as one run checks its first line; a chunk sent to the line
-    loop checks that line once more and then every line it holds.
+    A chunk read as one run checks only its first line. Each chunk ends at a
+    run boundary or holds more than _POOL_CHUNK characters, but for the last.
     """
-    lines = path.read_text(encoding="utf-8").splitlines()
-    chunks = path.stat().st_size // manifest._POOL_CHUNK + 1
-    lines_per_chunk = (manifest._POOL_CHUNK + max(map(len, lines))) // min(map(len, lines)) + 1
-    return chunks + line_loop_chunks * (lines_per_chunk + 1)
+    suffixes = [line[line.index("\t") :] for line in path.read_text(encoding="utf-8").splitlines()]
+    boundaries = sum(a != b for a, b in zip(suffixes, suffixes[1:]))
+    return path.stat().st_size // manifest._POOL_CHUNK + 1 + boundaries
 
 
 def test_load_pool_reads_canonical_blocks_without_the_line_loop(tmp_path, monkeypatch) -> None:
@@ -1171,8 +1170,8 @@ def test_load_pool_reads_canonical_blocks_without_the_line_loop(tmp_path, monkey
         calls.clear()
         loaded = load_pool(copy)
         assert pool_outcome(lambda _: loaded, path) == pool_outcome(reference_load_pool, path)
-        # Only the chunks that straddle one of the four block boundaries.
-        assert len(calls) <= most_rule_calls(path, 4)
+        # No chunk straddles one of the four block boundaries.
+        assert len(calls) <= most_rule_calls(path)
 
 
 def test_read_split_reads_family_runs_without_the_line_loop(tmp_path, monkeypatch) -> None:
@@ -1184,8 +1183,8 @@ def test_read_split_reads_family_runs_without_the_line_loop(tmp_path, monkeypatc
     for name in ("train", "test"):
         path = tmp_path / f"{name}.tsv"
         assert path.stat().st_size > 6 * manifest._POOL_CHUNK
-        # Two families then benign: one chunk at most per run boundary.
-        assert sum(called == path for called, _ in calls) <= most_rule_calls(path, 2)
+        # Two families then benign: no chunk straddles a run boundary.
+        assert sum(called == path for called, _ in calls) <= most_rule_calls(path)
 
 
 # Runs of 0 to 4 records, so adjacent runs of one family and empty runs are common.

@@ -22,12 +22,12 @@ from famsplit.matrix import (
     synth_structure,
 )
 
-from conftest import constant_matrix, make_matrix
+from conftest import constant_matrix, make_matrix, traced_peak
 
 
-# Reference loader and writer: the cell-at-a-time implementations, kept
-# unchanged so the fixed-width ones can be required to give exactly their
-# bytes, values, error types and messages.
+# Reference loader and writer: the cell-at-a-time implementations, kept so
+# the fixed-width ones can be required to give exactly their bytes, values,
+# error types and messages.
 def reference_load_matrix(path: str | Path) -> CrossErrorMatrix:
     """Parse a matrix CSV (header line + one row per family)."""
     path = Path(path)
@@ -43,6 +43,10 @@ def reference_load_matrix(path: str | Path) -> CrossErrorMatrix:
             f"{path}: line 1 must start with {HEADER_CELL!r}, got {header[0]!r}"
         )
     families = header[1:]
+    try:  # the header's names, as the constructor checks them, before the rows
+        CrossErrorMatrix(tuple(families), np.zeros((len(families), len(families))))
+    except MatrixFormatError as exc:
+        raise MatrixFormatError(f"{path}: line 1: {exc}") from None
     k = len(families)
     if len(lines) - 1 != k:
         raise MatrixFormatError(
@@ -384,6 +388,12 @@ def test_synth_matrix_saved_twice_is_byte_identical(tmp_path) -> None:
         ("family,a,b\na,0.5,-0.1\nb,0.5,0.5\n", "outside [0, 1]"),
         ("family,a,a\na,0.5,0.5\na,0.5,0.5\n", "duplicate family name"),
         ("family,a,\na,0.5,0.5\n,0.5,0.5\n", "empty family name"),
+        # A bad header names the file and line 1, and is found before the
+        # row count and the rows are checked.
+        ("family,b,a,b\nb,0.5,0.5,0.5\n", "bad.csv: line 1: duplicate family name 'b'"),
+        ("family,,a\n,0.5,oops\na,0.5,0.5\n", "bad.csv: line 1: empty family name at index 0"),
+        ("family,a\na,1.0\n", "bad.csv: line 1: need at least 2 families, got 1"),
+        ("family\n", "bad.csv: line 1: need at least 2 families, got 0"),
         ("family,a,b\na,0.5,oops\nb,0.5,0.5\n", "unparseable number 'oops' at line 2, column 1"),
         ("families,a,b\na,0.5,0.5\nb,0.5,0.5\n", "line 1 must start with"),
         ("family,a,b\nb,0.5,0.5\na,0.5,0.5\n", "does not match header"),
@@ -396,6 +406,19 @@ def test_load_rejects_malformed_files(tmp_path, text: str, fragment: str) -> Non
     with pytest.raises(MatrixFormatError) as err:
         load_matrix(path)
     assert fragment in str(err.value)
+
+
+def test_load_holds_the_file_or_two_grids_at_once(tmp_path) -> None:
+    # read_text holds the file's bytes and its text, the parse holds the text
+    # and the grid, and the constructor holds the grid and its copy. No list
+    # of lines is built, and the text is dropped before the copy is made.
+    k = 400
+    path = tmp_path / "m.csv"
+    save_matrix(synth_matrix(k, seed=1), path)
+    size, grid = path.stat().st_size, k * k * 8
+    loaded, peak = traced_peak(lambda: load_matrix(path))
+    assert loaded.k == k
+    assert peak <= max(2 * size, size + grid, 2 * grid) + grid // 20
 
 
 def test_constructor_rejects_bad_grids() -> None:

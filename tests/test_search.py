@@ -28,7 +28,7 @@ from famsplit.search import (
 )
 from famsplit.search import _Band, _stream_words
 
-from conftest import constant_matrix, make_matrix
+from conftest import constant_matrix, make_matrix, traced_peak
 
 
 def split_max_deviation(m: CrossErrorMatrix, spec: SplitSpec) -> float:
@@ -257,6 +257,31 @@ def test_family_limit_keeps_every_candidate_count_below_2_to_the_32() -> None:
     too_many = SimpleNamespace(k=_MAX_FAMILIES + 1)  # no 65,537-wide matrix is built
     with pytest.raises(InfeasibleSearchError, match="at most 65536 families, matrix has 65537"):
         _Band(too_many, SearchConfig(tau=0.5))
+
+
+def test_band_holds_one_grid_beside_the_matrix() -> None:
+    m = synth_matrix(400, seed=1)
+    _, peak = traced_peak(lambda: _Band(m, SearchConfig(tau=0.5)))
+    assert peak <= m.values.nbytes + m.values.nbytes // 20
+
+
+def test_band_levels_read_in_blocks_are_the_levels_of_one_mask(monkeypatch) -> None:
+    # Blocks of 7 cells end mid-row, so every row straddles a block edge.
+    monkeypatch.setattr(search, "_BAND_BLOCK_CELLS", 7)
+    m = synth_matrix(40, seed=3)
+    config = SearchConfig(tau=0.5, epsilon0=0.02, step=0.03)
+    band = _Band(m, config)
+    dist = np.abs(m.values - config.tau)
+    np.fill_diagonal(dist, np.inf)
+    expected: list[int] = []
+    for level in range(20):
+        eps = config.epsilon0 + config.step * level
+        joins = dist <= eps
+        if level:
+            joins &= dist > config.epsilon0 + config.step * (level - 1)
+        expected += np.flatnonzero(joins).tolist()
+        assert band.at(level).tolist() == expected
+    assert len(expected) == 40 * 39  # the last levels hold every off-diagonal entry
 
 
 @pytest.mark.parametrize("matrix_seed", [1, 2, 7])
