@@ -95,35 +95,65 @@ class CrossErrorMatrix:
 # A canonical cell is the 8 bytes ``d.dddddd`` and its separator. Less
 # _CELL_ZERO, each byte must be at most _CELL_SPAN at its position (uint8
 # arithmetic wraps a byte below its base to a large value), and the cell's
-# value is those differences dotted with _CELL_WEIGHTS, over 1e6.
+# value is its seven digits (_CELL_DIGITS) read as an integer, over 1e6.
 _CELL_ZERO = np.frombuffer(b"0.000000,", dtype=np.uint8)
 _CELL_SPAN = np.array([9, 0, 9, 9, 9, 9, 9, 9, 0], dtype=np.uint8)
-_CELL_WEIGHTS = np.array([1e6, 0.0, 1e5, 1e4, 1e3, 1e2, 1e1, 1.0, 0.0])
-# Cells per block of rows that save_matrix formats at once, so its digit
-# buffer stays small next to the matrix.
-_SAVE_BLOCK_CELLS = 65_536
+_CELL_DIGITS = np.dtype(
+    {
+        "names": ["d0", "d2", "d3", "d4", "d5", "d6", "d7"],
+        "formats": ["u1"] * 7,
+        "offsets": [0, 2, 3, 4, 5, 6, 7],
+        "itemsize": 9,
+    }
+)
+# save_matrix writes a cell n = rint(v * 1e6) as _CELL_HEAD[n // 1000], the
+# bytes ``d.ddd`` at offsets 0-4, plus _CELL_TAIL[n % 1000], ``ddd`` at 5-7:
+# each entry is the integer whose little-endian bytes are its text, and a
+# little-endian record holds it, so the bytes are the same on any host.
+_CELL_TEXT = np.dtype({"names": ["text", "sep"], "formats": ["<u8", "u1"], "itemsize": 9})
+_CELL_HEAD = np.array(
+    [int.from_bytes(b"%d.%03d" % divmod(q, 1000), "little") for q in range(1001)],
+    dtype=np.uint64,
+)
+_CELL_TAIL = np.array(
+    [int.from_bytes(b"\0" * 5 + b"%03d" % r, "little") for r in range(1000)], dtype=np.uint64
+)
+# Cells per block of rows that load_matrix parses and save_matrix formats at
+# once, so their buffers stay small next to the matrix.
+_LOAD_BLOCK_CELLS = 8_192
+_SAVE_BLOCK_CELLS = 16_384
 
 
-def _fixed_width_parser(k: int) -> Callable[[str], np.ndarray | None]:
-    """A parser for the cells of a row of K canonical ``d.dddddd`` values in
-    [0, 1]; it returns None for a row in any other spelling.
+def _block_parser(k: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """A parser for blocks of rows of K canonical ``d.dddddd`` cells in [0, 1].
+
+    It takes a (rows, 9K) uint8 block, each row its cells' bytes with a 0 in
+    place of the last separator, and the (rows, K) float64 rows to fill. It
+    returns which rows are in any other spelling; their values are
+    meaningless. The block is overwritten.
 
     Each value is its 7-digit integer over 1e6: both are exact and the
     division is correctly rounded, so it is bit-equal to ``float(cell)``.
     """
     zero = np.tile(_CELL_ZERO, k)
+    zero[-1] = 0
     span = np.tile(_CELL_SPAN, k)
 
-    def parse(cells: str) -> np.ndarray | None:
-        if len(cells) != 9 * k - 1 or not cells.isascii():
-            return None
-        offsets = np.frombuffer((cells + ",").encode("ascii"), dtype=np.uint8) - zero
-        if (offsets > span).any():
-            return None
-        scaled = offsets.astype(np.float64).reshape(k, 9) @ _CELL_WEIGHTS
-        if scaled.max() > 1e6:
-            return None
-        return scaled / 1e6
+    def parse(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.subtract(block, zero, out=block)
+        digits = block.reshape(-1).view(_CELL_DIGITS)
+        scaled = digits["d0"].astype(np.int32)  # any 7 bytes stay below 2**31
+        for name in _CELL_DIGITS.names[1:]:
+            scaled *= 10
+            scaled += digits[name]
+        scaled = scaled.reshape(out.shape)
+        out[...] = scaled  # np.divide would buffer its int32 -> float64 cast
+        out /= 1e6
+        # Now that the digits are read, a byte over its span is one that
+        # max(byte, span) ^ span leaves nonzero.
+        np.maximum(block, span, out=block)
+        np.bitwise_xor(block, span, out=block)
+        return (block.max(axis=1) > 0) | (scaled.max(axis=1) > 1_000_000)
 
     return parse
 
@@ -131,21 +161,29 @@ def _fixed_width_parser(k: int) -> Callable[[str], np.ndarray | None]:
 def load_matrix(path: str | Path) -> CrossErrorMatrix:
     """Parse a matrix CSV (header line + one row per family).
 
-    Cells use Python ``float()`` syntax. A row in the canonical form that
-    ``save_matrix`` writes is read as one digit array; any other row is
-    parsed cell by cell, so an error names its first bad cell.
+    Cells use Python ``float()`` syntax. Rows in the canonical form that
+    ``save_matrix`` writes are read a block at a time as digit arrays; any
+    other row is parsed cell by cell, so an error names its first bad cell.
     """
     path = Path(path)
-    # read_text turns CRLF and CR into LF, so such a file reads like its LF copy.
-    text = path.read_text(encoding="utf-8")
-    if not text:
+    data = path.read_bytes()
+    if not data.isascii():
+        data.decode("utf-8")  # raises read_text's UnicodeDecodeError, at its position
+    if b"\r" in data:
+        # read_text's newline translation. No UTF-8 character holds a 0x0D byte.
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data:
         raise MatrixFormatError(f"{path}: empty file")
-    if not text.endswith("\n"):
-        text += "\n"  # a last line reads the same with or without its newline
-    # Lines are walked from newline to newline (str.index finds each), so no
-    # list of them is built.
-    pos = text.index("\n") + 1
-    header = text[: pos - 1].split(",")
+    size = len(data)
+
+    def line_end(start: int) -> int:
+        """Where the line at `start` ends: its LF, or the end of the file."""
+        end = data.find(b"\n", start)
+        return size if end < 0 else end
+
+    # Lines are walked from newline to newline, so no list of them is built.
+    pos = line_end(0) + 1
+    header = data[: pos - 1].decode("utf-8").split(",")
     if header[0] != HEADER_CELL:
         raise MatrixFormatError(
             f"{path}: line 1 must start with {HEADER_CELL!r}, got {header[0]!r}"
@@ -156,80 +194,100 @@ def load_matrix(path: str | Path) -> CrossErrorMatrix:
     except MatrixFormatError as exc:
         raise MatrixFormatError(f"{path}: line 1: {exc}") from None
     k = len(families)
-    n_rows, end = 0, pos
-    while end < len(text):
-        end = text.index("\n", end) + 1
+    n_rows, start = 0, pos
+    while start < size:
+        start = line_end(start) + 1
         n_rows += 1
     if n_rows != k:
         raise MatrixFormatError(
             f"{path}: header names {k} families but file has {n_rows} data rows"
         )
     values = np.empty((k, k), dtype=np.float64)
-    parse_fixed_width = _fixed_width_parser(k)
-    for t, family in enumerate(families, start=2):
-        end = text.index("\n", pos)
-        line, pos = text[pos:end], end + 1
-        prefix = family + ","
-        if line.startswith(prefix):
-            row = parse_fixed_width(line[len(prefix) :])
-            if row is not None:
-                values[t - 2] = row
-                continue
-        cells = line.split(",")
-        if len(cells) != k + 1:
-            raise MatrixFormatError(
-                f"{path}: line {t} has {len(cells) - 1} entries, expected {k}"
-            )
-        if cells[0] != family:
-            raise MatrixFormatError(
-                f"{path}: line {t} row name {cells[0]!r} does not match header "
-                f"name {family!r}"
-            )
-        row = values[t - 2]
-        for v, cell in enumerate(cells[1:]):
-            try:
-                x = float(cell)
-            except ValueError:
+    parse_block = _block_parser(k)
+    width = 9 * k
+    block = np.zeros((max(1, min(k, _LOAD_BLOCK_CELLS // k)), width), dtype=np.uint8)
+    block_bytes, file_bytes = memoryview(block).cast("B"), memoryview(data)
+    for first in range(0, k, len(block)):
+        # Copy each row that has a canonical row's length and name into the
+        # block; mark the others with a byte no canonical cell holds.
+        lines = []
+        for i, family in enumerate(families[first : first + len(block)]):
+            end = line_end(pos)
+            prefix = family.encode("utf-8") + b","
+            cells = pos + len(prefix)
+            if end - cells == width - 1 and data.startswith(prefix, pos):
+                block_bytes[i * width : (i + 1) * width - 1] = file_bytes[cells:end]
+            else:
+                block[i, 0] = 0xFF
+            lines.append((pos, end))
+            pos = end + 1
+        rejected = parse_block(block[: len(lines)], values[first : first + len(lines)])
+        for i in np.flatnonzero(rejected):  # in line order, so the first bad row raises
+            start, end = lines[i]
+            t, family = first + int(i) + 2, families[first + i]
+            cells = data[start:end].decode("utf-8").split(",")
+            if len(cells) != k + 1:
                 raise MatrixFormatError(
-                    f"{path}: unparseable number {cell!r} at line {t}, column {v}"
-                ) from None
-            if not 0.0 <= x <= 1.0:
-                raise MatrixFormatError(
-                    f"{path}: entry {cell} at line {t}, column {v} outside [0, 1]"
+                    f"{path}: line {t} has {len(cells) - 1} entries, expected {k}"
                 )
-            row[v] = x
-    del text  # so the text and the constructor's copy of the grid are never both held
+            if cells[0] != family:
+                raise MatrixFormatError(
+                    f"{path}: line {t} row name {cells[0]!r} does not match header "
+                    f"name {family!r}"
+                )
+            row = values[t - 2]
+            for v, cell in enumerate(cells[1:]):
+                try:
+                    x = float(cell)
+                except ValueError:
+                    raise MatrixFormatError(
+                        f"{path}: unparseable number {cell!r} at line {t}, column {v}"
+                    ) from None
+                if not 0.0 <= x <= 1.0:
+                    raise MatrixFormatError(
+                        f"{path}: entry {cell} at line {t}, column {v} outside [0, 1]"
+                    )
+                row[v] = x
+    # So the file's bytes and the constructor's copy of the grid are never both held.
+    del file_bytes, data
     return CrossErrorMatrix(families, values)
 
 
-def _canonical_cells(block: np.ndarray) -> np.ndarray:
-    """The canonical ``d.dddddd`` cells of a block of rows as a (rows, K, 9)
-    byte array, each row ending in LF. Every value is on the 1e-6 grid, so
-    its digits are those of the integer n = rint(v * 1e6).
+def _format_cells(block: np.ndarray, cells: np.ndarray) -> None:
+    """Write the canonical text of a block of rows into `cells`, a block of
+    _CELL_TEXT records. Every value is on the 1e-6 grid, so its digits are
+    those of the integer n = rint(v * 1e6).
     """
-    n = np.rint(block * 1e6).astype(np.int32)
-    text = np.empty(block.shape + (9,), dtype=np.uint8)
-    for j in range(7, 1, -1):
-        n, digit = np.divmod(n, 10)
-        text[..., j] = digit + ord("0")
-    text[..., 0] = n + ord("0")
-    text[..., 1] = ord(".")
-    text[..., 8] = ord(",")
-    text[:, -1, 8] = ord("\n")
-    return text
+    scaled = np.multiply(block, 1e6)
+    n = np.rint(scaled, out=np.empty(block.shape, dtype=np.int32), casting="unsafe")
+    head = np.empty_like(n)
+    np.divmod(n, 1000, out=(head, n))
+    text = scaled.view(np.uint64)  # scaled's buffer, no longer needed
+    np.take(_CELL_HEAD, head, out=text, mode="clip")
+    cells["text"] = text
+    np.take(_CELL_TAIL, n, out=text, mode="clip")
+    cells["text"] |= text
 
 
 def save_matrix(m: CrossErrorMatrix, path: str | Path) -> None:
     """Write the canonical CSV form (fixed 6-digit decimals, LF newlines)."""
     path = Path(path)
-    block_rows = max(1, _SAVE_BLOCK_CELLS // m.k)
+    rows = min(m.k, max(1, _SAVE_BLOCK_CELLS // m.k))
+    cells = np.empty((rows, m.k), dtype=_CELL_TEXT)
+    cells["sep"] = ord(",")
+    cells["sep"][:, -1] = ord("\n")
+    cell_bytes = memoryview(cells.view(np.uint8).reshape(-1))
+    width = 9 * m.k
     with path.open("wb") as out:
         out.write((",".join((HEADER_CELL, *m.families)) + "\n").encode("utf-8"))
-        for start in range(0, m.k, block_rows):
-            text = _canonical_cells(m.values[start : start + block_rows])
-            for family, row_text in zip(m.families[start:], text):
-                out.write(f"{family},".encode("utf-8"))
-                out.write(row_text.tobytes())
+        for first in range(0, m.k, rows):
+            block = m.values[first : first + rows]
+            _format_cells(block, cells[: len(block)])
+            parts = []
+            for i, family in enumerate(m.families[first : first + len(block)]):
+                parts += (f"{family},".encode("utf-8"), cell_bytes[i * width : (i + 1) * width])
+            out.write(b"".join(parts))
+            del parts  # so the next block is formatted without this one's row objects
 
 
 # The synthetic recipe. Off-diagonal entries follow a noisy rank-one model: a

@@ -13,6 +13,7 @@ from famsplit import matrix
 from famsplit.ablation import _row_means
 from famsplit.errors import MatrixFormatError
 from famsplit.matrix import (
+    _LOAD_BLOCK_CELLS,
     _SAVE_BLOCK_CELLS,
     HEADER_CELL,
     CrossErrorMatrix,
@@ -155,9 +156,9 @@ def test_save_load_save_is_byte_exact_and_matches_reference(tmp_path_factory, gr
     )
 
 
-# The "\r\n" cases check that CRLF files load like LF ones. read_text translates
-# CRLF to LF, so their rows reach load_matrix as LF text: canonical rows take
-# the fixed-width path and the rest are parsed cell by cell, as in an LF file.
+# The "\r\n" cases check that CRLF files load like LF ones. load_matrix
+# translates CRLF to LF on the file's bytes, as read_text does: canonical rows
+# take the fixed-width path and the rest are parsed cell by cell, as in an LF file.
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(k=st.integers(2, 12), data=st.data(), newline=st.sampled_from(["\n", "\r\n"]))
 def test_load_matches_reference_on_valid_spellings(tmp_path_factory, k, data, newline) -> None:
@@ -246,19 +247,19 @@ def test_crlf_rows_take_the_fixed_width_path(tmp_path, monkeypatch) -> None:
     crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
     expected = load_matrix(lf)
     fixed_width = []
-    fixed_width_parser = matrix._fixed_width_parser
+    block_parser = matrix._block_parser
 
     def spy(k: int):
-        parse = fixed_width_parser(k)
+        parse = block_parser(k)
 
-        def parse_and_record(cells: str):
-            row = parse(cells)
-            fixed_width.append(row is not None)
-            return row
+        def parse_and_record(block, out):
+            rejected = parse(block, out)
+            fixed_width.extend((~rejected).tolist())
+            return rejected
 
         return parse_and_record
 
-    monkeypatch.setattr(matrix, "_fixed_width_parser", spy)
+    monkeypatch.setattr(matrix, "_block_parser", spy)
     loaded = load_matrix(crlf)
     assert loaded.families == expected.families
     assert np.array_equal(loaded.values, expected.values)
@@ -291,6 +292,153 @@ def test_save_matches_reference_across_row_blocks(tmp_path) -> None:
     assert load_outcome(load_matrix, tmp_path / "a.csv") == load_outcome(
         reference_load_matrix, tmp_path / "a.csv"
     )
+
+
+# A matrix spanning several of load_matrix's parse blocks, ending in a
+# partial one, so row edits can sit at a block's first and last row.
+BLOCK_K = 300
+BLOCK_ROWS = _LOAD_BLOCK_CELLS // BLOCK_K
+LAST_BLOCK = BLOCK_K - BLOCK_K % BLOCK_ROWS
+
+
+def block_file_lines(families: tuple[str, ...] | None = None) -> list[bytes]:
+    """The lines of a canonical BLOCK_K file, spelled as the reference writer spells them."""
+    m = make_matrix(np.random.default_rng(8).uniform(0.0, 1.0, (BLOCK_K, BLOCK_K)), families)
+    lines = [",".join((HEADER_CELL, *m.families)).encode("utf-8")]
+    for family, row in zip(m.families, m.values):
+        lines.append(",".join((family, *(f"{x:.6f}" for x in row))).encode("utf-8"))
+    return lines
+
+
+def respell(line: bytes, cell: int, text: str) -> bytes:
+    cells = line.split(b",")
+    cells[cell + 1] = text.encode("utf-8")
+    return b",".join(cells)
+
+
+def repr_row(line: bytes) -> bytes:
+    name, *cells = line.split(b",")
+    return b",".join((name, *(repr(float(c)).encode("ascii") for c in cells)))
+
+
+def edit_rows(edits: dict[int, object]):
+    """An edit that replaces data row t's line by change(line), for each (t, change)."""
+
+    def edit(lines: list[bytes]) -> bytes:
+        for t, change in edits.items():
+            lines[t + 1] = change(lines[t + 1])
+        return b"\n".join(lines) + b"\n"
+
+    return edit
+
+
+def whole_file(change):
+    return lambda lines: change(b"\n".join(lines) + b"\n")
+
+
+BLOCK_EDGES = (BLOCK_ROWS, 2 * BLOCK_ROWS - 1, LAST_BLOCK, BLOCK_K - 1)
+# Edits of a canonical BLOCK_K file, each with whether the file still loads.
+BLOCK_FILE_EDITS = {
+    "canonical": (edit_rows({}), True),
+    "repr rows at block edges": (edit_rows({t: repr_row for t in BLOCK_EDGES}), True),
+    "short cell at block edges": (
+        edit_rows({t: lambda line: respell(line, 5, "0.5") for t in BLOCK_EDGES}),
+        True,
+    ),
+    **{
+        f"bad cell in row {t}": (edit_rows({t: lambda line: respell(line, 7, "oops")}), False)
+        for t in (*BLOCK_EDGES, LAST_BLOCK + 1)
+    },
+    "value over 1 in the first row of a block": (
+        edit_rows({BLOCK_ROWS: lambda line: respell(line, 0, "1.000001")}),
+        False,
+    ),
+    "two faulty rows in one block": (
+        edit_rows(
+            {
+                BLOCK_ROWS + 2: lambda line: respell(line, BLOCK_K - 1, "2.000000"),
+                BLOCK_ROWS + 5: lambda line: line.rsplit(b",", 1)[0],
+            }
+        ),
+        False,
+    ),
+    "repr row before a faulty row in one block": (
+        edit_rows({BLOCK_ROWS + 1: repr_row, BLOCK_ROWS + 3: lambda line: b"x" + line}),
+        False,
+    ),
+    "faulty rows in two blocks": (
+        edit_rows(
+            {LAST_BLOCK - 1: lambda line: line + b",0.5", LAST_BLOCK: lambda line: b"x" + line}
+        ),
+        False,
+    ),
+    "invalid UTF-8 in a row": (
+        edit_rows({100: lambda line: line[:-3] + b"\xff" + line[-2:]}),
+        False,
+    ),
+    "invalid UTF-8 in the header": (
+        lambda lines: b"\n".join((lines[0] + b"\xc3(", *lines[1:])) + b"\n",
+        False,
+    ),
+    "truncated UTF-8 at the end": (whole_file(lambda data: data + b"\xe5\xae"), False),
+    "lone CR line ends": (whole_file(lambda data: data.replace(b"\n", b"\r")), True),
+    "mixed line ends": (
+        lambda lines: b"".join(
+            line + (b"\r\n", b"\r", b"\n")[i % 3] for i, line in enumerate(lines)
+        ),
+        True,
+    ),
+    "BOM": (whole_file(lambda data: b"\xef\xbb\xbf" + data), False),
+    "no final newline": (whole_file(lambda data: data[:-1]), True),
+    "no final newline on a repr row": (
+        lambda lines: b"\n".join((*lines[:-1], repr_row(lines[-1]))),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "edit, loads", BLOCK_FILE_EDITS.values(), ids=BLOCK_FILE_EDITS.keys()
+)
+def test_load_matches_reference_across_parse_blocks(tmp_path, edit, loads: bool) -> None:
+    assert BLOCK_ROWS > 5 and BLOCK_K % BLOCK_ROWS > 1
+    path = tmp_path / "m.csv"
+    path.write_bytes(edit(block_file_lines()))
+    outcome = load_outcome(load_matrix, path)
+    assert isinstance(outcome[1], bytes) == loads
+    assert outcome == load_outcome(reference_load_matrix, path)
+
+
+def test_non_ascii_names_take_the_fixed_width_path_across_blocks(tmp_path, monkeypatch) -> None:
+    families = tuple(f"famille\u00e9{i}" if i % 2 else f"\u5bb6{i}" for i in range(BLOCK_K))
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"\n".join(block_file_lines(families)) + b"\n")
+    fixed_width = []
+    block_parser = matrix._block_parser
+
+    def spy(k: int):
+        parse = block_parser(k)
+
+        def parse_and_record(block, out):
+            rejected = parse(block, out)
+            fixed_width.extend((~rejected).tolist())
+            return rejected
+
+        return parse_and_record
+
+    monkeypatch.setattr(matrix, "_block_parser", spy)
+    outcome = load_outcome(load_matrix, path)
+    assert outcome[0] == families
+    assert outcome == load_outcome(reference_load_matrix, path)
+    assert fixed_width == [True] * BLOCK_K
+
+
+@pytest.mark.parametrize("k", [184, 400, 1000])
+def test_save_holds_at_most_36_bytes_per_cell_of_a_block(tmp_path, k) -> None:
+    m = synth_matrix(k, seed=1)
+    block_cells = min(k, max(1, _SAVE_BLOCK_CELLS // k)) * k
+    _, peak = traced_peak(lambda: save_matrix(m, tmp_path / "m.csv"))
+    assert peak <= 36 * block_cells
 
 
 def test_round_trip_with_non_ascii_family_names(tmp_path) -> None:
