@@ -98,9 +98,11 @@ def validate_split(
     m: CrossErrorMatrix, spec: SplitSpec, split_index: int, agg: Aggregation = "mean"
 ) -> SplitValidation:
     per_family = surrogate_recalls(m, spec.train_families, spec.test_families, agg)
-    lo = spec.tau - spec.epsilon_final
-    hi = spec.tau + spec.epsilon_final
-    flagged = tuple(v for v, r in per_family.items() if not lo <= r <= hi)
+    # The search's band test, |r - tau| <= epsilon, so no recall the search
+    # would leave out passes.
+    flagged = tuple(
+        v for v, r in per_family.items() if not abs(r - spec.tau) <= spec.epsilon_final
+    )
     return SplitValidation(
         split_index=split_index,
         epsilon_final=spec.epsilon_final,

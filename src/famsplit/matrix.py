@@ -9,9 +9,11 @@ A matrix holds each value on the 1e-6 grid that its CSV stores.
 
 from __future__ import annotations
 
+import codecs
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -48,28 +50,41 @@ class CrossErrorMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        self._settle(np.array)  # a copy, which is then rounded in place
+
+    @classmethod
+    def _owning(cls, families: tuple[str, ...], values: np.ndarray) -> CrossErrorMatrix:
+        """The matrix of `values`, a float64 grid that nothing else holds: it is
+        checked and rounded in place, not copied."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "families", families)
+        object.__setattr__(m, "values", values)
+        m._settle(np.asarray)
+        return m
+
+    def _settle(self, as_grid: Callable[..., np.ndarray]) -> None:
         families = tuple(self.families)
         object.__setattr__(self, "families", families)
         k = len(families)
         # name -> position, for index_of
         object.__setattr__(self, "_index", _family_index(families))
-        values = np.asarray(self.values, dtype=np.float64)
+        values = as_grid(self.values, dtype=np.float64)
         if values.shape != (k, k):
             raise MatrixFormatError(
                 f"value grid is {values.shape}, expected ({k}, {k}) for {k} families"
             )
-        if not np.all(np.isfinite(values)):
-            t, v = map(int, np.argwhere(~np.isfinite(values))[0])
-            raise MatrixFormatError(f"non-finite entry at row {t}, column {v}")
-        if np.any(values < 0.0) or np.any(values > 1.0):
-            bad = np.argwhere((values < 0.0) | (values > 1.0))[0]
-            t, v = int(bad[0]), int(bad[1])
+        # min and max are NaN if any entry is, so one comparison clears every check.
+        if not 0.0 <= values.min() <= values.max() <= 1.0:
+            if not np.all(np.isfinite(values)):
+                t, v = map(int, np.argwhere(~np.isfinite(values))[0])
+                raise MatrixFormatError(f"non-finite entry at row {t}, column {v}")
+            t, v = map(int, np.argwhere((values < 0.0) | (values > 1.0))[0])
             raise MatrixFormatError(
                 f"entry {values[t, v]} at row {t}, column {v} outside [0, 1]"
             )
         # Hold the 1e-6 grid the CSV stores: the nearest multiple of 1e-6, ties
         # to even, and +0.0 for -0.0, so a saved and reloaded matrix is this one.
-        values = np.multiply(values, 1e6)
+        values *= 1e6
         np.rint(values, out=values)
         values /= 1e6
         values += 0.0
@@ -118,9 +133,12 @@ _CELL_HEAD = np.array(
 _CELL_TAIL = np.array(
     [int.from_bytes(b"\0" * 5 + b"%03d" % r, "little") for r in range(1000)], dtype=np.uint64
 )
-# Cells per block of rows that load_matrix parses and save_matrix formats at
-# once, so their buffers stay small next to the matrix.
+# load_matrix reads the file 9 * _LOAD_BLOCK_CELLS bytes at a time, about
+# the canonical rows of _LOAD_BLOCK_CELLS cells, and checks non-ASCII bytes as
+# UTF-8 _UTF8_SLICE_BYTES at a time; save_matrix formats _SAVE_BLOCK_CELLS
+# cells at once. So their buffers stay small next to the matrix.
 _LOAD_BLOCK_CELLS = 8_192
+_UTF8_SLICE_BYTES = 4_096
 _SAVE_BLOCK_CELLS = 16_384
 
 
@@ -158,99 +176,169 @@ def _block_parser(k: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     return parse
 
 
+def _decodes(decoder: codecs.IncrementalDecoder, data: memoryview, final: bool) -> bool:
+    """Whether `decoder` takes `data` as UTF-8, a slice of _UTF8_SLICE_BYTES at
+    a time so no decoded text beyond a slice is held; `final` if no bytes follow."""
+    try:
+        for i in range(0, len(data), _UTF8_SLICE_BYTES):
+            decoder.decode(data[i : i + _UTF8_SLICE_BYTES])
+        decoder.decode(b"", final)
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _line_runs(path: Path) -> Iterator[tuple[bytearray, int]]:
+    """The file's bytes as runs of whole lines, each `(buffer, n)` with the run
+    in buffer[:n]; every run but the last ends at a LF.
+
+    One buffer of 9 * _LOAD_BLOCK_CELLS bytes serves every run, and grows
+    only to hold a longer line. CRLF and lone CR line ends become LF, as
+    read_text makes them. Each byte is checked as UTF-8 before its run is
+    given out; a bad file raises read_text's UnicodeDecodeError, position
+    included, by decoding the whole file once.
+    """
+    buf = bytearray(9 * _LOAD_BLOCK_CELLS)
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    kept = 0  # bytes of a line carried over from the last run
+    with path.open("rb", buffering=0) as f:
+        while True:
+            with memoryview(buf) as view:
+                n = f.readinto(view[kept:])
+                end = kept + n
+                # The carried line holds any sequence the last read cut, so a
+                # run that is all ASCII leaves nothing pending in the decoder.
+                ascii_run = (buf if end == len(buf) else buf[:end]).isascii()
+                if not ascii_run and not _decodes(decoder, view[kept:end], final=not n):
+                    path.read_bytes().decode("utf-8")  # raises read_text's error
+                if buf.find(b"\r", 0, end) >= 0:
+                    # A CR last in a read may begin a CRLF, so it waits for the next.
+                    hold = n > 0 and buf[end - 1] == ord("\r")
+                    text = view[: end - hold].tobytes()
+                    text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                    view[: len(text)] = text
+                    end = len(text) + hold
+                    if hold:
+                        view[end - 1] = ord("\r")
+            cut = buf.rfind(b"\n", 0, end) + 1 if n else end
+            if cut:
+                yield buf, cut
+            if not n:
+                return
+            kept = end - cut
+            buf[:kept] = buf[cut:end]
+            if kept == len(buf):
+                buf.extend(bytes(len(buf)))
+
+
+def _parse_row(path: Path, line: bytes, t: int, family: str, row: np.ndarray) -> None:
+    """Fill `row` from the text of data line `t`, cell by cell, or raise the
+    error of its first fault."""
+    cells = line.decode("utf-8").split(",")
+    if len(cells) != len(row) + 1:
+        raise MatrixFormatError(
+            f"{path}: line {t} has {len(cells) - 1} entries, expected {len(row)}"
+        )
+    if cells[0] != family:
+        raise MatrixFormatError(
+            f"{path}: line {t} row name {cells[0]!r} does not match header name {family!r}"
+        )
+    for v, cell in enumerate(cells[1:]):
+        try:
+            x = float(cell)
+        except ValueError:
+            raise MatrixFormatError(
+                f"{path}: unparseable number {cell!r} at line {t}, column {v}"
+            ) from None
+        if not 0.0 <= x <= 1.0:
+            raise MatrixFormatError(
+                f"{path}: entry {cell} at line {t}, column {v} outside [0, 1]"
+            )
+        row[v] = x
+
+
 def load_matrix(path: str | Path) -> CrossErrorMatrix:
     """Parse a matrix CSV (header line + one row per family).
 
-    Cells use Python ``float()`` syntax. Rows in the canonical form that
-    ``save_matrix`` writes are read a block at a time as digit arrays; any
-    other row is parsed cell by cell, so an error names its first bad cell.
+    Cells use Python ``float()`` syntax. The file is read once, a run of
+    whole lines at a time. The canonical rows that ``save_matrix`` writes
+    are read a run at a time as digit arrays; any other row is parsed cell by
+    cell, so an error names its first bad cell. Errors are raised in the
+    order a whole-file parse meets them: bad UTF-8, an empty file, the
+    header, the row count, then the first bad row.
     """
     path = Path(path)
-    data = path.read_bytes()
-    if not data.isascii():
-        data.decode("utf-8")  # raises read_text's UnicodeDecodeError, at its position
-    if b"\r" in data:
-        # read_text's newline translation. No UTF-8 character holds a 0x0D byte.
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if not data:
+    runs = _line_runs(path)
+    buf, end = next(runs, (bytearray(), 0))
+    if not end:
         raise MatrixFormatError(f"{path}: empty file")
-    size = len(data)
-
-    def line_end(start: int) -> int:
-        """Where the line at `start` ends: its LF, or the end of the file."""
-        end = data.find(b"\n", start)
-        return size if end < 0 else end
-
-    # Lines are walked from newline to newline, so no list of them is built.
-    pos = line_end(0) + 1
-    header = data[: pos - 1].decode("utf-8").split(",")
+    head_end = buf.find(b"\n", 0, end)
+    head_end = end if head_end < 0 else head_end
+    header = buf[:head_end].decode("utf-8").split(",")
+    families: tuple[str, ...] = ()
+    error: MatrixFormatError | None = None  # the first fault, raised after the row count
     if header[0] != HEADER_CELL:
-        raise MatrixFormatError(
+        error = MatrixFormatError(
             f"{path}: line 1 must start with {HEADER_CELL!r}, got {header[0]!r}"
         )
-    families = tuple(header[1:])
-    try:
-        _family_index(families)
-    except MatrixFormatError as exc:
-        raise MatrixFormatError(f"{path}: line 1: {exc}") from None
-    k = len(families)
-    n_rows, start = 0, pos
-    while start < size:
-        start = line_end(start) + 1
-        n_rows += 1
+    else:
+        try:
+            _family_index(tuple(header[1:]))
+        except MatrixFormatError as exc:
+            error = MatrixFormatError(f"{path}: line 1: {exc}")
+        else:
+            families = tuple(header[1:])
+    k, width = len(families), 9 * len(families)
+    if k:  # after a bad header no row is parsed, only counted
+        parse_block = _block_parser(k)
+        # A canonical line is at least width + 2 bytes, so a run of them fits the block.
+        block = np.zeros((max(1, 9 * _LOAD_BLOCK_CELLS // (width + 2)), width), dtype=np.uint8)
+        block_bytes = memoryview(block).cast("B")
+        # K rows of K cells take at least K * (2K + 1) bytes. A smaller file
+        # fails the row count or a row, so its rows are parsed into one
+        # block's rows and a header naming many families builds no K x K grid.
+        whole = path.stat().st_size >= k * (2 * k + 1)
+        values = np.empty((k if whole else len(block), k), dtype=np.float64)
+    n_rows, pos = 0, head_end + 1
+    for buf, end in itertools.chain([(buf, end)], runs):
+        with memoryview(buf) as run:
+            while error is None and pos < end and n_rows < k:
+                # Copy each row that has a canonical row's length and name into
+                # the block; mark the others with a byte no canonical cell holds.
+                first, lines = n_rows, []
+                while pos < end and n_rows < k and len(lines) < len(block):
+                    stop = buf.find(b"\n", pos, end)
+                    stop = end if stop < 0 else stop
+                    i, prefix = len(lines), (families[n_rows] + ",").encode("utf-8")
+                    cells = pos + len(prefix)
+                    if stop - cells == width - 1 and buf.startswith(prefix, pos):
+                        block_bytes[i * width : (i + 1) * width - 1] = run[cells:stop]
+                    else:
+                        block[i, 0] = 0xFF
+                    lines.append((pos, stop))
+                    pos, n_rows = stop + 1, n_rows + 1
+                rows = values[first:n_rows] if whole else values[: n_rows - first]
+                # In line order, so the first bad row is the one whose error is kept.
+                for i in np.flatnonzero(parse_block(block[: len(lines)], rows)).tolist():
+                    (start, stop), t = lines[i], first + i + 2
+                    try:
+                        _parse_row(path, buf[start:stop], t, families[t - 2], rows[i])
+                    except MatrixFormatError as exc:
+                        error = exc
+                        break
+        # Rows past the header's count, or after a fault, are only counted.
+        if pos < end:
+            n_rows += buf.count(b"\n", pos, end) + (buf[end - 1] != ord("\n"))
+        pos = 0
+    if error is not None and not families:
+        raise error
     if n_rows != k:
         raise MatrixFormatError(
             f"{path}: header names {k} families but file has {n_rows} data rows"
         )
-    values = np.empty((k, k), dtype=np.float64)
-    parse_block = _block_parser(k)
-    width = 9 * k
-    block = np.zeros((max(1, min(k, _LOAD_BLOCK_CELLS // k)), width), dtype=np.uint8)
-    block_bytes, file_bytes = memoryview(block).cast("B"), memoryview(data)
-    for first in range(0, k, len(block)):
-        # Copy each row that has a canonical row's length and name into the
-        # block; mark the others with a byte no canonical cell holds.
-        lines = []
-        for i, family in enumerate(families[first : first + len(block)]):
-            end = line_end(pos)
-            prefix = family.encode("utf-8") + b","
-            cells = pos + len(prefix)
-            if end - cells == width - 1 and data.startswith(prefix, pos):
-                block_bytes[i * width : (i + 1) * width - 1] = file_bytes[cells:end]
-            else:
-                block[i, 0] = 0xFF
-            lines.append((pos, end))
-            pos = end + 1
-        rejected = parse_block(block[: len(lines)], values[first : first + len(lines)])
-        for i in np.flatnonzero(rejected):  # in line order, so the first bad row raises
-            start, end = lines[i]
-            t, family = first + int(i) + 2, families[first + i]
-            cells = data[start:end].decode("utf-8").split(",")
-            if len(cells) != k + 1:
-                raise MatrixFormatError(
-                    f"{path}: line {t} has {len(cells) - 1} entries, expected {k}"
-                )
-            if cells[0] != family:
-                raise MatrixFormatError(
-                    f"{path}: line {t} row name {cells[0]!r} does not match header "
-                    f"name {family!r}"
-                )
-            row = values[t - 2]
-            for v, cell in enumerate(cells[1:]):
-                try:
-                    x = float(cell)
-                except ValueError:
-                    raise MatrixFormatError(
-                        f"{path}: unparseable number {cell!r} at line {t}, column {v}"
-                    ) from None
-                if not 0.0 <= x <= 1.0:
-                    raise MatrixFormatError(
-                        f"{path}: entry {cell} at line {t}, column {v} outside [0, 1]"
-                    )
-                row[v] = x
-    # So the file's bytes and the constructor's copy of the grid are never both held.
-    del file_bytes, data
-    return CrossErrorMatrix(families, values)
+    if error is not None:
+        raise error
+    return CrossErrorMatrix._owning(families, values)
 
 
 def _format_cells(block: np.ndarray, cells: np.ndarray) -> None:

@@ -6,7 +6,9 @@ pairs are drawn uniformly at random from the entries currently in band;
 when the search stalls the band half-width is relaxed by a fixed step,
 keeping accepted pairs and admitting the next level's entries as fresh
 candidates. A tier finds each level's entries once, as a flat index array,
-and shares them across every restart of every split.
+and shares them across every restart of every split. It also keeps one
+K x K grid of small integers, the level at which each entry joined, and no
+K x K float array.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ _MAX_FAMILIES = 65_536
 # draws, while one that relaxes spends max_attempts draws on each level.
 _FIRST_CHUNK = 64
 _MAX_CHUNK = 4096
-# Cells of |M - tau| that _Band.at compares to a level's bounds at once.
+# Cells of |M - tau| that _Band.at forms and compares to a level's bounds at once.
 _BAND_BLOCK_CELLS = 65_536
 
 
@@ -136,10 +138,13 @@ def _eps_at(config: SearchConfig, level: int) -> float:
 class _Band:
     """In-band off-diagonal entries of one (matrix, tau, epsilon0, step).
 
-    `dist` is |M - tau| with the diagonal set to inf. `at(level)` returns
-    the flat row-major indices t * K + v in band at `level`, level by level:
-    level r adds eps(r - 1) < dist <= eps(r). Each level is found at most
-    once, so every pass of every split searched over one band shares it.
+    `at(level)` returns the flat row-major indices t * K + v in band at
+    `level`, level by level: level r adds eps(r - 1) < |M - tau| <= eps(r).
+    Each level is found at most once, so every pass of every split searched
+    over one band shares it. `level[t, v]` is the level at which entry (t, v)
+    joined, and `unfound` for the diagonal and for entries no level has
+    found yet. eps never falls as r grows, so once at(R) has run, an entry
+    is in band at level R exactly when its level is at most R.
     """
 
     def __init__(self, m: CrossErrorMatrix, config: SearchConfig) -> None:
@@ -154,26 +159,37 @@ class _Band:
             )
         self.m = m
         self.config = config
-        # In place, so the band holds one K x K array beside the matrix.
-        self.dist = m.values - config.tau
-        np.abs(self.dist, out=self.dist)
-        np.fill_diagonal(self.dist, np.inf)
+        # A pass stops relaxing by the level that holds every entry, at most
+        # README's bound ceil((max(tau, 1 - tau) - epsilon0) / step), or one
+        # more through float drift. The smallest unsigned dtype whose max is
+        # past that marks unfound entries with its max.
+        bound = (max(config.tau, 1.0 - config.tau) - config.epsilon0) / config.step
+        dtype = np.min_scalar_type(math.ceil(min(max(bound, 0.0), 2.0**63)) + 2)
+        self.unfound = int(np.iinfo(dtype).max)
+        self.level = np.full((m.k, m.k), self.unfound, dtype=dtype)
         self._entries = np.empty(0, dtype=np.intp)
         self._ends: list[int] = []
 
     def at(self, level: int) -> np.ndarray:
-        flat = self.dist.ravel()
         while len(self._ends) <= level:
             r = len(self._ends)
+            values, levels = self.m.values.ravel(), self.level.ravel()
+            diagonal = self.m.k + 1  # the flat stride from one diagonal cell to the next
             hi = _eps_at(self.config, r)
             lo = _eps_at(self.config, r - 1) if r else -1.0  # dist >= 0
-            # A block of cells at a time, so no K x K mask is held beside dist.
-            # A block's indices wait as uint32 (K * K <= 2**32), so the level's
-            # new entries are held at 4 bytes, not 8, while they are joined.
+            # |M - tau| a block of cells at a time, in one buffer, so no K x K
+            # float array or mask is held beside the matrix. A block's indices
+            # wait as uint32 (K * K <= 2**32), so the level's new entries are
+            # held at 4 bytes, not 8, while they are joined.
+            dist = np.empty(min(_BAND_BLOCK_CELLS, values.size))
             joins = [self._entries]
-            for start in range(0, flat.size, _BAND_BLOCK_CELLS):
-                block = flat[start : start + _BAND_BLOCK_CELLS]
+            for start in range(0, values.size, _BAND_BLOCK_CELLS):
+                block = dist[: min(_BAND_BLOCK_CELLS, values.size - start)]
+                np.subtract(values[start : start + len(block)], self.config.tau, out=block)
+                np.abs(block, out=block)
+                block[-start % diagonal :: diagonal] = np.inf
                 in_level = np.flatnonzero((block <= hi) & (block > lo))
+                levels[start : start + len(block)][in_level] = r
                 joins.append(in_level.astype(np.uint32) + start)
             self._entries = np.concatenate(joins, dtype=np.intp)
             self._ends.append(len(self._entries))
@@ -207,24 +223,33 @@ def _search_pass(
     # the draws that passed are checked again. Words left when a level ends
     # are the next level's draws.
     rng = random.Random(pass_seed)
-    dist = band.dist
-    k = len(dist)
+    level = band.level
+    k = len(level)
     off_diagonal = k * (k - 1)
     train: list[int] = []
     test: list[int] = []
-    # The largest dist each family would bring in as a train row (against the
-    # accepted test columns) or as a test column (against the accepted train
-    # rows), or inf once it is used: accepting (t, v) sets row t and column v
-    # to inf, and dist's inf diagonal does so for column t and row v.
-    row_worst = np.zeros(k)
-    col_worst = np.zeros(k)
+    # The highest level each family would bring in as a train row (against
+    # the accepted test columns) or as a test column (against the accepted
+    # train rows), or band.unfound once it is used: accepting (t, v) sets row
+    # t and column v to it, and the level grid's unfound diagonal does the
+    # same for column t and row v. A pair is in band at `relaxations` when
+    # neither exceeds it. An entry not yet found also reads band.unfound, so
+    # both are recomputed when a relaxation finds new entries.
+    row_worst = np.zeros(k, dtype=level.dtype)
+    col_worst = np.zeros(k, dtype=level.dtype)
+    levels_found = 0
     relaxations = 0
     attempts_total = 0
     words = np.empty(0, dtype=np.uint32)
     chunk = _FIRST_CHUNK
     while True:
-        eps_hi = _eps_at(config, relaxations)
         candidates = band.at(relaxations)
+        if train and levels_found < len(band._ends):
+            row_worst = level[:, test].max(axis=1)
+            col_worst = level[train].max(axis=0)
+            row_worst[train] = col_worst[test] = band.unfound
+        levels_found = len(band._ends)
+        bar = level.dtype.type(relaxations)  # compares faster than a Python int
         n = len(candidates)
         shift = 32 - n.bit_length()
         left = config.max_attempts if n else 0  # draws this level may still take
@@ -235,17 +260,17 @@ def _search_pass(
             draws = words >> shift
             at = (draws < n).nonzero()[0][:left]  # the word of each draw
             t, v = np.divmod(candidates[draws[at]], k)
-            hits = (np.maximum(row_worst[t], col_worst[v]) <= eps_hi).nonzero()[0]
+            hits = (np.maximum(row_worst[t], col_worst[v]) <= bar).nonzero()[0]
             for j, tj, vj in zip(hits.tolist(), t[hits].tolist(), v[hits].tolist()):
-                if row_worst[tj] > eps_hi or col_worst[vj] > eps_hi:
+                if row_worst[tj] > bar or col_worst[vj] > bar:
                     continue
                 train.append(tj)
                 test.append(vj)
                 if len(train) == config.set_size:
                     return train, test, relaxations, attempts_total + j + 1
-                np.maximum(row_worst, dist[:, vj], out=row_worst)
-                np.maximum(col_worst, dist[tj], out=col_worst)
-                row_worst[tj] = col_worst[vj] = np.inf
+                np.maximum(row_worst, level[:, vj], out=row_worst)
+                np.maximum(col_worst, level[tj], out=col_worst)
+                row_worst[tj] = col_worst[vj] = band.unfound
             attempts_total += len(at)
             left -= len(at)
             words = words[at[-1] + 1 :] if not left else words[:0]

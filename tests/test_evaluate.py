@@ -19,9 +19,10 @@ from famsplit.evaluate import (
     load_predictions,
     surrogate_recalls,
     validate_benchmark,
+    validate_split,
 )
 from famsplit.manifest import MaterializedSplit, SplitSide
-from famsplit.search import SearchConfig, generate_benchmark
+from famsplit.search import SearchConfig, SplitSpec, generate_benchmark, search_split
 
 from conftest import constant_matrix, make_matrix
 from test_surrogate import exact, reference_surrogate_recall
@@ -117,6 +118,20 @@ def test_validate_constant_matrix_benchmark_is_flag_free() -> None:
         assert validation.total_flags == 0
         for split in validation.splits:
             assert all(v == pytest.approx(0.5) for v in split.per_family_recall.values())
+
+
+def test_validation_flags_a_recall_the_search_leaves_out() -> None:
+    # |0.85 - 0.9| is 0.05000000000000004, so the search never offers 0.85 at
+    # tau 0.9 and epsilon 0.05, and validation flags it by the same test;
+    # the interval form 0.9 - 0.05 <= 0.85 would let it through.
+    m = make_matrix([[1.0, 0.85], [0.85, 1.0]])
+    assert search_split(m, SearchConfig(tau=0.9, set_size=1)).relaxations == 1
+    spec = SplitSpec(("fam00",), ("fam01",), epsilon_final=0.05, relaxations=0,
+                     attempts_total=1, seed=0, tau=0.9)
+    split = validate_split(m, spec, 0)
+    assert split.per_family_recall == {"fam01": 0.85}
+    assert 0.9 - 0.05 <= 0.85 <= 0.9 + 0.05
+    assert split.flagged_families == ("fam01",)
 
 
 def test_validate_any_valid_benchmark_is_flag_free(paper_matrix) -> None:

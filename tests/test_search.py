@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from famsplit.errors import InfeasibleSearchError, MatrixFormatError
+from famsplit.evaluate import validate_benchmark
 from famsplit import search
 from famsplit.matrix import CrossErrorMatrix, synth_matrix
 from famsplit.search import (
@@ -259,10 +260,59 @@ def test_family_limit_keeps_every_candidate_count_below_2_to_the_32() -> None:
         _Band(too_many, SearchConfig(tau=0.5))
 
 
-def test_band_holds_one_grid_beside_the_matrix() -> None:
+# Bytes the band may hold per cell of a block of |M - tau|: the float
+# distances, three masks, and the block's new indices at 8 and twice 4 bytes.
+BLOCK_BYTES_PER_CELL = 28
+
+
+def test_band_holds_one_grid_beside_the_matrix(monkeypatch) -> None:
+    # The level grid, one byte a cell, is the band's one K x K array; its
+    # entries are held twice while a level joins them.
+    monkeypatch.setattr(search, "_BAND_BLOCK_CELLS", 4096)
     m = synth_matrix(400, seed=1)
-    _, peak = traced_peak(lambda: _Band(m, SearchConfig(tau=0.5)))
-    assert peak <= m.values.nbytes + m.values.nbytes // 20
+
+    def build() -> _Band:
+        band = _Band(m, SearchConfig(tau=0.5))
+        band.at(0)
+        return band
+
+    band, peak = traced_peak(build)
+    assert band.level.dtype == np.uint8
+    bound = band.level.nbytes + 2 * band.at(0).nbytes + BLOCK_BYTES_PER_CELL * 4096
+    assert bound < m.values.nbytes
+    assert peak <= bound
+
+
+@pytest.mark.parametrize("tau", [0.9, 0.5, 0.25])
+def test_a_one_split_tier_and_its_validation_hold_no_float_grid(monkeypatch, tau) -> None:
+    monkeypatch.setattr(search, "_BAND_BLOCK_CELLS", 4096)
+    m = synth_matrix(400, seed=1)
+    config = SearchConfig(tau=tau, seed=3)
+
+    def tier():
+        bench = generate_benchmark(m, config, n_splits=1)
+        return bench, validate_benchmark(m, bench)
+
+    (bench, validation), peak = traced_peak(tier)
+    assert validation.total_flags == 0
+    entries = _Band(m, config).at(bench.splits[0].relaxations).nbytes
+    # Beside the band: a chunk of stream words and its draws, and the report.
+    bound = m.k * m.k + 2 * entries + BLOCK_BYTES_PER_CELL * 4096 + 65_536
+    assert bound < m.values.nbytes
+    assert peak <= bound
+
+
+def test_a_band_of_more_than_254_levels_holds_them_in_uint16() -> None:
+    # ceil((0.9 - 0.001) / 0.001) = 899 levels do not fit a byte beside its
+    # unfound mark. Every |M - 0.9| here is at least 0.5, so no entry joins
+    # before level 499 and the split's levels are stored above 255.
+    m = make_matrix(np.random.default_rng(3).uniform(0.0, 0.4, (24, 24)))
+    config = SearchConfig(tau=0.9, epsilon0=0.001, step=0.001, max_attempts=5, set_size=4, seed=5)
+    assert _Band(m, config).level.dtype == np.uint16
+    assert _Band(m, replace(config, step=0.05)).level.dtype == np.uint8
+    spec = search_split(m, config)
+    assert spec.relaxations > 255
+    assert spec == reference_search_split(m, config)
 
 
 def test_band_levels_read_in_blocks_are_the_levels_of_one_mask(monkeypatch) -> None:
@@ -274,13 +324,16 @@ def test_band_levels_read_in_blocks_are_the_levels_of_one_mask(monkeypatch) -> N
     dist = np.abs(m.values - config.tau)
     np.fill_diagonal(dist, np.inf)
     expected: list[int] = []
+    levels = np.full((40, 40), band.unfound)
     for level in range(20):
         eps = config.epsilon0 + config.step * level
         joins = dist <= eps
         if level:
             joins &= dist > config.epsilon0 + config.step * (level - 1)
         expected += np.flatnonzero(joins).tolist()
+        levels[joins] = level  # the first level that holds each entry
         assert band.at(level).tolist() == expected
+        assert np.array_equal(band.level, levels)
     assert len(expected) == 40 * 39  # the last levels hold every off-diagonal entry
 
 

@@ -54,13 +54,13 @@ def reference_validation(m: CrossErrorMatrix, bench: BenchmarkSet, agg: Aggregat
             v: reference_surrogate_recall(m, spec.train_families, v, agg)
             for v in spec.test_families
         }
-        lo = spec.tau - spec.epsilon_final
-        hi = spec.tau + spec.epsilon_final
         splits.append({
             "split_index": i,
             "epsilon_final": spec.epsilon_final,
             "mean_recall": statistics.fmean(per_family.values()),
-            "flagged_families": tuple(v for v, r in per_family.items() if not lo <= r <= hi),
+            "flagged_families": tuple(
+                v for v, r in per_family.items() if not abs(r - spec.tau) <= spec.epsilon_final
+            ),
             "per_family_recall": per_family,
         })
     return {
