@@ -15,7 +15,6 @@ missing predictions), 2 usage error (bad flags).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import asdict
@@ -51,8 +50,16 @@ from famsplit.search import (
 )
 from famsplit.stats import load_metric_vector, summarize, wilcoxon_exact
 
+
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The hex sha256 of the file at `path`, read 1 MiB at a time."""
+    import hashlib  # here, so that importing famsplit does not load OpenSSL (~3.5 MB)
+
+    digest = hashlib.sha256()
+    with path.open("rb") as f, memoryview(bytearray(1 << 20)) as block:
+        while n := f.readinto(block):
+            digest.update(block[:n])
+    return digest.hexdigest()
 
 
 # Path flags: inputs are recorded by content digest, outputs not at all, so

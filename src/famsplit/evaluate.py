@@ -17,7 +17,7 @@ from typing import Iterable, Literal, Sequence, get_args
 import numpy as np
 
 from famsplit.errors import MatrixFormatError, PredictionError
-from famsplit.manifest import MaterializedSplit
+from famsplit.manifest import MaterializedSplit, _line_chunks, _text_stream
 from famsplit.matrix import CrossErrorMatrix
 from famsplit.search import BenchmarkSet, SplitSpec
 
@@ -169,56 +169,65 @@ def _read_score_lines(path: str | Path) -> dict[str, float]:
     The one reader that reports faults: each names its line number.
     """
     scores: dict[str, float] = {}
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise PredictionError(f"{path}: line {lineno}: expected 2 fields, got {len(parts)}")
-        if not parts[0]:
-            raise PredictionError(f"{path}: line {lineno}: empty sample id")
-        if parts[0] in scores:
-            first = next(n for n, seen in enumerate(lines, start=1)
-                         if seen.split("\t")[0] == parts[0])
-            raise PredictionError(
-                f"{path}: line {lineno}: duplicate sample id {parts[0]!r} (first on line {first})"
-            )
-        try:
-            scores[parts[0]] = float(parts[1])
-        except ValueError:
-            raise PredictionError(f"{path}: line {lineno}: bad score {parts[1]!r}") from None
+    with _text_stream(Path(path)) as stream:
+        for lineno, line in enumerate(stream, start=1):
+            line = line.removesuffix("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise PredictionError(f"{path}: line {lineno}: expected 2 fields, got {len(parts)}")
+            if not parts[0]:
+                raise PredictionError(f"{path}: line {lineno}: empty sample id")
+            if parts[0] in scores:
+                with open(path, encoding="utf-8") as again:
+                    first = next(n for n, seen in enumerate(again, start=1)
+                                 if seen.split("\t")[0] == parts[0])
+                raise PredictionError(
+                    f"{path}: line {lineno}: duplicate sample id {parts[0]!r} (first on line {first})"
+                )
+            try:
+                scores[parts[0]] = float(parts[1])
+            except ValueError:
+                raise PredictionError(f"{path}: line {lineno}: bad score {parts[1]!r}") from None
     return scores
 
 
 def _scores_in_one_pass(path: str | Path) -> dict[str, float] | None:
     """The scores of a prediction file whose every line is a non-empty id, one
-    tab and a score, each id once, read in one pass; None for any other file."""
-    text = Path(path).read_text(encoding="utf-8")
-    if not text.endswith("\n"):
-        text += "\n"  # a last line reads the same with or without its newline
-    # UTF-8 puts no byte below 0x80 inside another character, so the bytes up
-    # to "\n" alternate tab, "\n" (ending on the final "\n") exactly when each
-    # line holds one tab and no other control byte up to "\n".
-    breaks = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    breaks = breaks[breaks <= ord("\n")]
-    if (
-        np.any(breaks[0::2] != ord("\t"))
-        or np.any(breaks[1::2] != ord("\n"))
-        or text.startswith("\t")
-        or "\n\t" in text
-    ):
-        return None
-    lines = len(breaks) // 2
-    fields = text.replace("\t", "\n").split("\n")
-    del text, breaks  # the fields hold the text now
-    fields.pop()  # the empty text after the last "\n"
-    pairs = iter(fields)  # id, score, id, score, ...
-    try:
-        scores = dict(zip(pairs, map(float, pairs)))
-    except ValueError:
-        return None
-    return scores if len(scores) == lines else None  # else an id is repeated
+    tab and a score, each id once, read in one pass; None for any other file.
+
+    The text is taken a chunk of whole lines at a time (`_line_chunks`), so
+    neither the file's text nor its list of fields is ever held whole.
+    """
+    scores: dict[str, float] = {}
+    lines = 0
+    with _text_stream(Path(path)) as stream:
+        for chunk in _line_chunks(stream):
+            # UTF-8 puts no byte below 0x80 inside another character, so the
+            # bytes up to "\n" alternate tab, "\n" (ending on the chunk's last
+            # "\n") exactly when each line holds one tab and no other control
+            # byte up to "\n".
+            breaks = np.frombuffer(chunk.encode("utf-8"), dtype=np.uint8)
+            breaks = breaks[breaks <= ord("\n")]
+            if (
+                np.any(breaks[0::2] != ord("\t"))
+                or np.any(breaks[1::2] != ord("\n"))
+                or chunk.startswith("\t")
+                or "\n\t" in chunk
+            ):
+                return None
+            lines += len(breaks) // 2
+            fields = chunk.replace("\t", "\n").split("\n")
+            fields.pop()  # the empty text after the last "\n"
+            pairs = iter(fields)  # id, score, id, score, ...
+            try:
+                scores.update(zip(pairs, map(float, pairs)))
+            except ValueError:
+                return None
+            if len(scores) != lines:
+                return None  # an id is repeated
+    return scores
 
 
 def load_predictions(path: str | Path, threshold: float = PredictionSet.threshold) -> PredictionSet:

@@ -12,16 +12,17 @@ import json
 import random
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import TypeVar
+from typing import TextIO, TypeVar
 
 import numpy as np
 
-from famsplit.errors import PoolError
+from famsplit.errors import FamsplitError, PoolError
 from famsplit.search import SplitSpec, _stream_words
 
 TRAIN_PER_FAMILY = 8000
@@ -101,7 +102,11 @@ class SplitSide:
         for family, group in groupby((run for run in self.runs if run[1]), key=itemgetter(0)):
             if family is not None:
                 _check_family_name(family)
-            runs.append((family, tuple(chain.from_iterable(ids for _, ids in group))))
+            _, ids = next(group)
+            second = next(group, None)
+            if second is not None:  # read lazily, so each run can go once it is copied
+                ids = chain(ids, second[1], chain.from_iterable(run[1] for run in group))
+            runs.append((family, tuple(ids)))
         object.__setattr__(self, "runs", tuple(runs))
 
     @property
@@ -134,17 +139,24 @@ class MaterializedSplit:
         for name, side in sides:
             if not side.runs:
                 raise PoolError(f"{name} side has no records")
-        train_ids = set(self.train.ids)
-        test_ids = set(self.test.ids)
-        shared = train_ids & test_ids
-        if shared:
-            first = next(sample_id for sample_id in self.train.ids if sample_id in shared)
-            raise PoolError(
-                f"sample id {first!r} appears in both train and test ({len(shared)} shared)"
-            )
+        # One set over both sides holds an id per record exactly when no id is
+        # on both sides or twice on one. Only when it falls short are the
+        # per-side sets built, to name the first fault.
+        seen: set[str] = set()
+        for _, ids in chain(self.train.runs, self.test.runs):
+            seen.update(ids)
+        side_ids = None
+        if len(seen) < len(self.train) + len(self.test):
+            side_ids = (set(self.train.ids), set(self.test.ids))
+            shared = side_ids[0] & side_ids[1]
+            if shared:
+                first = next(sample_id for sample_id in self.train.ids if sample_id in shared)
+                raise PoolError(
+                    f"sample id {first!r} appears in both train and test ({len(shared)} shared)"
+                )
         counts = [side.counts() for _, side in sides]
-        for (name, side), ids, held in zip(sides, (train_ids, test_ids), counts):
-            if len(ids) != len(side):
+        for at, ((name, side), held) in enumerate(zip(sides, counts)):
+            if side_ids and len(side_ids[at]) != len(side):
                 repeated = next(sample_id for sample_id, n in Counter(side.ids).items() if n > 1)
                 raise PoolError(f"sample id {repeated!r} appears twice on the {name} side")
             malicious = len(side) - held.get(None, 0)
@@ -183,6 +195,50 @@ def _pool_key(path: Path, lineno: int, parts: list[str]) -> tuple[str | None, st
     return family, origin
 
 
+# Characters a record or prediction file is read by, a window at a time.
+_READ_CHARS = 1 << 14
+
+
+@contextmanager
+def _text_stream(path: Path) -> Iterator[TextIO]:
+    """`path` open as read_text reads it: UTF-8, CRLF and CR read as LF.
+
+    The file's text as a whole is never held. A decode error, met in reading
+    or in the unread rest of the file when a FamsplitError stops the read, is
+    raised as read_text's UnicodeDecodeError, its position in the whole file.
+    """
+    with open(path, encoding="utf-8") as stream:
+        try:
+            yield stream
+            return
+        except FamsplitError as exc:
+            try:
+                while stream.read(_READ_CHARS):
+                    pass
+            except UnicodeDecodeError:
+                error: Exception = exc
+            else:
+                raise
+        except UnicodeDecodeError as exc:
+            error = exc
+    path.read_text(encoding="utf-8")  # raises the whole file's decode error
+    raise error
+
+
+def _line_chunks(stream: TextIO) -> Iterator[str]:
+    """The stream's text read _READ_CHARS characters at a time, each read
+    cut after its last "\n"; a last line without "\n" is given one."""
+    tail = ""
+    while read := stream.read(_READ_CHARS):
+        text = tail + read
+        cut = text.rfind("\n") + 1
+        chunk, tail = text[:cut], text[cut:]
+        if chunk:
+            yield chunk
+    if tail:
+        yield tail + "\n"  # a last line reads the same with or without its newline
+
+
 # Characters of record text read per chunk; each chunk ends at a newline.
 _POOL_CHUNK = 1 << 14
 _Key = TypeVar("_Key")
@@ -196,16 +252,15 @@ def _read_runs(
     A record line is `fields` tab-separated fields, an id and then a suffix,
     ended by "\n" alone: any other line break, such as U+2028, is field text.
     `rule(path, lineno, parts)` checks one line's fields and returns its key.
-    The text is read in chunks of at most about _POOL_CHUNK characters, each
+    The file is read through `_text_stream`, _READ_CHARS characters at a
+    time, and only the unread tail of the text is kept beside the next read.
+    The text is cut in chunks of at most about _POOL_CHUNK characters, each
     cut after its last line that ends in its first line's suffix. A chunk
     whose lines all end in that suffix, as inside a save_pool block or a
     write_split family run, is one run, taken with one split on that suffix.
     Any other chunk is read line by line, one run per non-empty line, which
     reports the first fault by line number.
     """
-    text = path.read_text(encoding="utf-8")
-    if not text.endswith("\n"):
-        text += "\n"  # a last line reads the same with or without its newline
 
     def key(lineno: int, line: str) -> tuple[list[str], _Key]:
         parts = line.split("\t")
@@ -213,44 +268,56 @@ def _read_runs(
             raise PoolError(f"{path}: line {lineno}: expected {fields} fields, got {len(parts)}")
         return parts, rule(path, lineno, parts)
 
-    start, lineno, cut_short = 0, 1, False
-    while start < len(text):
-        end = text.find("\n", start + _POOL_CHUNK) + 1 or len(text)
-        first = text[start : text.index("\n", start)]
-        if first:
-            parts, run_key = key(lineno, first)
-            suffix = first[len(parts[0]) :] + "\n"
-            # Cut after the chunk's last line that ends in the first line's
-            # suffix, so the next chunk starts at the next run. Two chunks in
-            # a row cut below half their window are interleaved runs, whose
-            # cuts would each rescan a window: read that window line by line.
-            cut = text.rfind(suffix, start, end) + len(suffix)
-            was_short, cut_short = cut_short, 2 * (cut - start) < end - start
-            if not (was_short and cut_short):
-                end = cut
-        chunk = text[start:end]
-        start = end
-        if first:
-            newlines = chunk.count("\n")
-            pieces = chunk.split(suffix)
-            # Each suffix match holds one newline, so one piece per newline
-            # leaves every line `piece + suffix` and the last piece empty;
-            # fields - 1 tabs a line leave none in a piece, and no other
-            # piece may be empty.
-            if (
-                len(pieces) == newlines + 1
-                and chunk.count("\t") == (fields - 1) * newlines
-                and pieces.count("") == 1
-            ):
-                yield run_key, pieces[:-1]
-                lineno += newlines
+    with _text_stream(path) as stream:
+        text, start, lineno, cut_short, at_end = "", 0, 1, False, False
+        while True:
+            # A chunk ends at the first "\n" from start + _POOL_CHUNK on, or
+            # at the end of the file: read until the text holds that end.
+            end = text.find("\n", start + _POOL_CHUNK) + 1
+            if not end and not at_end:
+                read = stream.read(_READ_CHARS)
+                text, start, at_end = text[start:] + read, 0, not read
+                if at_end and text and not text.endswith("\n"):
+                    text += "\n"  # a last line reads the same with or without its newline
                 continue
-        lines = chunk[:-1].split("\n")
-        for at, line in enumerate(lines, start=lineno):
-            if line:
-                parts, line_key = key(at, line)
-                yield line_key, parts[:1]
-        lineno += len(lines)
+            if start == len(text):
+                return
+            end = end or len(text)
+            first = text[start : text.index("\n", start)]
+            if first:
+                parts, run_key = key(lineno, first)
+                suffix = first[len(parts[0]) :] + "\n"
+                # Cut after the chunk's last line that ends in the first line's
+                # suffix, so the next chunk starts at the next run. Two chunks in
+                # a row cut below half their window are interleaved runs, whose
+                # cuts would each rescan a window: read that window line by line.
+                cut = text.rfind(suffix, start, end) + len(suffix)
+                was_short, cut_short = cut_short, 2 * (cut - start) < end - start
+                if not (was_short and cut_short):
+                    end = cut
+            chunk = text[start:end]
+            start = end
+            if first:
+                newlines = chunk.count("\n")
+                pieces = chunk.split(suffix)
+                # Each suffix match holds one newline, so one piece per newline
+                # leaves every line `piece + suffix` and the last piece empty;
+                # fields - 1 tabs a line leave none in a piece, and no other
+                # piece may be empty.
+                if (
+                    len(pieces) == newlines + 1
+                    and chunk.count("\t") == (fields - 1) * newlines
+                    and pieces.count("") == 1
+                ):
+                    yield run_key, pieces[:-1]
+                    lineno += newlines
+                    continue
+            lines = chunk[:-1].split("\n")
+            for at, line in enumerate(lines, start=lineno):
+                if line:
+                    parts, line_key = key(at, line)
+                    yield line_key, parts[:1]
+            lineno += len(lines)
 
 
 def load_pool(path: str | Path) -> SamplePool:

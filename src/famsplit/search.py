@@ -13,7 +13,6 @@ K x K float array.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
@@ -125,6 +124,8 @@ def derive_seed(seed: int, index: int | str) -> int:
     domain in a string index such as "materialize:3". No integer's text has
     a letter, so two stages never hash the same text.
     """
+    import hashlib  # here, so that importing famsplit does not load OpenSSL (~3.5 MB)
+
     digest = hashlib.sha256(f"{seed}:{index}".encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")
 

@@ -15,8 +15,9 @@ def make_matrix(values, families=None) -> CrossErrorMatrix:
     return CrossErrorMatrix(tuple(families), grid)
 
 
-def traced_peak(fn):
-    """fn()'s result and the most bytes it held at once, by tracemalloc.
+def traced(fn):
+    """fn()'s result, the bytes it still held on return and the most it held
+    at once, by tracemalloc.
 
     numpy reports its array buffers to tracemalloc, so arrays count too.
     """
@@ -25,9 +26,16 @@ def traced_peak(fn):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - before
+        held, peak = tracemalloc.get_traced_memory()
+        return result, held - before, peak - before
     finally:
         tracemalloc.stop()
+
+
+def traced_peak(fn):
+    """fn()'s result and the most bytes it held at once (see traced)."""
+    result, _, peak = traced(fn)
+    return result, peak
 
 
 def constant_matrix(k: int, value: float, diag: float = 1.0) -> CrossErrorMatrix:

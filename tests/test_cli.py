@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -7,10 +8,11 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from famsplit.ablation import ablation_report, select_worst_k
-from famsplit.cli import main
+from famsplit.cli import _sha256, main
 from famsplit.evaluate import validate_benchmark
 from famsplit import manifest
 from famsplit.manifest import SPLIT_FILES, load_pool, read_split, save_pool, SamplePool, write_split
@@ -18,6 +20,7 @@ from famsplit.matrix import load_matrix, save_matrix, synth_family_names
 from famsplit.search import (STANDARD_LABELS, SearchConfig, benchmark_to_dict, derive_seed,
                              generate_benchmark, load_benchmark)
 
+from conftest import traced_peak
 from test_stats import brute_force_wilcoxon
 
 
@@ -807,3 +810,13 @@ def test_a_pipeline_whose_pool_falls_short_writes_nothing(pool_file, tmp_path, c
     assert run(*argv, "--pool", thin, "--out-dir", tmp_path / "refused") == 1
     assert f"family {short!r} has 3 samples, needs 8" in capsys.readouterr().err
     assert not (tmp_path / "refused").exists()
+
+
+def test_sha256_hashes_a_file_a_block_at_a_time(tmp_path) -> None:
+    # An input's digest for the run manifest is built 1 MiB at a time, so a
+    # command never holds a whole input file's bytes to hash it.
+    path = tmp_path / "input.bin"
+    path.write_bytes(np.random.default_rng(0).bytes(8 << 20))
+    digest, peak = traced_peak(lambda: _sha256(path))
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert peak < 2 << 20

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from famsplit import evaluate
+from famsplit import evaluate, manifest
 from famsplit.errors import MatrixFormatError, PredictionError
 from famsplit.evaluate import (
     EvalResult,
@@ -24,7 +24,7 @@ from famsplit.evaluate import (
 from famsplit.manifest import MaterializedSplit, SplitSide
 from famsplit.search import SearchConfig, SplitSpec, generate_benchmark, search_split
 
-from conftest import constant_matrix, make_matrix
+from conftest import constant_matrix, make_matrix, traced
 from test_surrogate import exact, reference_surrogate_recall
 
 
@@ -418,6 +418,18 @@ def test_load_predictions_reads_a_canonical_file_without_the_line_loop(
     path.write_text("".join(lines[:7] + ["\n"] + lines[7:]))
     assert predictions_outcome(load_predictions, path) == outcome
     assert calls == [path]
+
+
+def test_load_predictions_peaks_at_its_result_and_a_few_read_buffers(tmp_path) -> None:
+    # The file is read a chunk of lines at a time, so its text and its field
+    # list are never held whole. Beside the result, PredictionSet's range
+    # check holds a float64 copy of the scores and three of its byte masks.
+    lines = 100_000
+    path = tmp_path / "preds.tsv"
+    path.write_text("".join(f"id-{i:06d}\t{(i % 997) / 996!r}\n" for i in range(lines)))
+    preds, held, peak = traced(lambda: load_predictions(path))
+    assert len(preds.scores) == lines
+    assert peak <= held + 11 * lines + 8 * manifest._READ_CHARS
 
 
 def reference_evaluate(ms: MaterializedSplit, preds: PredictionSet) -> EvalResult:

@@ -28,6 +28,8 @@ from famsplit.manifest import (
 )
 from famsplit.search import SplitSpec
 
+from conftest import traced
+
 
 def build_pool(
     families: dict[str, int],
@@ -550,6 +552,33 @@ class ReferenceMaterializedSplit:
         overlap = ({r.family for r in self.train} & {r.family for r in self.test}) - {None}
         if overlap:
             raise PoolError(f"train/test families overlap: {sorted(overlap)}")
+
+
+# Records drawn from four ids and overlapping families, so shared ids,
+# repeats, imbalance and shared families often come together.
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    sides=st.tuples(*[
+        st.lists(st.tuples(st.sampled_from(families), st.sampled_from(["a", "b", "c", "d"])),
+                 min_size=1, max_size=8)
+        for families in (["alpha", "beta", None], ["beta", "gamma", None])
+    ])
+)
+def test_split_checks_raise_the_reference_twins_first_error(sides) -> None:
+    # One set over both sides proves most splits clean; when it falls short,
+    # the per-side checks keep the twin's messages and their order.
+    def reference_records(records):
+        return tuple(ReferenceSampleRecord(sample_id, "benign" if family is None else "malicious",
+                                           family) for family, sample_id in records)
+
+    train, test = sides
+    got = split_outcome(lambda: MaterializedSplit(
+        "drawn", *(SplitSide((family, [sample_id]) for family, sample_id in side) for side in sides)
+    ))
+    expected = split_outcome(lambda: ReferenceMaterializedSplit(
+        "drawn", reference_records(train), reference_records(test), counts={}
+    ))
+    assert got == expected
 
 
 def _reference_check_family(pool: SamplePool, family: str, needed: int) -> None:
@@ -1172,6 +1201,19 @@ def test_load_pool_reads_canonical_blocks_without_the_line_loop(tmp_path, monkey
         assert pool_outcome(lambda _: loaded, path) == pool_outcome(reference_load_pool, path)
         # No chunk straddles one of the four block boundaries.
         assert len(calls) <= most_rule_calls(path)
+
+
+def test_load_pool_peaks_at_the_pool_and_its_hash_proof(tmp_path) -> None:
+    # The file is read a window at a time, so its size is not in the bound:
+    # the loaded pool, 8 bytes per id for the hash proof's array and 1 more
+    # for its comparison of neighbouring hashes, and a few read windows.
+    pool = build_pool({f"fam{j:02d}": 5000 for j in range(20)}, 80_000, 20_000)
+    path = tmp_path / "pool.tsv"
+    save_pool(pool, path)
+    ids = 200_000
+    loaded, held, peak = traced(lambda: load_pool(path))
+    assert pool_outcome(lambda _: loaded, path) == pool_outcome(lambda _: pool, path)
+    assert peak <= held + 9 * ids + 8 * manifest._READ_CHARS
 
 
 def test_read_split_reads_family_runs_without_the_line_loop(tmp_path, monkeypatch) -> None:

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import inspect
+import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +52,17 @@ def test_every_workflow_command_parses() -> None:
         except SystemExit:
             pytest.fail(f"workflow command does not parse: famsplit {shlex.join(argv)}")
         assert args.command == argv[0]
+
+
+def test_importing_the_cli_loads_no_hashlib() -> None:
+    # hashlib loads OpenSSL, about 3.5 MB of memory, so famsplit imports it
+    # only where it hashes. The modules numpy loads itself do not count.
+    code = ("import json, sys, numpy; before = set(sys.modules); import famsplit.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    src = str(Path(famsplit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    added = json.loads(run.stdout)
+    assert "famsplit.cli" in added
+    assert not {"hashlib", "_hashlib"} & set(added)
