@@ -33,9 +33,11 @@ class PredictionSet:
 
     def __post_init__(self) -> None:
         scores = np.fromiter(self.scores.values(), dtype=float, count=len(self.scores))
-        # A NaN fails both comparisons, so it is out of range too.
-        outside = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
-        if outside.size:
+        # min and max are NaN if any score is, so one comparison clears every
+        # score; the masks are built only to name the first bad one.
+        if scores.size and not 0.0 <= scores.min() <= scores.max() <= 1.0:
+            # A NaN fails both comparisons, so it is out of range too.
+            outside = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
             sample_id = next(islice(self.scores, int(outside[0]), None))
             score = self.scores[sample_id]
             raise PredictionError(f"score {score} for {sample_id!r} outside [0, 1]")
@@ -193,6 +195,10 @@ def _read_score_lines(path: str | Path) -> dict[str, float]:
     return scores
 
 
+# The bytes above "\n", which bytes.translate deletes to leave a chunk's control bytes.
+_ABOVE_NEWLINE = bytes(range(ord("\n") + 1, 256))
+
+
 def _scores_in_one_pass(path: str | Path) -> dict[str, float] | None:
     """The scores of a prediction file whose every line is a non-empty id, one
     tab and a score, each id once, read in one pass; None for any other file.
@@ -208,11 +214,9 @@ def _scores_in_one_pass(path: str | Path) -> dict[str, float] | None:
             # bytes up to "\n" alternate tab, "\n" (ending on the chunk's last
             # "\n") exactly when each line holds one tab and no other control
             # byte up to "\n".
-            breaks = np.frombuffer(chunk.encode("utf-8"), dtype=np.uint8)
-            breaks = breaks[breaks <= ord("\n")]
+            breaks = chunk.encode("utf-8").translate(None, _ABOVE_NEWLINE)
             if (
-                np.any(breaks[0::2] != ord("\t"))
-                or np.any(breaks[1::2] != ord("\n"))
+                breaks != b"\t\n" * (len(breaks) // 2)
                 or chunk.startswith("\t")
                 or "\n\t" in chunk
             ):

@@ -133,6 +133,25 @@ class MaterializedSplit:
     test: SplitSide
 
     def __post_init__(self) -> None:
+        self._check(prove_ids=True)
+
+    @classmethod
+    def _drawn(cls, split_id: str, train: SplitSide, test: SplitSide) -> MaterializedSplit:
+        """The split of sides that materialize_split drew from a SamplePool for
+        a SplitSpec, checked without its id set.
+
+        Its draw proves what that set would: the pool holds no id twice,
+        `_pick` draws distinct positions, the spec repeats no family and
+        shares none between sides, and the two benign sides come from
+        different origin partitions. So no id is on both sides or twice on one.
+        """
+        ms = object.__new__(cls)
+        for name, value in (("split_id", split_id), ("train", train), ("test", test)):
+            object.__setattr__(ms, name, value)
+        ms._check(prove_ids=False)
+        return ms
+
+    def _check(self, prove_ids: bool) -> None:
         if type(self.split_id) is not str:
             raise PoolError(f"split_id must be a string, got {self.split_id!r}")
         sides = (("train", self.train), ("test", self.test))
@@ -142,18 +161,19 @@ class MaterializedSplit:
         # One set over both sides holds an id per record exactly when no id is
         # on both sides or twice on one. Only when it falls short are the
         # per-side sets built, to name the first fault.
-        seen: set[str] = set()
-        for _, ids in chain(self.train.runs, self.test.runs):
-            seen.update(ids)
         side_ids = None
-        if len(seen) < len(self.train) + len(self.test):
-            side_ids = (set(self.train.ids), set(self.test.ids))
-            shared = side_ids[0] & side_ids[1]
-            if shared:
-                first = next(sample_id for sample_id in self.train.ids if sample_id in shared)
-                raise PoolError(
-                    f"sample id {first!r} appears in both train and test ({len(shared)} shared)"
-                )
+        if prove_ids:
+            seen: set[str] = set()
+            for _, ids in chain(self.train.runs, self.test.runs):
+                seen.update(ids)
+            if len(seen) < len(self.train) + len(self.test):
+                side_ids = (set(self.train.ids), set(self.test.ids))
+                shared = side_ids[0] & side_ids[1]
+                if shared:
+                    first = next(sample_id for sample_id in self.train.ids if sample_id in shared)
+                    raise PoolError(
+                        f"sample id {first!r} appears in both train and test ({len(shared)} shared)"
+                    )
         counts = [side.counts() for _, side in sides]
         for at, ((name, side), held) in enumerate(zip(sides, counts)):
             if side_ids and len(side_ids[at]) != len(side):
@@ -371,19 +391,32 @@ def _pick(rng: random.Random, ids: Sequence[str], n: int) -> list[str]:
     versions.
     """
     count = len(ids)
+    at = _smallest(rng, count, n)
+    # An object array gathers the ids without a Python int per drawn id.
+    return np.fromiter(ids, dtype=object, count=count)[at].tolist()
+
+
+def _smallest(rng: random.Random, count: int, n: int) -> np.ndarray:
+    """The positions of the n smallest of `count` keys drawn as `_pick` draws
+    them, in key order; equal keys keep position order.
+
+    Its arrays are freed on return, before `_pick` gathers the ids.
+    """
     keys = _stream_words(rng, 2 * count).view("<u8")
     # Only keys at or below the n-th smallest can be picked; flatnonzero lists
     # them in pool order. Distinct keys have one sorted order, so the fast
     # default sort serves unless two are equal, when a stable one keeps pool order.
-    at = np.arange(count)
     if 0 < n < count:
         at = np.flatnonzero(keys <= np.partition(keys, n - 1)[n - 1])
+    else:
+        at = np.arange(count)
     below = keys[at]
+    del keys  # the whole draw, 8 bytes per id, is not needed again
     order = np.argsort(below)
     ranked = below[order]
     if np.any(ranked[1:] == ranked[:-1]):
         order = np.argsort(below, kind="stable")
-    return [ids[i] for i in at[order[:n]].tolist()]
+    return at[order[:n]]
 
 
 def check_pool_needs(pool: SamplePool, spec: SplitSpec, train_per_family: int,
@@ -422,6 +455,9 @@ def materialize_split(
     family's pool list, and benign ids from the matching origin partition,
     1:1 against the malicious counts. Draw order is fixed: train families
     (in spec order), train benign, test families, test benign.
+    A split drawn from a SamplePool for a SplitSpec is checked without the id
+    set that its draw proves (`MaterializedSplit._drawn`); any other pool or
+    spec object's split goes through the public constructor.
     """
     check_pool_needs(pool, spec, train_per_family, test_per_family)
     rng = random.Random(seed)
@@ -434,6 +470,8 @@ def materialize_split(
 
     train = side("train", spec.train_families, train_per_family)
     test = side("test", spec.test_families, test_per_family)
+    if type(pool) is SamplePool and type(spec) is SplitSpec:
+        return MaterializedSplit._drawn(split_id, train, test)
     return MaterializedSplit(split_id=split_id, train=train, test=test)
 
 

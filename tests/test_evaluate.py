@@ -24,7 +24,7 @@ from famsplit.evaluate import (
 from famsplit.manifest import MaterializedSplit, SplitSide
 from famsplit.search import SearchConfig, SplitSpec, generate_benchmark, search_split
 
-from conftest import constant_matrix, make_matrix, traced
+from conftest import constant_matrix, make_matrix, traced, traced_peak
 from test_surrogate import exact, reference_surrogate_recall
 
 
@@ -422,14 +422,45 @@ def test_load_predictions_reads_a_canonical_file_without_the_line_loop(
 
 def test_load_predictions_peaks_at_its_result_and_a_few_read_buffers(tmp_path) -> None:
     # The file is read a chunk of lines at a time, so its text and its field
-    # list are never held whole. Beside the result, PredictionSet's range
-    # check holds a float64 copy of the scores and three of its byte masks.
+    # list are never held whole. The result's dict grows past 87,381 entries
+    # while it is read, and its last resize holds the old table beside the
+    # new one: about 8 bytes per line over the result at this size, more than
+    # PredictionSet's range check, which holds a float64 copy of the scores.
     lines = 100_000
     path = tmp_path / "preds.tsv"
     path.write_text("".join(f"id-{i:06d}\t{(i % 997) / 996!r}\n" for i in range(lines)))
     preds, held, peak = traced(lambda: load_predictions(path))
     assert len(preds.scores) == lines
-    assert peak <= held + 11 * lines + 8 * manifest._READ_CHARS
+    assert peak <= held + 10 * lines + 8 * manifest._READ_CHARS
+
+
+def test_prediction_set_clears_its_range_with_one_float_copy() -> None:
+    # min and max clear every score at once; the masks that name the first
+    # bad score, 3 bytes per score, are built only when there is one.
+    scores = {f"id-{i:06d}": (i % 997) / 996 for i in range(100_000)}
+    _, peak = traced_peak(lambda: PredictionSet(scores))
+    assert peak <= 8 * len(scores) + 4096
+
+
+def mask_line_shape(text: str) -> bool:
+    """The one-pass reader's line-shape check as numpy masks, the form it replaced."""
+    breaks = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    breaks = breaks[breaks <= ord("\n")]
+    return not (np.any(breaks[0::2] != ord("\t")) or np.any(breaks[1::2] != ord("\n")))
+
+
+@pytest.mark.parametrize("char", [chr(c) for c in range(0x80)] + ["\x85", "\u2028", "\U0001f600"])
+def test_one_pass_line_check_matches_the_mask_check_on_every_control_byte(tmp_path, char) -> None:
+    # Every id is distinct and every score parses, so the line shape alone
+    # decides whether the one-pass reader takes the file.
+    for sample_id in (f"{char}b1", f"b{char}1", f"b1{char}"):
+        path = tmp_path / "preds.tsv"
+        path.write_text(f"a0\t0.5\n{sample_id}\t0.25\nc2\t1\n", encoding="utf-8", newline="")
+        text = path.read_text(encoding="utf-8")
+        taken = evaluate._scores_in_one_pass(path) is not None
+        assert taken == (mask_line_shape(text) and not text.startswith("\t") and "\n\t" not in text)
+        outcome = predictions_outcome(load_predictions, path)
+        assert outcome == predictions_outcome(reference_load_predictions, path)
 
 
 def reference_evaluate(ms: MaterializedSplit, preds: PredictionSet) -> EvalResult:

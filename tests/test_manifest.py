@@ -28,7 +28,7 @@ from famsplit.manifest import (
 )
 from famsplit.search import SplitSpec
 
-from conftest import traced
+from conftest import traced, traced_peak
 
 
 def build_pool(
@@ -290,6 +290,17 @@ def test_pick_matches_the_stable_sort_on_drawn_keys(count, seed, data) -> None:
     n = data.draw(st.sampled_from([0, count]) | st.integers(0, count), label="n")
     picked = manifest._pick(random.Random(seed), ids, n)
     assert picked == reference_pick(random.Random(seed), ids, n)
+
+
+def test_pick_gathers_its_ids_without_an_int_per_drawn_id() -> None:
+    # The key draw's two buffers of 8 bytes per pool id (getrandbits' words
+    # and their int) set the peak. The bound leaves 8 bytes per drawn id
+    # beside them, which a Python int per drawn id (28 bytes or more) exceeds.
+    count, n = 200_000, 80_000
+    ids = tuple(f"benign-train-{i:06d}" for i in range(count))
+    picked, peak = traced_peak(lambda: manifest._pick(random.Random(7), ids, n))
+    assert picked == reference_pick(random.Random(7), ids, n)
+    assert peak <= 16 * count + 8 * n
 
 
 # Ties are forced between the last picked and the first unpicked key, between
@@ -788,6 +799,102 @@ def test_materialize_matches_reference(
         malicious = Counter(family for family in families if family is not None)
         assert malicious == {family: per_family for family in side_families}
     assert (counts["train_total"], counts["test_total"]) == (len(train[0]), len(test[0]))
+
+
+@st.composite
+def drawable_splits(draw):
+    """A pool that can supply its spec's draws, the spec and the per-family counts."""
+    train_per_family, test_per_family = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    side = draw(st.integers(1, 3))
+    order = draw(st.permutations([f"f{i}" for i in range(draw(st.integers(2 * side, 2 * side + 2)))]))
+    spec = SplitSpec(train_families=tuple(order[:side]),
+                     test_families=tuple(order[side : 2 * side]), tau=0.5, epsilon_final=0.05,
+                     seed=3, relaxations=0, attempts_total=1)
+    needs = dict.fromkeys(spec.train_families, train_per_family)
+    needs.update(dict.fromkeys(spec.test_families, test_per_family))
+    pool = build_pool(
+        {name: draw(st.integers(needs.get(name, 0), 6), label=f"size of {name}") for name in order},
+        benign_train=draw(st.integers(side * train_per_family, 30)),
+        benign_test=draw(st.integers(side * test_per_family, 15)),
+    )
+    return pool, spec, train_per_family, test_per_family
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(drawn=drawable_splits(), seed=st.integers(0, 2**64), split_id=st.sampled_from(["s", ""]))
+def test_every_drawn_split_passes_the_public_constructor(drawn, seed, split_id) -> None:
+    # A split drawn from a SamplePool skips the id set that its draw proves;
+    # the public constructor, which builds that set, must accept it unchanged.
+    ms = materialize_split(*drawn, seed, split_id=split_id)
+    assert MaterializedSplit(ms.split_id, ms.train, ms.test) == ms
+
+
+@pytest.mark.parametrize(
+    ("split_id", "train", "test"),
+    [
+        (None, [("alpha", ["a1"]), (None, ["t1"])], [("gamma", ["g1"]), (None, ["u1"])]),
+        ("s", [], [("gamma", ["g1"]), (None, ["u1"])]),
+        ("s", [("alpha", ["a1"]), (None, ["t1"])], []),
+        ("s", [("alpha", ["a1", "a2"]), (None, ["t1"])], [("gamma", ["g1"]), (None, ["u1"])]),
+        ("s", [("alpha", ["a1"]), (None, ["t1"])], [("gamma", ["g1"]), (None, [])]),
+        ("s", [("alpha", ["a1"]), (None, ["t1"])], [("alpha", ["a2"]), (None, ["u1"])]),
+    ],
+)
+def test_a_drawn_split_keeps_every_check_but_the_id_set(split_id, train, test) -> None:
+    # The split_id, empty-side, balance and family-overlap checks raise as
+    # the public constructor raises them.
+    def outcome(make):
+        return split_outcome(make, split_id, SplitSide(train), SplitSide(test))
+
+    assert outcome(MaterializedSplit._drawn) == outcome(MaterializedSplit)
+    assert len(outcome(MaterializedSplit)) == 2
+
+
+def test_a_drawn_split_skips_only_the_id_set() -> None:
+    train = SplitSide([("alpha", ["x"]), (None, ["t1"])])
+    test = SplitSide([("gamma", ["x"]), (None, ["u1"])])
+    with pytest.raises(PoolError, match="'x' appears in both train and test"):
+        MaterializedSplit("s", train, test)
+    assert MaterializedSplit._drawn("s", train, test).test is test
+
+
+@dataclass(frozen=True)
+class StandInPool:
+    """A pool-shaped object that SamplePool's id check never saw."""
+
+    by_family: dict
+    benign: dict
+
+
+@dataclass(frozen=True)
+class StandInSpec:
+    """A spec-shaped object that SplitSpec's family checks never saw."""
+
+    train_families: tuple
+    test_families: tuple
+
+
+@pytest.mark.parametrize(
+    ("pool", "spec", "message"),
+    [
+        (StandInPool({"alpha": ("x",), "beta": ("x",)}, {"train": ("t1",), "test": ("u1",)}),
+         SplitSpec(train_families=("alpha",), test_families=("beta",), tau=0.5,
+                   epsilon_final=0.05, seed=1, relaxations=0, attempts_total=1),
+         "sample id 'x' appears in both train and test (1 shared)"),
+        (StandInPool({"alpha": ("x",), "beta": ("x",), "gamma": ("g",), "delta": ("d",)},
+                     {"train": ("t1", "t2"), "test": ("u1", "u2")}),
+         toy_spec(), "sample id 'x' appears twice on the train side"),
+        (build_pool({"alpha": 1, "gamma": 1}, benign_train=2, benign_test=1),
+         StandInSpec(("alpha", "alpha"), ("gamma",)),
+         "sample id 'alpha-000000' appears twice on the train side"),
+    ],
+)
+def test_a_split_not_drawn_from_a_sample_pool_and_spec_gets_the_public_check(
+    pool, spec, message
+) -> None:
+    with pytest.raises(PoolError) as err:
+        materialize_split(pool, spec, 1, 1, seed=0, split_id="stand-in")
+    assert str(err.value) == message
 
 
 # Path.read_text reads with universal newlines, so "\r" and "\r\n" reach
