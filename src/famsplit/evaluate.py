@@ -10,14 +10,15 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Literal, Sequence, get_args
+from typing import Iterable, Iterator, Literal, Sequence, get_args
 
 import numpy as np
 
 from famsplit.errors import MatrixFormatError, PredictionError
-from famsplit.manifest import MaterializedSplit, _line_chunks, _text_stream
+from famsplit.lines import text_runs
+from famsplit.manifest import MaterializedSplit
 from famsplit.matrix import CrossErrorMatrix
 from famsplit.search import BenchmarkSet, SplitSpec
 
@@ -165,15 +166,19 @@ def evaluate_predictions(ms: MaterializedSplit, preds: PredictionSet) -> EvalRes
     )
 
 
+def _lines_of(windows: Iterable[str]) -> Iterator[str]:
+    """The lines of text_runs' windows, without their "\n"."""
+    return chain.from_iterable(text[:-1].split("\n") for text in windows)
+
+
 def _read_score_lines(path: str | Path) -> dict[str, float]:
     """The scores of prediction file `path`, read one line at a time.
 
     The one reader that reports faults: each names its line number.
     """
     scores: dict[str, float] = {}
-    with _text_stream(Path(path)) as stream:
-        for lineno, line in enumerate(stream, start=1):
-            line = line.removesuffix("\n")
+    with text_runs(Path(path), PredictionError) as windows:
+        for lineno, line in enumerate(_lines_of(windows), start=1):
             if not line:
                 continue
             parts = line.split("\t")
@@ -182,8 +187,8 @@ def _read_score_lines(path: str | Path) -> dict[str, float]:
             if not parts[0]:
                 raise PredictionError(f"{path}: line {lineno}: empty sample id")
             if parts[0] in scores:
-                with open(path, encoding="utf-8") as again:
-                    first = next(n for n, seen in enumerate(again, start=1)
+                with text_runs(Path(path), PredictionError) as again:
+                    first = next(n for n, seen in enumerate(_lines_of(again), start=1)
                                  if seen.split("\t")[0] == parts[0])
                 raise PredictionError(
                     f"{path}: line {lineno}: duplicate sample id {parts[0]!r} (first on line {first})"
@@ -201,15 +206,16 @@ _ABOVE_NEWLINE = bytes(range(ord("\n") + 1, 256))
 
 def _scores_in_one_pass(path: str | Path) -> dict[str, float] | None:
     """The scores of a prediction file whose every line is a non-empty id, one
-    tab and a score, each id once, read in one pass; None for any other file.
+    tab and a score, each id once, read in one pass; None for any other file
+    but one that `lines.text_runs` refuses.
 
-    The text is taken a chunk of whole lines at a time (`_line_chunks`), so
-    neither the file's text nor its list of fields is ever held whole.
+    The text is taken a window of whole lines at a time (`lines.text_runs`),
+    so neither the file's text nor its list of fields is ever held whole.
     """
     scores: dict[str, float] = {}
     lines = 0
-    with _text_stream(Path(path)) as stream:
-        for chunk in _line_chunks(stream):
+    with text_runs(Path(path), PredictionError) as windows:
+        for chunk in windows:
             # UTF-8 puts no byte below 0x80 inside another character, so the
             # bytes up to "\n" alternate tab, "\n" (ending on the chunk's last
             # "\n") exactly when each line holds one tab and no other control

@@ -12,17 +12,17 @@ import json
 import random
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import TextIO, TypeVar
+from typing import TypeVar
 
 import numpy as np
 
-from famsplit.errors import FamsplitError, PoolError
+from famsplit.errors import PoolError
+from famsplit.lines import text_runs
 from famsplit.search import SplitSpec, _stream_words
 
 TRAIN_PER_FAMILY = 8000
@@ -215,52 +215,6 @@ def _pool_key(path: Path, lineno: int, parts: list[str]) -> tuple[str | None, st
     return family, origin
 
 
-# Characters a record or prediction file is read by, a window at a time.
-_READ_CHARS = 1 << 14
-
-
-@contextmanager
-def _text_stream(path: Path) -> Iterator[TextIO]:
-    """`path` open as read_text reads it: UTF-8, CRLF and CR read as LF.
-
-    The file's text as a whole is never held. A decode error, met in reading
-    or in the unread rest of the file when a FamsplitError stops the read, is
-    raised as read_text's UnicodeDecodeError, its position in the whole file.
-    """
-    with open(path, encoding="utf-8") as stream:
-        try:
-            yield stream
-            return
-        except FamsplitError as exc:
-            try:
-                while stream.read(_READ_CHARS):
-                    pass
-            except UnicodeDecodeError:
-                error: Exception = exc
-            else:
-                raise
-        except UnicodeDecodeError as exc:
-            error = exc
-    path.read_text(encoding="utf-8")  # raises the whole file's decode error
-    raise error
-
-
-def _line_chunks(stream: TextIO) -> Iterator[str]:
-    """The stream's text read _READ_CHARS characters at a time, each read
-    cut after its last "\n"; a last line without "\n" is given one."""
-    tail = ""
-    while read := stream.read(_READ_CHARS):
-        text = tail + read
-        cut = text.rfind("\n") + 1
-        chunk, tail = text[:cut], text[cut:]
-        if chunk:
-            yield chunk
-    if tail:
-        yield tail + "\n"  # a last line reads the same with or without its newline
-
-
-# Characters of record text read per chunk; each chunk ends at a newline.
-_POOL_CHUNK = 1 << 14
 _Key = TypeVar("_Key")
 
 
@@ -272,14 +226,13 @@ def _read_runs(
     A record line is `fields` tab-separated fields, an id and then a suffix,
     ended by "\n" alone: any other line break, such as U+2028, is field text.
     `rule(path, lineno, parts)` checks one line's fields and returns its key.
-    The file is read through `_text_stream`, _READ_CHARS characters at a
-    time, and only the unread tail of the text is kept beside the next read.
-    The text is cut in chunks of at most about _POOL_CHUNK characters, each
-    cut after its last line that ends in its first line's suffix. A chunk
-    whose lines all end in that suffix, as inside a save_pool block or a
-    write_split family run, is one run, taken with one split on that suffix.
-    Any other chunk is read line by line, one run per non-empty line, which
-    reports the first fault by line number.
+    The file is read through `lines.text_runs`, a window of whole lines at a
+    time. Each window is cut in chunks, each after its last line that ends
+    in its first line's suffix. A chunk whose lines all end in that suffix,
+    as inside a save_pool block or a write_split family run, is one run,
+    taken with one split on that suffix. Any other chunk is read line by
+    line, one run per non-empty line, which reports the first fault by line
+    number.
     """
 
     def key(lineno: int, line: str) -> tuple[list[str], _Key]:
@@ -288,56 +241,48 @@ def _read_runs(
             raise PoolError(f"{path}: line {lineno}: expected {fields} fields, got {len(parts)}")
         return parts, rule(path, lineno, parts)
 
-    with _text_stream(path) as stream:
-        text, start, lineno, cut_short, at_end = "", 0, 1, False, False
-        while True:
-            # A chunk ends at the first "\n" from start + _POOL_CHUNK on, or
-            # at the end of the file: read until the text holds that end.
-            end = text.find("\n", start + _POOL_CHUNK) + 1
-            if not end and not at_end:
-                read = stream.read(_READ_CHARS)
-                text, start, at_end = text[start:] + read, 0, not read
-                if at_end and text and not text.endswith("\n"):
-                    text += "\n"  # a last line reads the same with or without its newline
-                continue
-            if start == len(text):
-                return
-            end = end or len(text)
-            first = text[start : text.index("\n", start)]
-            if first:
-                parts, run_key = key(lineno, first)
-                suffix = first[len(parts[0]) :] + "\n"
-                # Cut after the chunk's last line that ends in the first line's
-                # suffix, so the next chunk starts at the next run. Two chunks in
-                # a row cut below half their window are interleaved runs, whose
-                # cuts would each rescan a window: read that window line by line.
-                cut = text.rfind(suffix, start, end) + len(suffix)
-                was_short, cut_short = cut_short, 2 * (cut - start) < end - start
-                if not (was_short and cut_short):
-                    end = cut
-            chunk = text[start:end]
-            start = end
-            if first:
-                newlines = chunk.count("\n")
-                pieces = chunk.split(suffix)
-                # Each suffix match holds one newline, so one piece per newline
-                # leaves every line `piece + suffix` and the last piece empty;
-                # fields - 1 tabs a line leave none in a piece, and no other
-                # piece may be empty.
-                if (
-                    len(pieces) == newlines + 1
-                    and chunk.count("\t") == (fields - 1) * newlines
-                    and pieces.count("") == 1
-                ):
-                    yield run_key, pieces[:-1]
-                    lineno += newlines
-                    continue
-            lines = chunk[:-1].split("\n")
-            for at, line in enumerate(lines, start=lineno):
-                if line:
-                    parts, line_key = key(at, line)
-                    yield line_key, parts[:1]
-            lineno += len(lines)
+    lineno, cut_short = 1, False
+    with text_runs(path, PoolError) as windows:
+        for text in windows:
+            start = 0
+            while start < len(text):
+                end = len(text)
+                first = text[start : text.index("\n", start)]
+                if first:
+                    parts, run_key = key(lineno, first)
+                    suffix = first[len(parts[0]) :] + "\n"
+                    # Cut after the chunk's last line that ends in the first
+                    # line's suffix, so the next chunk starts at the next run.
+                    # Two chunks in a row cut below half their window are
+                    # interleaved runs, whose cuts would each rescan a window:
+                    # read that window line by line.
+                    cut = text.rfind(suffix, start) + len(suffix)
+                    was_short, cut_short = cut_short, 2 * (cut - start) < end - start
+                    if not (was_short and cut_short):
+                        end = cut
+                chunk = text[start:end]
+                start = end
+                if first:
+                    newlines = chunk.count("\n")
+                    pieces = chunk.split(suffix)
+                    # Each suffix match holds one newline, so one piece per
+                    # newline leaves every line `piece + suffix` and the last
+                    # piece empty; fields - 1 tabs a line leave none in a
+                    # piece, and no other piece may be empty.
+                    if (
+                        len(pieces) == newlines + 1
+                        and chunk.count("\t") == (fields - 1) * newlines
+                        and pieces.count("") == 1
+                    ):
+                        yield run_key, pieces[:-1]
+                        lineno += newlines
+                        continue
+                lines = chunk[:-1].split("\n")
+                for at, line in enumerate(lines, start=lineno):
+                    if line:
+                        parts, line_key = key(at, line)
+                        yield line_key, parts[:1]
+                lineno += len(lines)
 
 
 def load_pool(path: str | Path) -> SamplePool:
@@ -370,6 +315,14 @@ def _run_text(ids: Sequence[str], fields: tuple[str, ...]) -> str:
     return text
 
 
+def _file_text(text: str) -> str:
+    """A record file's `text`, unless line 1 would read back as a byte order mark."""
+    if text.startswith("\ufeff"):
+        first = text.partition("\t")[0]
+        raise PoolError(f"cannot write sample id {first!r} first: it starts with U+FEFF")
+    return text
+
+
 def save_pool(pool: SamplePool, path: str | Path) -> None:
     """Write the canonical pool layout: family blocks, then train and test benign.
 
@@ -378,7 +331,8 @@ def save_pool(pool: SamplePool, path: str | Path) -> None:
     """
     blocks = [(ids, ("malicious", family, "-")) for family, ids in pool.by_family.items() if ids]
     blocks += [(ids, ("benign", "-", origin)) for origin, ids in pool.benign.items() if ids]
-    Path(path).write_text("".join(_run_text(*block) for block in blocks), encoding="utf-8")
+    text = _file_text("".join(_run_text(*block) for block in blocks))
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _pick(rng: random.Random, ids: Sequence[str], n: int) -> list[str]:
@@ -477,10 +431,10 @@ def materialize_split(
 
 def _side_text(side: SplitSide) -> str:
     # One _run_text per family run; benign runs carry family "-".
-    return "".join(
+    return _file_text("".join(
         _run_text(ids, ("benign", "-") if family is None else ("malicious", family))
         for family, ids in side.runs
-    )
+    ))
 
 
 def _side_facts(ms: MaterializedSplit) -> dict:

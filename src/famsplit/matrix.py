@@ -9,16 +9,16 @@ A matrix holds each value on the 1e-6 grid that its CSV stores.
 
 from __future__ import annotations
 
-import codecs
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from famsplit.errors import MatrixFormatError
 from famsplit.families import FAMILY_NAMES
+from famsplit.lines import line_runs
 
 HEADER_CELL = "family"
 
@@ -133,12 +133,11 @@ _CELL_HEAD = np.array(
 _CELL_TAIL = np.array(
     [int.from_bytes(b"\0" * 5 + b"%03d" % r, "little") for r in range(1000)], dtype=np.uint64
 )
-# load_matrix reads the file 9 * _LOAD_BLOCK_CELLS bytes at a time, about
-# the canonical rows of _LOAD_BLOCK_CELLS cells, and checks non-ASCII bytes as
-# UTF-8 _UTF8_SLICE_BYTES at a time; save_matrix formats _SAVE_BLOCK_CELLS
+# load_matrix reads the file _LOAD_READ_BYTES at a time, about the canonical
+# rows of _LOAD_BLOCK_CELLS cells; save_matrix formats _SAVE_BLOCK_CELLS
 # cells at once. So their buffers stay small next to the matrix.
 _LOAD_BLOCK_CELLS = 8_192
-_UTF8_SLICE_BYTES = 4_096
+_LOAD_READ_BYTES = 9 * _LOAD_BLOCK_CELLS
 _SAVE_BLOCK_CELLS = 16_384
 
 
@@ -176,61 +175,6 @@ def _block_parser(k: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     return parse
 
 
-def _decodes(decoder: codecs.IncrementalDecoder, data: memoryview, final: bool) -> bool:
-    """Whether `decoder` takes `data` as UTF-8, a slice of _UTF8_SLICE_BYTES at
-    a time so no decoded text beyond a slice is held; `final` if no bytes follow."""
-    try:
-        for i in range(0, len(data), _UTF8_SLICE_BYTES):
-            decoder.decode(data[i : i + _UTF8_SLICE_BYTES])
-        decoder.decode(b"", final)
-    except UnicodeDecodeError:
-        return False
-    return True
-
-
-def _line_runs(path: Path) -> Iterator[tuple[bytearray, int]]:
-    """The file's bytes as runs of whole lines, each `(buffer, n)` with the run
-    in buffer[:n]; every run but the last ends at a LF.
-
-    One buffer of 9 * _LOAD_BLOCK_CELLS bytes serves every run, and grows
-    only to hold a longer line. CRLF and lone CR line ends become LF, as
-    read_text makes them. Each byte is checked as UTF-8 before its run is
-    given out; a bad file raises read_text's UnicodeDecodeError, position
-    included, by decoding the whole file once.
-    """
-    buf = bytearray(9 * _LOAD_BLOCK_CELLS)
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    kept = 0  # bytes of a line carried over from the last run
-    with path.open("rb", buffering=0) as f:
-        while True:
-            with memoryview(buf) as view:
-                n = f.readinto(view[kept:])
-                end = kept + n
-                # The carried line holds any sequence the last read cut, so a
-                # run that is all ASCII leaves nothing pending in the decoder.
-                ascii_run = (buf if end == len(buf) else buf[:end]).isascii()
-                if not ascii_run and not _decodes(decoder, view[kept:end], final=not n):
-                    path.read_bytes().decode("utf-8")  # raises read_text's error
-                if buf.find(b"\r", 0, end) >= 0:
-                    # A CR last in a read may begin a CRLF, so it waits for the next.
-                    hold = n > 0 and buf[end - 1] == ord("\r")
-                    text = view[: end - hold].tobytes()
-                    text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-                    view[: len(text)] = text
-                    end = len(text) + hold
-                    if hold:
-                        view[end - 1] = ord("\r")
-            cut = buf.rfind(b"\n", 0, end) + 1 if n else end
-            if cut:
-                yield buf, cut
-            if not n:
-                return
-            kept = end - cut
-            buf[:kept] = buf[cut:end]
-            if kept == len(buf):
-                buf.extend(bytes(len(buf)))
-
-
 def _parse_row(path: Path, line: bytes, t: int, family: str, row: np.ndarray) -> None:
     """Fill `row` from the text of data line `t`, cell by cell, or raise the
     error of its first fault."""
@@ -261,19 +205,18 @@ def load_matrix(path: str | Path) -> CrossErrorMatrix:
     """Parse a matrix CSV (header line + one row per family).
 
     Cells use Python ``float()`` syntax. The file is read once, a run of
-    whole lines at a time. The canonical rows that ``save_matrix`` writes
-    are read a run at a time as digit arrays; any other row is parsed cell by
-    cell, so an error names its first bad cell. Errors are raised in the
-    order a whole-file parse meets them: bad UTF-8, an empty file, the
-    header, the row count, then the first bad row.
+    whole lines at a time (`lines.line_runs`). The canonical rows that
+    ``save_matrix`` writes are read a run at a time as digit arrays; any
+    other row is parsed cell by cell, so an error names its first bad cell.
+    Errors are raised in the order a whole-file parse meets them: bad UTF-8,
+    an empty file, the header, the row count, then the first bad row.
     """
     path = Path(path)
-    runs = _line_runs(path)
+    runs = line_runs(path, _LOAD_READ_BYTES)
     buf, end = next(runs, (bytearray(), 0))
     if not end:
         raise MatrixFormatError(f"{path}: empty file")
     head_end = buf.find(b"\n", 0, end)
-    head_end = end if head_end < 0 else head_end
     header = buf[:head_end].decode("utf-8").split(",")
     families: tuple[str, ...] = ()
     error: MatrixFormatError | None = None  # the first fault, raised after the row count
@@ -292,7 +235,7 @@ def load_matrix(path: str | Path) -> CrossErrorMatrix:
     if k:  # after a bad header no row is parsed, only counted
         parse_block = _block_parser(k)
         # A canonical line is at least width + 2 bytes, so a run of them fits the block.
-        block = np.zeros((max(1, 9 * _LOAD_BLOCK_CELLS // (width + 2)), width), dtype=np.uint8)
+        block = np.zeros((max(1, _LOAD_READ_BYTES // (width + 2)), width), dtype=np.uint8)
         block_bytes = memoryview(block).cast("B")
         # K rows of K cells take at least K * (2K + 1) bytes. A smaller file
         # fails the row count or a row, so its rows are parsed into one
@@ -308,7 +251,6 @@ def load_matrix(path: str | Path) -> CrossErrorMatrix:
                 first, lines = n_rows, []
                 while pos < end and n_rows < k and len(lines) < len(block):
                     stop = buf.find(b"\n", pos, end)
-                    stop = end if stop < 0 else stop
                     i, prefix = len(lines), (families[n_rows] + ",").encode("utf-8")
                     cells = pos + len(prefix)
                     if stop - cells == width - 1 and buf.startswith(prefix, pos):
@@ -327,8 +269,7 @@ def load_matrix(path: str | Path) -> CrossErrorMatrix:
                         error = exc
                         break
         # Rows past the header's count, or after a fault, are only counted.
-        if pos < end:
-            n_rows += buf.count(b"\n", pos, end) + (buf[end - 1] != ord("\n"))
+        n_rows += buf.count(b"\n", pos, end)
         pos = 0
     if error is not None and not families:
         raise error

@@ -15,6 +15,7 @@ from famsplit.ablation import ablation_report, select_worst_k
 from famsplit.cli import _sha256, main
 from famsplit.evaluate import validate_benchmark
 from famsplit import manifest
+from famsplit.lines import RECORD_READ_BYTES
 from famsplit.manifest import SPLIT_FILES, load_pool, read_split, save_pool, SamplePool, write_split
 from famsplit.matrix import load_matrix, save_matrix, synth_family_names
 from famsplit.search import (STANDARD_LABELS, SearchConfig, benchmark_to_dict, derive_seed,
@@ -471,7 +472,7 @@ def big_pool_file(tmp_path_factory) -> Path:
     )
     path = tmp_path_factory.mktemp("big-pool") / "big-pool.tsv"
     save_pool(pool, path)
-    assert path.stat().st_size > 100 * manifest._POOL_CHUNK
+    assert path.stat().st_size > 100 * RECORD_READ_BYTES
     return path
 
 
@@ -513,7 +514,7 @@ def test_many_chunk_split_round_trips_and_names_a_bad_line(
     split = tmp_path / "mat" / "split-00"
     train = split / SPLIT_FILES["train"]
     for side in ("train", "test"):
-        assert (split / SPLIT_FILES[side]).stat().st_size > 3 * manifest._POOL_CHUNK
+        assert (split / SPLIT_FILES[side]).stat().st_size > 3 * RECORD_READ_BYTES
     again = tmp_path / "again"
     write_split(read_split(split), again, json.loads((split / SPLIT_FILES["meta"]).read_text()))
     for name in SPLIT_FILES.values():

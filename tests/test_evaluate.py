@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from famsplit import evaluate, manifest
+from famsplit import evaluate
 from famsplit.errors import MatrixFormatError, PredictionError
 from famsplit.evaluate import (
     EvalResult,
@@ -21,6 +21,7 @@ from famsplit.evaluate import (
     validate_benchmark,
     validate_split,
 )
+from famsplit.lines import RECORD_READ_BYTES
 from famsplit.manifest import MaterializedSplit, SplitSide
 from famsplit.search import SearchConfig, SplitSpec, generate_benchmark, search_split
 
@@ -311,6 +312,8 @@ def reference_load_predictions(path, threshold: float = 0.5) -> PredictionSet:
     for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
+        if lineno == 1 and line.startswith("\ufeff"):
+            raise PredictionError(f"{path}: line 1: starts with a UTF-8 byte order mark")
         parts = line.split("\t")
         if len(parts) != 2:
             raise PredictionError(f"{path}: line {lineno}: expected 2 fields, got {len(parts)}")
@@ -431,7 +434,7 @@ def test_load_predictions_peaks_at_its_result_and_a_few_read_buffers(tmp_path) -
     path.write_text("".join(f"id-{i:06d}\t{(i % 997) / 996!r}\n" for i in range(lines)))
     preds, held, peak = traced(lambda: load_predictions(path))
     assert len(preds.scores) == lines
-    assert peak <= held + 10 * lines + 8 * manifest._READ_CHARS
+    assert peak <= held + 10 * lines + 8 * RECORD_READ_BYTES
 
 
 def test_prediction_set_clears_its_range_with_one_float_copy() -> None:

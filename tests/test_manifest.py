@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from famsplit import manifest
 from famsplit.errors import PoolError
 from famsplit.evaluate import load_predictions
+from famsplit.lines import RECORD_READ_BYTES
 from famsplit.manifest import (
     MaterializedSplit,
     SamplePool,
@@ -680,6 +681,8 @@ def _reference_read_records(path: Path) -> list[ReferenceSampleRecord]:
     for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
         if not line:
             continue
+        if lineno == 1 and line.startswith("\ufeff"):
+            raise PoolError(f"{path}: line 1: starts with a UTF-8 byte order mark")
         parts = line.split("\t")
         if len(parts) != 3:
             raise PoolError(f"{path}: line {lineno}: expected 3 fields, got {len(parts)}")
@@ -1172,6 +1175,8 @@ def reference_load_pool(path: str | Path) -> SamplePool:
     for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
         if not line:
             continue
+        if lineno == 1 and line.startswith("\ufeff"):
+            raise PoolError(f"{path}: line 1: starts with a UTF-8 byte order mark")
         parts = line.split("\t")
         if len(parts) != 4:
             raise PoolError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
@@ -1218,13 +1223,13 @@ POOL_FAULTS = [
     benign_sizes=st.tuples(st.integers(0, 20), st.integers(0, 20)),
     layout=st.sampled_from(["canonical", "interleaved families", "interleaved origins"]),
     fault=st.sampled_from(POOL_FAULTS),
-    chunk=st.integers(0, 48),
+    read_bytes=st.integers(1, 48),
     data=st.data(),
 )
 def test_load_pool_matches_reference(
-    tmp_path_factory, sizes, benign_sizes, layout, fault, chunk, data
+    tmp_path_factory, sizes, benign_sizes, layout, fault, read_bytes, data
 ) -> None:
-    # Ids of mixed lengths, so chunk ends fall anywhere in a line.
+    # Ids of mixed lengths, so read and chunk ends fall anywhere in a line.
     families = [
         [f"f{j}-{'x' * (i % 3)}{i}\tmalicious\tf{j}\t-" for i in range(n)]
         for j, n in enumerate(sizes)
@@ -1261,7 +1266,7 @@ def test_load_pool_matches_reference(
     path = tmp_path_factory.mktemp("pool") / "pool.tsv"
     path.write_text(text, encoding="utf-8", newline="")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(manifest, "_POOL_CHUNK", chunk)
+        patch.setattr("famsplit.lines.RECORD_READ_BYTES", read_bytes)
         outcome = pool_outcome(load_pool, path)
     assert outcome == pool_outcome(reference_load_pool, path)
     if layout == "canonical" and fault in (None, "empty line", "crlf", "no final newline"):
@@ -1286,11 +1291,14 @@ def most_rule_calls(path: Path) -> int:
     """Most rule calls `_read_runs` makes on `path` if no chunk reaches the line loop.
 
     A chunk read as one run checks only its first line. Each chunk ends at a
-    run boundary or holds more than _POOL_CHUNK characters, but for the last.
+    run boundary or at the end of a read window, and every window but the
+    last holds more than RECORD_READ_BYTES less the longest line's bytes.
     """
     suffixes = [line[line.index("\t") :] for line in path.read_text(encoding="utf-8").splitlines()]
     boundaries = sum(a != b for a, b in zip(suffixes, suffixes[1:]))
-    return path.stat().st_size // manifest._POOL_CHUNK + 1 + boundaries
+    data = path.read_bytes()
+    longest = max(map(len, data.split(b"\n"))) + 1
+    return len(data) // (RECORD_READ_BYTES - longest) + 1 + boundaries
 
 
 def test_load_pool_reads_canonical_blocks_without_the_line_loop(tmp_path, monkeypatch) -> None:
@@ -1299,15 +1307,16 @@ def test_load_pool_reads_canonical_blocks_without_the_line_loop(tmp_path, monkey
     save_pool(pool, path)
     crlf = tmp_path / "crlf.tsv"
     crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    assert path.stat().st_size > 20 * manifest._POOL_CHUNK
+    assert path.stat().st_size > 20 * RECORD_READ_BYTES
     calls = spy_rule(monkeypatch, "_pool_key")
-    # read_text turns CRLF into LF, so a CRLF copy takes the same runs.
+    # The reader turns CRLF into LF, so a CRLF copy takes the same runs, in
+    # more windows: they are counted in the file's bytes.
     for copy in (path, crlf):
         calls.clear()
         loaded = load_pool(copy)
         assert pool_outcome(lambda _: loaded, path) == pool_outcome(reference_load_pool, path)
         # No chunk straddles one of the four block boundaries.
-        assert len(calls) <= most_rule_calls(path)
+        assert len(calls) <= most_rule_calls(copy)
 
 
 def test_load_pool_peaks_at_the_pool_and_its_hash_proof(tmp_path) -> None:
@@ -1320,7 +1329,7 @@ def test_load_pool_peaks_at_the_pool_and_its_hash_proof(tmp_path) -> None:
     ids = 200_000
     loaded, held, peak = traced(lambda: load_pool(path))
     assert pool_outcome(lambda _: loaded, path) == pool_outcome(lambda _: pool, path)
-    assert peak <= held + 9 * ids + 8 * manifest._READ_CHARS
+    assert peak <= held + 9 * ids + 8 * RECORD_READ_BYTES
 
 
 def test_read_split_reads_family_runs_without_the_line_loop(tmp_path, monkeypatch) -> None:
@@ -1331,7 +1340,7 @@ def test_read_split_reads_family_runs_without_the_line_loop(tmp_path, monkeypatc
     assert split_outcome(read_split, tmp_path) == split_outcome(reference_read_split, tmp_path)
     for name in ("train", "test"):
         path = tmp_path / f"{name}.tsv"
-        assert path.stat().st_size > 6 * manifest._POOL_CHUNK
+        assert path.stat().st_size > 6 * RECORD_READ_BYTES
         # Two families then benign: no chunk straddles a run boundary.
         assert sum(called == path for called, _ in calls) <= most_rule_calls(path)
 
@@ -1365,6 +1374,10 @@ def unwritable(what: str, value: str) -> str:
     return f"cannot write {what} {value!r}: it is empty or holds a tab, \\n or \\r"
 
 
+def leading_bom(sample_id: str) -> str:
+    return f"cannot write sample id {sample_id!r} first: it starts with U+FEFF"
+
+
 @pytest.mark.parametrize(
     ("by_family", "benign", "message"),
     [
@@ -1374,8 +1387,12 @@ def unwritable(what: str, value: str) -> str:
         ({"alpha": ["a"]}, {"test": ["b", "c\rd"]}, unwritable("sample id", "c\rd")),
         ({"alpha": ["a"], "al\npha": ["b"]}, {}, unwritable("family", "al\npha")),
         ({"alpha": ["a"]}, {"train": ["b", ""]}, unwritable("sample id", "")),
+        # Line 1 would read as a byte order mark; further down U+FEFF is id text.
+        ({"alpha": ["\ufeffa", "b"]}, {}, leading_bom("\ufeffa")),
+        ({}, {"train": ["\ufeffb"]}, leading_bom("\ufeffb")),
     ],
-    ids=["a record in an id", "cr in a benign id", "newline in a family", "empty id"],
+    ids=["a record in an id", "cr in a benign id", "newline in a family", "empty id",
+         "byte order mark first", "byte order mark first in a benign block"],
 )
 def test_save_pool_refuses_ids_that_load_pool_cannot_read_back(
     tmp_path, by_family, benign, message
@@ -1403,8 +1420,10 @@ GOOD_TEST = two_records("x", "y", "gamma")
         (two_records("a", "b", "al\tpha"), GOOD_TEST, unwritable("family", "al\tpha")),
         (two_records("", "b", "alpha"), GOOD_TEST, unwritable("sample id", "")),
         (GOOD_TRAIN, two_records("x", "c\td", "gamma"), unwritable("sample id", "c\td")),
+        (GOOD_TRAIN, two_records("\ufeffx", "y", "gamma"), leading_bom("\ufeffx")),
     ],
-    ids=["tab in an id", "cr in an id", "tab in a family", "empty id", "tab in a test id"],
+    ids=["tab in an id", "cr in an id", "tab in a family", "empty id", "tab in a test id",
+         "byte order mark first in a test side"],
 )
 def test_write_split_refuses_ids_that_read_split_cannot_read_back(
     tmp_path, train, test, message
@@ -1430,19 +1449,25 @@ RECORD_TEXT = st.text(
 
 
 # The train side's family is drawn, and the test side's is the same text
-# with a "+" appended, so the two sides never share a family.
+# with a "+" appended, so the two sides never share a family. An id that a
+# file holds first, ids[0] or the test side's ids[2 * k], may not start with
+# U+FEFF, which would read as a byte order mark; any other id may.
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(
-    ids=st.lists(RECORD_TEXT, min_size=4, max_size=40, unique=True),
+    ids=st.lists(RECORD_TEXT, min_size=4, max_size=40, unique=True).filter(
+        lambda ids: not any(ids[i].startswith("\ufeff") for i in (0, len(ids) // 4 * 2))
+    ),
     family=RECORD_TEXT.filter(lambda family: family != "-"),
     scores=st.lists(st.floats(0, 1), min_size=40, max_size=40),
-    chunk=st.integers(0, 48),
+    read_bytes=st.integers(1, 48),
 )
 @example(
-    ids=["\x85", "a\u2028b", "\x0b", "\x1c\x1d\x1e"], family="f\u2029", scores=[0.5] * 40, chunk=0
+    ids=["\x85", "a\u2028b", "\x0b", "\x1c\x1d\x1e"], family="f\u2029", scores=[0.5] * 40,
+    read_bytes=1,
 )
+@example(ids=["a", "\ufeffb", "c", "\ufeffd"], family="f", scores=[0.5] * 40, read_bytes=2)
 def test_ids_round_trip_through_every_record_file(
-    tmp_path_factory, ids, family, scores, chunk
+    tmp_path_factory, ids, family, scores, read_bytes
 ) -> None:
     directory = tmp_path_factory.mktemp("round-trip")
     k = len(ids) // 4
@@ -1460,9 +1485,9 @@ def test_ids_round_trip_through_every_record_file(
     spec = SplitSpec(train_families=(families[0],), test_families=(families[1],), tau=0.5,
                      epsilon_final=0.05, seed=0, relaxations=0, attempts_total=1)
     write_split(ms, directory / "split", split_meta(ms, spec, 0, k, k))
-    # Chunks of 0 to 48 characters cut the family runs at every place.
+    # Reads of 1 to 48 bytes cut the family runs at every place.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(manifest, "_POOL_CHUNK", chunk)
+        patch.setattr("famsplit.lines.RECORD_READ_BYTES", read_bytes)
         assert read_split(directory / "split") == ms
     assert split_outcome(read_split, directory / "split") == split_outcome(lambda: ms)
 

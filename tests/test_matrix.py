@@ -587,82 +587,6 @@ def test_load_of_a_non_ascii_name_keeps_the_ascii_bound(tmp_path) -> None:
     assert peak <= k * k * 8 + parse_buffer_bound(k)
 
 
-@pytest.mark.parametrize("read_cells, slice_bytes", [(1, 4096), (8192, 1), (1, 1), (2, 2)])
-def test_multibyte_names_load_across_read_and_check_edges(
-    tmp_path, monkeypatch, read_cells, slice_bytes
-) -> None:
-    # Reads of 9 * read_cells bytes and UTF-8 checks of slice_bytes cut the
-    # 2-, 3- and 4-byte sequences of these names, which is not an error.
-    families = ["famille\u00e9", "\u5bb6\u65cf", "\U0001f600x", "b"]
-    rows = [",".join((f, *["0.500000"] * 4)) for f in families]
-    path = tmp_path / "m.csv"
-    path.write_bytes(matrix_csv(families, rows).encode("utf-8"))
-    monkeypatch.setattr(matrix, "_LOAD_BLOCK_CELLS", read_cells)
-    monkeypatch.setattr(matrix, "_UTF8_SLICE_BYTES", slice_bytes)
-    outcome = load_outcome(load_matrix, path)
-    assert outcome[0] == tuple(families)
-    assert outcome == load_outcome(reference_load_matrix, path)
-
-
-@pytest.mark.parametrize("read_cells", [2, 3])
-def test_a_crlf_cut_by_a_read_is_one_line_end(tmp_path, monkeypatch, read_cells) -> None:
-    # The header is one byte short of the first read, so the read ends on
-    # its CR and the LF comes in the next one.
-    families = ["a" * (9 * read_cells - 10), "b"]
-    rows = [f"{family},0.500000,0.250000" for family in families]
-    text = matrix_csv(families, rows, "\r\n")
-    assert text.index("\r\n") == 9 * read_cells - 1
-    path = tmp_path / "m.csv"
-    path.write_bytes(text.encode("ascii"))
-    monkeypatch.setattr(matrix, "_LOAD_BLOCK_CELLS", read_cells)
-    outcome = load_outcome(load_matrix, path)
-    assert outcome[0] == tuple(families)
-    assert outcome == load_outcome(reference_load_matrix, path)
-
-
-@pytest.mark.parametrize("read_cells", [1, 2, 3])
-@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-@pytest.mark.parametrize("faulty", [False, True])
-def test_load_matches_reference_when_reads_cut_lines(
-    tmp_path, monkeypatch, read_cells, newline, faulty
-) -> None:
-    # Reads of 9, 18 or 27 bytes cut the header, rows and CRLF pairs; the
-    # buffer grows to hold a whole line, and a CR last in a read waits for
-    # the next read to tell a CRLF from a lone CR.
-    m = make_matrix(np.random.default_rng(8).uniform(0.0, 1.0, (12, 12)))
-    cells = [[f"{x:.6f}" for x in row] for row in m.values]
-    cells[3] = [repr(float(x)) for x in m.values[3]]
-    if faulty:
-        cells[9][4] = "oops"
-    rows = [",".join((family, *row)) for family, row in zip(m.families, cells)]
-    path = tmp_path / "m.csv"
-    path.write_bytes(matrix_csv(list(m.families), rows, newline).encode("ascii"))
-    monkeypatch.setattr(matrix, "_LOAD_BLOCK_CELLS", read_cells)
-    outcome = load_outcome(load_matrix, path)
-    assert isinstance(outcome[1], bytes) != faulty
-    assert outcome == load_outcome(reference_load_matrix, path)
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda data: data[:-40] + b"\xff" + data[-39:],  # a bad byte late in the file
-        lambda data: data + b"\xe5\xae",  # a sequence cut by the end of the file
-    ],
-    ids=["bad byte", "truncated at the end"],
-)
-def test_bad_utf8_raises_read_texts_error(tmp_path, edit) -> None:
-    path = tmp_path / "m.csv"
-    save_matrix(synth_matrix(300, seed=2), path)
-    path.write_bytes(edit(path.read_bytes()))
-    with pytest.raises(UnicodeDecodeError) as expected:
-        path.read_text(encoding="utf-8")
-    with pytest.raises(UnicodeDecodeError) as got:
-        load_matrix(path)
-    assert str(got.value) == str(expected.value)
-    assert expected.value.start > 9 * _LOAD_BLOCK_CELLS  # a position in the whole file
-
-
 def test_a_header_naming_many_families_is_a_row_count_error(tmp_path) -> None:
     # The file is too small for 20,000 rows of 20,000 cells, so the load
     # builds no 3.2 GB grid before it finds that the file has 2 rows.
