@@ -10,7 +10,6 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
-import numpy as np
 
 from famsplit.errors import MatrixFormatError
 from famsplit.matrix import CrossErrorMatrix
@@ -33,29 +32,9 @@ class AblationReport:
     per_family_recall: dict[str, float]
 
 
-# Cells per block of rows whose off-diagonal _row_means copies at once, so the
-# copy stays small next to the matrix.
-_MEAN_BLOCK_CELLS = 16_384
-
-
-def _row_means(m: CrossErrorMatrix) -> list[float]:
-    """Each row's mean recall against the other families (diagonal excluded).
-
-    Each row's mean is taken over its K - 1 contiguous off-diagonal values, a
-    block of rows at a time.
-    """
-    means: list[float] = []
-    block_rows = max(1, _MEAN_BLOCK_CELLS // m.k)
-    for start in range(0, m.k, block_rows):
-        block = m.values[start : start + block_rows]
-        # Each row's off-diagonal: all but column start + its row in the block.
-        off = ~np.eye(len(block), m.k, start, dtype=bool)
-        means += block[off].reshape(len(block), m.k - 1).mean(axis=1).tolist()
-    return means
-
-
 def _ranked_indices(m: CrossErrorMatrix, descending: bool) -> list[int]:
-    means = _row_means(m)
+    # Row means against the other families, which the matrix finds once.
+    means = m._off_diagonal_means
     sign = -1.0 if descending else 1.0
     return sorted(range(m.k), key=lambda t: (sign * means[t], t))
 

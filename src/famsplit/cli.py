@@ -342,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FamsplitError, OSError, json.JSONDecodeError) as exc:
+    except (FamsplitError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"famsplit: error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -40,6 +41,16 @@ def _family_index(families: tuple[str, ...]) -> dict[str, int]:
     return index
 
 
+def _round_to_grid(values: np.ndarray) -> None:
+    """Put float64 `values` in [0, 1] on the 1e-6 grid the CSV stores, in
+    place: the nearest multiple of 1e-6, ties to even, and +0.0 for -0.0, so
+    a saved and reloaded matrix is the one saved."""
+    values *= 1e6
+    np.rint(values, out=values)
+    values /= 1e6
+    values += 0.0
+
+
 @dataclass(frozen=True, eq=False)
 class CrossErrorMatrix:
     """K x K recall grid over an ordered list of unique family names. Two are
@@ -50,25 +61,10 @@ class CrossErrorMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self._settle(np.array)  # a copy, which is then rounded in place
-
-    @classmethod
-    def _owning(cls, families: tuple[str, ...], values: np.ndarray) -> CrossErrorMatrix:
-        """The matrix of `values`, a float64 grid that nothing else holds: it is
-        checked and rounded in place, not copied."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "families", families)
-        object.__setattr__(m, "values", values)
-        m._settle(np.asarray)
-        return m
-
-    def _settle(self, as_grid: Callable[..., np.ndarray]) -> None:
         families = tuple(self.families)
-        object.__setattr__(self, "families", families)
         k = len(families)
-        # name -> position, for index_of
-        object.__setattr__(self, "_index", _family_index(families))
-        values = as_grid(self.values, dtype=np.float64)
+        index = _family_index(families)
+        values = np.array(self.values, dtype=np.float64)  # a copy, rounded in place below
         if values.shape != (k, k):
             raise MatrixFormatError(
                 f"value grid is {values.shape}, expected ({k}, {k}) for {k} families"
@@ -82,12 +78,23 @@ class CrossErrorMatrix:
             raise MatrixFormatError(
                 f"entry {values[t, v]} at row {t}, column {v} outside [0, 1]"
             )
-        # Hold the 1e-6 grid the CSV stores: the nearest multiple of 1e-6, ties
-        # to even, and +0.0 for -0.0, so a saved and reloaded matrix is this one.
-        values *= 1e6
-        np.rint(values, out=values)
-        values /= 1e6
-        values += 0.0
+        _round_to_grid(values)
+        self._hold(families, index, values)
+
+    @classmethod
+    def _owning(
+        cls, families: tuple[str, ...], index: dict[str, int], values: np.ndarray
+    ) -> CrossErrorMatrix:
+        """The matrix of `values`, a float64 grid in [0, 1] already on the 1e-6
+        grid that nothing else holds, over `families` and their `index`
+        (`_family_index`): each is taken as it is, not checked or copied."""
+        m = object.__new__(cls)
+        m._hold(families, index, values)
+        return m
+
+    def _hold(self, families: tuple[str, ...], index: dict[str, int], values: np.ndarray) -> None:
+        object.__setattr__(self, "families", families)
+        object.__setattr__(self, "_index", index)  # name -> position, for index_of
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -105,6 +112,32 @@ class CrossErrorMatrix:
             return self._index[family]
         except KeyError:
             raise MatrixFormatError(f"unknown family {family!r}") from None
+
+    @cached_property
+    def _off_diagonal_means(self) -> tuple[float, ...]:
+        # _row_means(self), found once: a matrix's families and values never change.
+        return tuple(_row_means(self))
+
+
+# Cells per block of rows whose off-diagonal _row_means copies at once, so the
+# copy stays small next to the matrix.
+_MEAN_BLOCK_CELLS = 16_384
+
+
+def _row_means(m: CrossErrorMatrix) -> list[float]:
+    """Each row's mean recall against the other families (diagonal excluded).
+
+    Each row's mean is taken over its K - 1 contiguous off-diagonal values, a
+    block of rows at a time.
+    """
+    means: list[float] = []
+    block_rows = max(1, _MEAN_BLOCK_CELLS // m.k)
+    for start in range(0, m.k, block_rows):
+        block = m.values[start : start + block_rows]
+        # Each row's off-diagonal: all but column start + its row in the block.
+        off = ~np.eye(len(block), m.k, start, dtype=bool)
+        means += block[off].reshape(len(block), m.k - 1).mean(axis=1).tolist()
+    return means
 
 
 # A canonical cell is the 8 bytes ``d.dddddd`` and its separator. Less
@@ -176,8 +209,8 @@ def _block_parser(k: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
 
 
 def _parse_row(path: Path, line: bytes, t: int, family: str, row: np.ndarray) -> None:
-    """Fill `row` from the text of data line `t`, cell by cell, or raise the
-    error of its first fault."""
+    """Fill `row` from the text of data line `t`, cell by cell, and put it on
+    the 1e-6 grid, or raise the error of its first fault."""
     cells = line.decode("utf-8").split(",")
     if len(cells) != len(row) + 1:
         raise MatrixFormatError(
@@ -199,6 +232,7 @@ def _parse_row(path: Path, line: bytes, t: int, family: str, row: np.ndarray) ->
                 f"{path}: entry {cell} at line {t}, column {v} outside [0, 1]"
             )
         row[v] = x
+    _round_to_grid(row)
 
 
 def load_matrix(path: str | Path) -> CrossErrorMatrix:
@@ -219,6 +253,7 @@ def load_matrix(path: str | Path) -> CrossErrorMatrix:
     head_end = buf.find(b"\n", 0, end)
     header = buf[:head_end].decode("utf-8").split(",")
     families: tuple[str, ...] = ()
+    index: dict[str, int] = {}
     error: MatrixFormatError | None = None  # the first fault, raised after the row count
     if header[0] != HEADER_CELL:
         error = MatrixFormatError(
@@ -226,7 +261,7 @@ def load_matrix(path: str | Path) -> CrossErrorMatrix:
         )
     else:
         try:
-            _family_index(tuple(header[1:]))
+            index = _family_index(tuple(header[1:]))
         except MatrixFormatError as exc:
             error = MatrixFormatError(f"{path}: line 1: {exc}")
         else:
@@ -279,7 +314,9 @@ def load_matrix(path: str | Path) -> CrossErrorMatrix:
         )
     if error is not None:
         raise error
-    return CrossErrorMatrix._owning(families, values)
+    # Every value is in [0, 1] and on the 1e-6 grid: a canonical cell by its
+    # digits' spans and the 1_000_000 bound, any other row by _parse_row.
+    return CrossErrorMatrix._owning(families, index, values)
 
 
 def _format_cells(block: np.ndarray, cells: np.ndarray) -> None:

@@ -177,7 +177,7 @@ class _Band:
             values, levels = self.m.values.ravel(), self.level.ravel()
             diagonal = self.m.k + 1  # the flat stride from one diagonal cell to the next
             hi = _eps_at(self.config, r)
-            lo = _eps_at(self.config, r - 1) if r else -1.0  # dist >= 0
+            lo = _eps_at(self.config, r - 1) if r else None  # level 0 has no lower bound
             # |M - tau| a block of cells at a time, in one buffer, so no K x K
             # float array or mask is held beside the matrix. A block's indices
             # wait as uint32 (K * K <= 2**32), so the level's new entries are
@@ -189,7 +189,10 @@ class _Band:
                 np.subtract(values[start : start + len(block)], self.config.tau, out=block)
                 np.abs(block, out=block)
                 block[-start % diagonal :: diagonal] = np.inf
-                in_level = np.flatnonzero((block <= hi) & (block > lo))
+                in_band = block <= hi
+                if lo is not None:
+                    in_band &= block > lo
+                in_level = np.flatnonzero(in_band)
                 levels[start : start + len(block)][in_level] = r
                 joins.append(in_level.astype(np.uint32) + start)
             self._entries = np.concatenate(joins, dtype=np.intp)

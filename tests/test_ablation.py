@@ -6,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from famsplit import matrix
 from famsplit.ablation import (
     _ranked_indices,
-    _row_means,
     ablation_report,
     select_top_k,
     select_worst_k,
     selection_curve,
 )
 from famsplit.errors import MatrixFormatError
-from famsplit.matrix import synth_matrix
+from famsplit.matrix import _row_means, synth_matrix
 
 from conftest import constant_matrix, make_matrix, traced_peak
 
@@ -187,3 +187,18 @@ def test_row_means_copy_a_block_of_rows_at_a_time() -> None:
     means, peak = traced_peak(lambda: _row_means(m))
     assert len(means) == m.k
     assert peak <= m.values.nbytes // 4
+
+
+def test_a_matrix_finds_its_row_means_once(monkeypatch) -> None:
+    # The rankings of one matrix share one pass over its rows; another matrix
+    # takes its own.
+    m, other = synth_matrix(40, seed=2), synth_matrix(40, seed=3)
+    calls = []
+    row_means = matrix._row_means
+    monkeypatch.setattr(matrix, "_row_means", lambda m: calls.append(m) or row_means(m))
+    select_top_k(m, 5)
+    select_worst_k(m, 5)
+    selection_curve(m, "top", (1, 3))
+    selection_curve(m, "worst", (2,))
+    select_top_k(other, 5)
+    assert [id(c) for c in calls] == [id(m), id(other)]

@@ -821,3 +821,49 @@ def test_sha256_hashes_a_file_a_block_at_a_time(tmp_path) -> None:
     digest, peak = traced_peak(lambda: _sha256(path))
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     assert peak < 2 << 20
+
+
+def with_byte_ff(path: Path, out: Path, at: bytes) -> Path:
+    """A copy of `path` whose first `at` is preceded by a 0xFF byte, so it is not UTF-8."""
+    data = path.read_bytes()
+    assert at in data
+    out.write_bytes(data.replace(at, b"\xff" + at, 1))
+    return out
+
+
+def assert_refused_as_not_utf8(capsys, *argv) -> None:
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("famsplit: error: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_matrix_that_is_not_utf8_is_a_domain_error(matrix_file, tmp_path, capsys) -> None:
+    bad = with_byte_ff(matrix_file, tmp_path / "bad.csv", b"0.")
+    assert_refused_as_not_utf8(
+        capsys, "search", "--matrix", bad, "--tau", "0.5", "--out", tmp_path / "b.json"
+    )
+    assert not (tmp_path / "b.json").exists()
+
+
+def test_a_pool_that_is_not_utf8_is_a_domain_error(
+    benchmark_file, pool_file, tmp_path, capsys
+) -> None:
+    bad = with_byte_ff(pool_file, tmp_path / "bad.tsv", b"ben-te-")
+    assert_refused_as_not_utf8(
+        capsys, "materialize", "--benchmark", benchmark_file, "--pool", bad,
+        "--train-per-family", "8", "--test-per-family", "2", "--out-dir", tmp_path / "mat",
+    )
+    assert not (tmp_path / "mat").exists()
+
+
+def test_predictions_that_are_not_utf8_are_a_domain_error(split_dir, tmp_path, capsys) -> None:
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("".join(f"{line.split(chr(9))[0]}\t1.0\n"
+                             for line in (split_dir / "test.tsv").read_text().splitlines()))
+    bad = with_byte_ff(preds, tmp_path / "bad.tsv", b"\t1.0\n")
+    out = tmp_path / "eval.json"
+    assert_refused_as_not_utf8(
+        capsys, "evaluate", "--split-dir", split_dir, "--predictions", bad, "--out", out
+    )
+    assert not out.exists()

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from famsplit import matrix
-from famsplit.ablation import _row_means
 from famsplit.errors import MatrixFormatError
 from famsplit.matrix import (
     _LOAD_BLOCK_CELLS,
     _SAVE_BLOCK_CELLS,
     HEADER_CELL,
     CrossErrorMatrix,
+    _row_means,
     load_matrix,
     save_matrix,
     synth_matrix,
@@ -321,6 +321,15 @@ def repr_row(line: bytes) -> bytes:
     return b",".join((name, *(repr(float(c)).encode("ascii") for c in cells)))
 
 
+def off_grid_row(line: bytes) -> bytes:
+    """The row spelled cell by cell off the 1e-6 grid: -0.0 and 4e-7, then
+    `repr` spellings of values between grid points."""
+    name, *cells = line.split(b",")
+    cells = [repr(float(c) * 0.9999997).encode("ascii") for c in cells]
+    cells[:2] = [b"-0.0", b"4e-7"]
+    return b",".join((name, *cells))
+
+
 def edit_rows(edits: dict[int, object]):
     """An edit that replaces data row t's line by change(line), for each (t, change)."""
 
@@ -341,6 +350,10 @@ BLOCK_EDGES = (BLOCK_ROWS, 2 * BLOCK_ROWS - 1, LAST_BLOCK, BLOCK_K - 1)
 BLOCK_FILE_EDITS = {
     "canonical": (edit_rows({}), True),
     "repr rows at block edges": (edit_rows({t: repr_row for t in BLOCK_EDGES}), True),
+    "off-grid row in every block": (
+        edit_rows({t: off_grid_row for t in (*range(0, BLOCK_K, BLOCK_ROWS), BLOCK_K - 1)}),
+        True,
+    ),
     "short cell at block edges": (
         edit_rows({t: lambda line: respell(line, 5, "0.5") for t in BLOCK_EDGES}),
         True,
