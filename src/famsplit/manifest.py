@@ -23,6 +23,7 @@ import numpy as np
 
 from famsplit.errors import PoolError
 from famsplit.lines import text_runs
+from famsplit.packed import _PackedIds
 from famsplit.search import SplitSpec, _stream_words
 
 TRAIN_PER_FAMILY = 8000
@@ -42,18 +43,28 @@ def _check_family_name(family: str) -> None:
         raise PoolError(f"invalid family name {family!r}")
 
 
+def _packed(ids: tuple[str, ...]) -> _PackedIds:
+    """`ids` packed, each checked as save_pool checks it (`_run_text`): an
+    empty id, or one holding a tab, "\\n" or "\\r", is save_pool's PoolError
+    naming it, and one that is not UTF-8 text (a lone surrogate) the
+    UnicodeEncodeError that save_pool's write would raise."""
+    return _PackedIds.joined([_run_text(ids, ()).encode()] if ids else [])
+
+
 @dataclass(frozen=True)
 class SamplePool:
     """Family -> sample ids, and benign origin ("train" or "test") -> sample ids.
 
     `benign` has the shape of `by_family` and always holds both origins, each
-    partition in pool order. The contents are stored read-only (mappings of
-    tuples), so the whole-pool id check below cannot be bypassed after
-    construction.
+    partition in pool order. Each key's ids are held packed (`_PackedIds`),
+    a read-only sequence that equals the tuple of its ids, in read-only
+    mappings, so the whole-pool id check below cannot be bypassed after
+    construction. An id must be one that save_pool can write: not empty,
+    and holding no tab, "\\n" or "\\r".
     """
 
-    by_family: Mapping[str, tuple[str, ...]]
-    benign: Mapping[str, tuple[str, ...]]
+    by_family: Mapping[str, Sequence[str]]
+    benign: Mapping[str, Sequence[str]]
 
     def __post_init__(self) -> None:
         by_family = {}
@@ -64,19 +75,36 @@ class SamplePool:
             if origin not in _ORIGINS:
                 raise PoolError(f"benign origin must be train|test, got {origin!r}")
         benign = {origin: tuple(self.benign.get(origin, ())) for origin in _ORIGINS}
+        runs = [*by_family.values(), *benign.values()]
+        hashes = np.fromiter(
+            map(hash, chain.from_iterable(runs)), dtype=np.int64, count=sum(map(len, runs))
+        )
+        del runs
+        for ids_by_key in (by_family, benign):
+            for key, ids in ids_by_key.items():
+                ids_by_key[key] = _packed(ids)
+        self._hold(by_family, benign, hashes)
+
+    @classmethod
+    def _owning(cls, by_family: dict[str, _PackedIds], benign: dict[str, _PackedIds],
+                hashes: np.ndarray) -> SamplePool:
+        """The pool of load_pool's packed keys, whose ids it has checked,
+        and `hashes`, the `hash` of every id in any order, which it sorts in
+        place: each is taken as it is, not checked or copied."""
+        pool = object.__new__(cls)
+        pool._hold(by_family, benign, hashes)
+        return pool
+
+    def _hold(self, by_family: dict[str, _PackedIds], benign: dict[str, _PackedIds],
+              hashes: np.ndarray) -> None:
         object.__setattr__(self, "by_family", MappingProxyType(by_family))
         object.__setattr__(self, "benign", MappingProxyType(benign))
-        places = [(f"family {family!r}", ids) for family, ids in by_family.items()]
-        places += [("the benign list", ids) for ids in benign.values()]
         # No id may appear twice in the pool. Sorted string hashes prove that
         # without a pool-sized hash table; equal hashes are checked exactly.
-        hashes = np.fromiter(
-            map(hash, chain.from_iterable(ids for _, ids in places)),
-            dtype=np.int64,
-            count=sum(len(ids) for _, ids in places),
-        )
         hashes.sort()
         if np.any(hashes[1:] == hashes[:-1]):
+            places = [(f"family {family!r}", ids) for family, ids in by_family.items()]
+            places += [("the benign list", ids) for ids in benign.values()]
             counts = Counter(chain.from_iterable(ids for _, ids in places))
             repeated = next((sample_id for sample_id, n in counts.items() if n > 1), None)
             if repeated is not None:
@@ -92,7 +120,9 @@ class SplitSide:
 
     A family of None marks benign samples, so labels derive from families. Empty
     runs are dropped and adjacent runs of one family merged, so equal sides
-    compare equal however they were cut.
+    compare equal however they were cut. A lone packed run, as
+    materialize_split draws from a SamplePool, is kept as it is; any other
+    run becomes a tuple.
     """
 
     runs: Iterable[tuple[str | None, Sequence[str]]]
@@ -106,7 +136,7 @@ class SplitSide:
             second = next(group, None)
             if second is not None:  # read lazily, so each run can go once it is copied
                 ids = chain(ids, second[1], chain.from_iterable(run[1] for run in group))
-            runs.append((family, tuple(ids)))
+            runs.append((family, ids if type(ids) is _PackedIds else tuple(ids)))
         object.__setattr__(self, "runs", tuple(runs))
 
     @property
@@ -286,29 +316,44 @@ def _read_runs(
 
 
 def load_pool(path: str | Path) -> SamplePool:
-    """Parse a pool file (see save_pool for the format), a run of records at a time."""
-    by_family: dict[str, list[str]] = {}
-    benign: dict[str, list[str]] = {origin: [] for origin in _ORIGINS}
+    """Parse a pool file (see save_pool for the format), a run of records at a time.
+
+    Each run is encoded into its key's blob as it is read, and each of its
+    ids hashed for SamplePool's duplicate proof while it is still a `str`.
+    """
+    by_family: dict[str, list[bytes]] = {}
+    benign: dict[str, list[bytes]] = {origin: [] for origin in _ORIGINS}
+    hashes = bytearray()  # int64s, grown in place a run at a time
     for (family, origin), ids in _read_runs(Path(path), 4, _pool_key):
-        (by_family.setdefault(family, []) if origin == "-" else benign[origin]).extend(ids)
-    # Each list becomes a tuple and is dropped in turn, so SamplePool's tuple()
-    # is free and no second full copy of the pool is ever held.
-    for ids_by_key in (by_family, benign):
-        for key in ids_by_key:
-            ids_by_key[key] = tuple(ids_by_key[key])
-    return SamplePool(by_family=by_family, benign=benign)
+        hashes.extend(np.fromiter(map(hash, ids), dtype=np.int64, count=len(ids)).view(np.uint8))
+        text = "\n".join(ids)
+        text += "\n"  # CPython grows the joined text in place
+        (by_family.setdefault(family, []) if origin == "-" else benign[origin]).append(text.encode())
+    # Each key's runs are packed and dropped in turn, so no second full copy
+    # of the pool is ever held.
+    for runs_by_key in (by_family, benign):
+        for key in runs_by_key:
+            runs_by_key[key] = _PackedIds.joined(runs_by_key[key])
+    return SamplePool._owning(by_family, benign, np.frombuffer(hashes, dtype=np.int64))
 
 
 def _run_text(ids: Sequence[str], fields: tuple[str, ...]) -> str:
     """One `id<TAB>fields...` line per id (at least one), each ending in "\n".
 
+    A packed run is formatted with one `replace`, any other with one join.
     An empty id, or a tab, "\n" or "\r" in an id or family, is a PoolError naming it.
     """
     suffix = "".join(f"\t{field}" for field in fields) + "\n"
-    text = suffix.join(ids)
-    text += suffix  # CPython grows the joined text in place; `+` would copy it
-    if (not all(ids) or "\r" in text or text.count("\n") != len(ids)
-            or text.count("\t") != len(fields) * len(ids)):
+    if type(ids) is _PackedIds:
+        text = ids.text(suffix)
+    else:
+        text = suffix.join(ids)
+        text += suffix  # CPython grows the joined text in place; `+` would copy it
+    # With one "\n" and len(fields) tabs a line, an empty id is a line that
+    # is the suffix alone.
+    if ("\r" in text or text.count("\n") != len(ids)
+            or text.count("\t") != len(fields) * len(ids)
+            or text.startswith(suffix) or "\n" + suffix in text):
         bad = next(s for s in chain(fields, ids) if not s or "\t" in s or "\n" in s or "\r" in s)
         what = "family" if bad in fields else "sample id"
         raise PoolError(f"cannot write {what} {bad!r}: it is empty or holds a tab, \\n or \\r")
@@ -335,19 +380,21 @@ def save_pool(pool: SamplePool, path: str | Path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _pick(rng: random.Random, ids: Sequence[str], n: int) -> list[str]:
+def _pick(rng: random.Random, ids: Sequence[str], n: int) -> Sequence[str]:
     """The ids with the n smallest of one 64-bit key per id, in key order.
 
     The key of ids[i] is rng's i-th next 64-bit value: stream words 2i (low)
     and 2i + 1 (high) of one `_stream_words` draw. Equal keys keep pool order.
     The draw rests only on the Mersenne Twister stream words, not on
     `shuffle`'s or numpy's sampling algorithms, which may change between
-    versions.
+    versions. From a SamplePool key, the drawn ids come packed: their bytes
+    are gathered a block at a time (`_PackedIds.take`), with no Python int
+    or `str` per drawn id. From any other sequence they come as a list.
     """
-    count = len(ids)
-    at = _smallest(rng, count, n)
-    # An object array gathers the ids without a Python int per drawn id.
-    return np.fromiter(ids, dtype=object, count=count)[at].tolist()
+    at = _smallest(rng, len(ids), n)
+    if type(ids) is _PackedIds:
+        return ids.take(at)
+    return [ids[i] for i in at.tolist()]
 
 
 def _smallest(rng: random.Random, count: int, n: int) -> np.ndarray:

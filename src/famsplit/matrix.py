@@ -119,8 +119,9 @@ class CrossErrorMatrix:
         return tuple(_row_means(self))
 
 
-# Cells per block of rows whose off-diagonal _row_means copies at once, so the
-# copy stays small next to the matrix.
+# Cells per block of rows whose off-diagonal _row_means copies, or whose
+# outer product synth_matrix adds, at once, so the block stays small next to
+# the matrix.
 _MEAN_BLOCK_CELLS = 16_384
 
 
@@ -409,9 +410,17 @@ def synth_matrix(k: int, seed: int = 0) -> CrossErrorMatrix:
     structure = synth_structure(k, seed)
     # A separate noise stream, kept so existing matrices keep their bytes.
     rng = np.random.default_rng((seed, 0xA5))
-    noise = rng.normal(0.0, 1.0, (k, k)) * NOISE_SD
-    values = np.outer(structure.generality, structure.detectability) + noise
+    # The grid is built in the noise array, a block of rows of the factors'
+    # outer product at a time: IEEE addition commutes, so noise + outer has
+    # the bits of outer + noise.
+    values = rng.normal(0.0, 1.0, (k, k))
+    values *= NOISE_SD
+    g, d = structure.generality, structure.detectability
+    rows = max(1, _MEAN_BLOCK_CELLS // k)
+    for lo in range(0, k, rows):
+        values[lo : lo + rows] += np.outer(g[lo : lo + rows], d)
     np.clip(values, 0.0, 1.0, out=values)
-    diag = np.maximum(DIAG_FLOOR, structure.generality * structure.detectability)
-    np.fill_diagonal(values, diag)
-    return CrossErrorMatrix(synth_family_names(k), values)
+    np.fill_diagonal(values, np.maximum(DIAG_FLOOR, g * d))
+    _round_to_grid(values)
+    families = synth_family_names(k)
+    return CrossErrorMatrix._owning(families, _family_index(families), values)

@@ -247,10 +247,18 @@ def test_materialize_is_deterministic_and_seed_sensitive() -> None:
     assert c.train.ids[16:] != a.train.ids[16:]  # the benign tail
 
 
+def packed_pick(rng, ids: Sequence[str], n: int) -> list[str]:
+    """manifest._pick from `ids` packed as a SamplePool key holds them."""
+    picked = manifest._pick(rng, manifest._packed(tuple(ids)), n)
+    assert type(picked) is manifest._PackedIds
+    return list(picked)
+
+
 def test_sampler_pins_a_literal_pick() -> None:
     # Fails by name when a Python or numpy change moves the draw.
     ids = [f"id-{i}" for i in range(10)]
     assert manifest._pick(random.Random(2024), ids, 4) == ["id-0", "id-2", "id-9", "id-6"]
+    assert packed_pick(random.Random(2024), ids, 4) == ["id-0", "id-2", "id-9", "id-6"]
 
 
 class FixedKeys:
@@ -275,6 +283,7 @@ class FixedKeys:
 )
 def test_sampler_takes_smallest_keys_with_ties_in_pool_order(keys, n, expected) -> None:
     assert manifest._pick(FixedKeys(keys), "abcde"[: len(keys)], n) == expected
+    assert packed_pick(FixedKeys(keys), "abcde"[: len(keys)], n) == expected
 
 
 def reference_pick(rng, ids: Sequence[str], n: int) -> list[str]:
@@ -289,7 +298,7 @@ def reference_pick(rng, ids: Sequence[str], n: int) -> list[str]:
 def test_pick_matches_the_stable_sort_on_drawn_keys(count, seed, data) -> None:
     ids = [f"id-{i}" for i in range(count)]
     n = data.draw(st.sampled_from([0, count]) | st.integers(0, count), label="n")
-    picked = manifest._pick(random.Random(seed), ids, n)
+    picked = packed_pick(random.Random(seed), ids, n)
     assert picked == reference_pick(random.Random(seed), ids, n)
 
 
@@ -297,10 +306,14 @@ def test_pick_gathers_its_ids_without_an_int_per_drawn_id() -> None:
     # The key draw's two buffers of 8 bytes per pool id (getrandbits' words
     # and their int) set the peak. The bound leaves 8 bytes per drawn id
     # beside them, which a Python int per drawn id (28 bytes or more) exceeds.
+    # The drawn ids' bytes (20 each here) and bounds are gathered after the
+    # key draw is freed, so they stay below its peak.
     count, n = 200_000, 80_000
     ids = tuple(f"benign-train-{i:06d}" for i in range(count))
-    picked, peak = traced_peak(lambda: manifest._pick(random.Random(7), ids, n))
-    assert picked == reference_pick(random.Random(7), ids, n)
+    packed = manifest._packed(ids)
+    picked, peak = traced_peak(lambda: manifest._pick(random.Random(7), packed, n))
+    assert type(picked) is manifest._PackedIds
+    assert picked == tuple(reference_pick(random.Random(7), ids, n))
     assert peak <= 16 * count + 8 * n
 
 
@@ -325,7 +338,7 @@ def test_pick_matches_the_stable_sort_on_equal_keys(keys, tie, data) -> None:
     elif tie == "all":
         keys = keys[:1] * count
     ids = [f"id-{i}" for i in range(count)]
-    assert manifest._pick(FixedKeys(keys), ids, n) == reference_pick(FixedKeys(keys), ids, n)
+    assert packed_pick(FixedKeys(keys), ids, n) == reference_pick(FixedKeys(keys), ids, n)
 
 
 def test_sampler_selects_every_id_about_equally_often() -> None:
@@ -1321,15 +1334,38 @@ def test_load_pool_reads_canonical_blocks_without_the_line_loop(tmp_path, monkey
 
 def test_load_pool_peaks_at_the_pool_and_its_hash_proof(tmp_path) -> None:
     # The file is read a window at a time, so its size is not in the bound:
-    # the loaded pool, 8 bytes per id for the hash proof's array and 1 more
-    # for its comparison of neighbouring hashes, and a few read windows.
+    # the loaded pool; the hash proof's array, 8 bytes per id and up to 1
+    # more while it grows, and 1 per id for its comparison of neighbouring
+    # hashes; for the largest key, its blob once more (its join holds the
+    # runs and the blob, its scan the blob and a mask of it) and 8 bytes per
+    # id for the scan's positions; and a few read windows. On this pool
+    # that is 7.4 MB, where a pool of a tuple of `str` per key held 13.9 MB
+    # and was bounded at 15.8 MB.
     pool = build_pool({f"fam{j:02d}": 5000 for j in range(20)}, 80_000, 20_000)
     path = tmp_path / "pool.tsv"
     save_pool(pool, path)
-    ids = 200_000
+    ids, largest_ids = 200_000, 80_000
+    largest = largest_ids * len("ben-tr-000000\n")
     loaded, held, peak = traced(lambda: load_pool(path))
     assert pool_outcome(lambda _: loaded, path) == pool_outcome(lambda _: pool, path)
-    assert peak <= held + 9 * ids + 8 * RECORD_READ_BYTES
+    assert peak <= held + 10 * ids + largest + 8 * largest_ids + 8 * RECORD_READ_BYTES
+
+
+def test_a_loaded_pool_holds_each_ids_bytes_and_four_bytes_of_bounds(tmp_path) -> None:
+    # Each key holds its ids' UTF-8 bytes, a "\n" after each, and an int32
+    # start per id and one more; nothing else grows with the ids.
+    by_family = {f"fam-\u00e9{j}": [f"\u00e9{'x' * (i % 7)}-{j}-{i}" for i in range(4000)]
+                 for j in range(10)}
+    benign = {"train": [f"\u8349-tr-{i}" for i in range(30_000)],
+              "test": [f"te-\u2028{i}" for i in range(10_000)]}
+    path = tmp_path / "pool.tsv"
+    save_pool(SamplePool(by_family=by_family, benign=benign), path)
+    runs = [*by_family.values(), *benign.values()]
+    utf8 = sum(len(sample_id.encode()) for ids in runs for sample_id in ids)
+    ids = sum(map(len, runs))
+    loaded, held, _ = traced(lambda: load_pool(path))
+    assert sum(map(len, loaded.by_family.values())) + sum(map(len, loaded.benign.values())) == ids
+    assert held <= utf8 + (1 + 4) * ids + 512 * len(runs)
 
 
 def test_read_split_reads_family_runs_without_the_line_loop(tmp_path, monkeypatch) -> None:
@@ -1402,6 +1438,74 @@ def test_save_pool_refuses_ids_that_load_pool_cannot_read_back(
         save_pool(SamplePool(by_family=by_family, benign=benign), path)
     assert str(err.value) == message
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    ("by_family", "benign", "bad"),
+    [
+        ({"alpha": ["a", "x\tbenign\t-\ttrain\ny"]}, {}, "x\tbenign\t-\ttrain\ny"),
+        ({"alpha": ["a"]}, {"test": ["b", "c\rd"]}, "c\rd"),
+        ({"alpha": ["a", "b\n"]}, {}, "b\n"),
+        ({"alpha": ["a"]}, {"train": ["b", ""]}, ""),
+        ({"alpha": [""]}, {}, ""),
+    ],
+)
+def test_a_pool_refuses_the_ids_that_save_pool_cannot_write(by_family, benign, bad) -> None:
+    # The rule holds where the ids enter, with save_pool's text, so no
+    # packed id can hold the "\n" that ends it.
+    with pytest.raises(PoolError) as err:
+        SamplePool(by_family=by_family, benign=benign)
+    assert str(err.value) == unwritable("sample id", bad)
+
+
+# Ids of 1 to 6 characters, often ones of 2 to 4 UTF-8 bytes, so a packed
+# run's byte offsets are not its ids' character offsets. No id holds U+FEFF,
+# which would read as a byte order mark first in a file.
+PACKED_ID_TEXT = st.text(
+    st.sampled_from(["a", "7", "-", "\u2028", "\x85", "\u8349", "\u00e9", "\U0001f600"])
+    | st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r\ufeff"),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    ids=st.lists(PACKED_ID_TEXT, min_size=4, max_size=60, unique=True),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_a_packed_pool_draws_and_writes_what_tuples_would(tmp_path_factory, ids, seed, data) -> None:
+    k = len(ids) // 4
+    families = ("f\u2028", "\u8349\x85")
+    runs = {families[0]: tuple(ids[:k]), families[1]: tuple(ids[k : 2 * k]),
+            "train": tuple(ids[2 * k : 3 * k]), "test": tuple(ids[3 * k :])}
+    pool = SamplePool(by_family={f: runs[f] for f in families},
+                      benign={o: runs[o] for o in ("train", "test")})
+    for held, expected in zip([*pool.by_family.values(), *pool.benign.values()], runs.values()):
+        assert type(held) is manifest._PackedIds
+        assert held == expected and expected == held and hash(held) == hash(expected)
+        assert list(held) == [held[i] for i in range(len(held))] == list(expected)
+        assert held[-1] == expected[-1] and held[1:-1:2] == expected[1:-1:2]
+    directory = tmp_path_factory.mktemp("packed")
+    save_pool(pool, directory / "pool.tsv")
+    assert load_pool(directory / "pool.tsv") == pool
+
+    per_side = (data.draw(st.integers(1, k), label="train"), data.draw(st.integers(1, k), label="test"))
+    spec = SplitSpec(train_families=families[:1], test_families=families[1:], tau=0.5,
+                     epsilon_final=0.05, seed=0, relaxations=0, attempts_total=1)
+    ms = materialize_split(pool, spec, *per_side, seed=seed, split_id="packed")
+    assert all(type(ids) is manifest._PackedIds for side in (ms.train, ms.test)
+               for _, ids in side.runs)
+    write_split(ms, directory / "split", split_meta(ms, spec, seed, *per_side))
+    # The tuple path: each draw by one stable sort of its keys, and one
+    # line per id.
+    rng = random.Random(seed)
+    for name, family, origin, n in zip(("train", "test"), families, ("train", "test"), per_side):
+        lines = [f"{i}\tmalicious\t{family}\n" for i in reference_pick(rng, runs[family], n)]
+        lines += [f"{i}\tbenign\t-\n" for i in reference_pick(rng, runs[origin], n)]
+        written = (directory / "split" / f"{name}.tsv").read_bytes()
+        assert written == "".join(lines).encode("utf-8")
 
 
 def two_records(sample_id: str, other: str, family: str) -> SplitSide:

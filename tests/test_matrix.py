@@ -662,6 +662,40 @@ def test_synth_is_pure_function_of_params() -> None:
     assert np.array_equal(a.values, b.values)
 
 
+def reference_synth(k: int, seed: int) -> CrossErrorMatrix:
+    """The synth recipe as first written: the structure's outer product plus
+    scaled noise, through the public constructor."""
+    structure = synth_structure(k, seed)
+    noise = np.random.default_rng((seed, 0xA5)).normal(0.0, 1.0, (k, k)) * matrix.NOISE_SD
+    values = np.outer(structure.generality, structure.detectability) + noise
+    np.clip(values, 0.0, 1.0, out=values)
+    np.fill_diagonal(values, np.maximum(matrix.DIAG_FLOOR,
+                                        structure.generality * structure.detectability))
+    return CrossErrorMatrix(matrix.synth_family_names(k), values)
+
+
+@pytest.mark.parametrize(("k", "seed"), [(2, 0), (7, 3), (40, 1), (184, 7), (300, 2**64 - 1)])
+def test_synth_matches_the_recipe_through_the_public_constructor(k, seed) -> None:
+    m = synth_matrix(k, seed=seed)
+    expected = reference_synth(k, seed)
+    assert m == expected
+    assert m.values.tobytes() == expected.values.tobytes()
+    assert [m.index_of(family) for family in m.families] == list(range(k))
+    assert not m.values.flags.writeable
+
+
+def test_synth_holds_one_grid() -> None:
+    # The grid is built in the noise array, a block of rows of the outer
+    # product at a time, and held as it is: 8 bytes a cell once, where the
+    # outer product and the public constructor's copy held three grids
+    # (24.8 MB at K=1000). The slack is the block, numpy's buffers and
+    # one-time caches of a first call.
+    k = 1000
+    m, peak = traced_peak(lambda: synth_matrix(k, seed=1))
+    assert m.k == k
+    assert peak <= 8 * k * k + 2_000_000
+
+
 def test_synth_rejects_tiny_k() -> None:
     with pytest.raises(MatrixFormatError, match="k must be >= 2, got 1"):
         synth_matrix(1, seed=0)
