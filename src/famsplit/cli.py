@@ -25,7 +25,7 @@ from famsplit import __version__
 from famsplit.ablation import ablation_report, select_top_k, select_worst_k, selection_curve
 from famsplit.errors import FamsplitError
 from famsplit.evaluate import (Aggregation, PredictionSet, evaluate_predictions, load_predictions,
-                               validate_benchmark)
+                               validate_benchmark, validation_to_dict)
 from famsplit.manifest import (
     SPLIT_FILES,
     TEST_PER_FAMILY,
@@ -224,7 +224,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             encoding="utf-8",
         )
     _write_json(out_dir / "validation.json",
-                {"tiers": [asdict(v) for *_, v in tiers], "run_manifest": manifest})
+                {"tiers": [validation_to_dict(v) for *_, v in tiers], "run_manifest": manifest})
     _write_json(out_dir / "run_manifest.json", manifest)
     means = ", ".join(f"{v.difficulty_label}={v.mean_recall:.4f}" for *_, v in tiers)
     print(f"pipeline complete under {out_dir}: mean surrogate recall {means}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, Sequence, get_args
@@ -130,6 +130,16 @@ def validate_benchmark(
         total_flags=sum(len(s.flagged_families) for s in splits),
         splits=splits,
     )
+
+
+def validation_to_dict(report: BenchmarkValidation) -> dict:
+    """JSON-ready form of a tier's validation report, a validation.json tier."""
+    # Each field read as it is, not with asdict, which deep-copies every split's
+    # recalls; json writes the tuples as lists.
+    doc = {f.name: getattr(report, f.name) for f in fields(BenchmarkValidation)}
+    doc["splits"] = [{f.name: getattr(s, f.name) for f in fields(SplitValidation)}
+                     for s in report.splits]
+    return doc
 
 
 def evaluate_predictions(ms: MaterializedSplit, preds: PredictionSet) -> EvalResult:

@@ -38,8 +38,8 @@ SEARCH_RESTARTS = 8
 # A pass draws with one 32-bit stream word per randrange call, which needs
 # fewer than 2**32 candidates: K * (K - 1) < 2**32 holds up to K = 65,536.
 _MAX_FAMILIES = 65_536
-# Stream words a pass takes at a time: most passes end within a few dozen
-# draws, while one that relaxes spends max_attempts draws on each level.
+# Stream words a pass fetches before its first draw (most passes end within a
+# few dozen draws), and the most any fetch takes; _fetch_size sizes the rest.
 _FIRST_CHUNK = 64
 _MAX_CHUNK = 4096
 # Cells of |M - tau| that _Band.at forms and compares to a level's bounds at once.
@@ -206,6 +206,15 @@ def _stream_words(rng: random.Random, count: int) -> np.ndarray:
     return np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), dtype="<u4")
 
 
+def _fetch_size(left: int, n: int) -> int:
+    # Stream words that cover `left` more draws over n candidates, capped at
+    # _MAX_CHUNK. A word is a draw with probability p = n / 2**n.bit_length(),
+    # at least 1/2, so `left` draws take left / p words in expectation, with
+    # a standard deviation below sqrt(left) / p. A margin of three of those
+    # leaves a fetch short in about one level of a thousand, or fewer.
+    return min(_MAX_CHUNK, ((left + 3 * math.isqrt(left) + 3) << n.bit_length()) // n)
+
+
 def _search_pass(
     band: _Band, config: SearchConfig, pass_seed: int, stop_at: int | None = None
 ) -> tuple[list[int], list[int], int, int] | None:
@@ -219,13 +228,17 @@ def _search_pass(
     # the band holds every off-diagonal entry, relaxing adds nothing and any
     # draw of two unused families is accepted, so the pass keeps drawing.
     #
-    # The draws are the rng.randrange(n) calls over the n candidates, taken
-    # a chunk of stream words at a time. For n < 2**32, randrange returns
+    # The draws are the rng.randrange(n) calls over the n candidates, read
+    # from fetches of stream words. For n < 2**32, randrange returns
     # w >> shift for the next word w where that is below n, with shift =
-    # 32 - n.bit_length(). A chunk's draws are checked at once; accepting a
-    # pair only shrinks what later draws at the same band may accept, so only
-    # the draws that passed are checked again. Words left when a level ends
-    # are the next level's draws.
+    # 32 - n.bit_length(). Until its first draw a pass fetches _FIRST_CHUNK
+    # words; after it, a fetch is sized to the draws the level has left, so a
+    # level that spends max_attempts draws usually takes one fetch. A fetch's
+    # draws are checked at once; accepting a pair only shrinks what later
+    # draws at the same band may accept, so only the draws that passed are
+    # checked again. Words left when a level ends are the next level's draws,
+    # and words left when the pass ends go with its rng, so how many words a
+    # fetch takes changes no draw.
     rng = random.Random(pass_seed)
     level = band.level
     k = len(level)
@@ -245,7 +258,6 @@ def _search_pass(
     relaxations = 0
     attempts_total = 0
     words = np.empty(0, dtype=np.uint32)
-    chunk = _FIRST_CHUNK
     while True:
         candidates = band.at(relaxations)
         if train and levels_found < len(band._ends):
@@ -259,8 +271,7 @@ def _search_pass(
         left = config.max_attempts if n else 0  # draws this level may still take
         while left:
             if not len(words):
-                words = _stream_words(rng, chunk)
-                chunk = min(2 * chunk, _MAX_CHUNK)
+                words = _stream_words(rng, _fetch_size(left, n) if attempts_total else _FIRST_CHUNK)
             draws = words >> shift
             at = (draws < n).nonzero()[0][:left]  # the word of each draw
             t, v = np.divmod(candidates[draws[at]], k)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import statistics
+import json
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -20,6 +21,7 @@ from famsplit.evaluate import (
     surrogate_recalls,
     validate_benchmark,
     validate_split,
+    validation_to_dict,
 )
 from famsplit.lines import RECORD_READ_BYTES
 from famsplit.manifest import MaterializedSplit, SplitSide
@@ -160,6 +162,18 @@ def test_difficulty_tiers_are_strictly_ordered(paper_matrix) -> None:
     assert means[0.9] > means[0.5] > means[0.25]
     assert means[0.9] - means[0.5] >= 0.4 - eps[0.9] - eps[0.5]
     assert means[0.5] - means[0.25] >= 0.25 - eps[0.5] - eps[0.25]
+
+
+@pytest.mark.parametrize("agg", ["mean", "max", "min"])
+def test_validation_document_is_the_dataclass_dump_without_copying_it(paper_matrix, agg) -> None:
+    # validation.json's tiers read each field as it is: the same JSON text,
+    # key order included, as asdict's deep copy, and the report's own values.
+    bench = generate_benchmark(paper_matrix, SearchConfig(tau=0.25, seed=11), n_splits=3)
+    validation = validate_benchmark(paper_matrix, bench, agg)
+    doc = validation_to_dict(validation)
+    assert json.dumps(doc, indent=2) == json.dumps(asdict(validation), indent=2)
+    assert all(d["per_family_recall"] is s.per_family_recall
+               for d, s in zip(doc["splits"], validation.splits))
 
 
 def toy_split():

@@ -27,7 +27,7 @@ from famsplit.search import (
     load_benchmark,
     search_split,
 )
-from famsplit.search import _Band, _stream_words
+from famsplit.search import _MAX_CHUNK, _Band, _stream_words
 
 from conftest import constant_matrix, make_matrix, traced_peak
 
@@ -251,6 +251,88 @@ def test_mapped_stream_words_are_randrange_draws(seed, n, first) -> None:
     assert draws == [reference.randrange(n) for _ in draws]
 
 
+def power_of_two_band_matrix(k: int, seed: int) -> CrossErrorMatrix:
+    """K x K around tau=0.5 whose first two band levels hold 16 and 32 entries.
+
+    Level 0's 16 entries lie in rows 0 and 1, so no three pairs fit in it and
+    a pass with set_size >= 3 spends max_attempts draws there. With n a power
+    of two a stream word is a draw with probability 1/2, the least of any n,
+    so a fetch sized for a level's draws is the likeliest to fall short.
+    """
+    rng = np.random.default_rng(seed)
+    sign = rng.choice([-1.0, 1.0], (k, k))
+    grid = 0.5 + sign * rng.uniform(0.11, 0.45, (k, k))  # past level 1's 0.1
+    cells = [(t, v) for t in range(k) for v in range(k) if t != v]
+    rows_01 = [i for i, (t, _) in enumerate(cells) if t < 2]
+    level0 = set(rng.choice(rows_01, 16, replace=False).tolist())
+    level1 = rng.choice([i for i in range(len(cells)) if i not in level0], 16, replace=False)
+    for i in level0:
+        grid[cells[i]] = 0.5 + sign[cells[i]] * rng.uniform(0.0, 0.04)
+    for i in level1.tolist():
+        grid[cells[i]] = 0.5 + sign[cells[i]] * rng.uniform(0.06, 0.09)
+    return make_matrix(grid)
+
+
+@pytest.mark.parametrize("max_attempts", [200, 1000, 3000])
+@pytest.mark.parametrize("matrix_seed", [0, 1, 2])
+def test_levels_of_hundreds_of_draws_over_a_power_of_two_band_match_reference(
+    max_attempts, matrix_seed
+) -> None:
+    # The property test's levels take at most 12 draws, within a pass's first
+    # fetch. Here level 0 spends max_attempts draws over 16 candidates, so
+    # the sized fetches run short or long of a level, and the words one level
+    # leaves are the next level's draws.
+    m = power_of_two_band_matrix(12, matrix_seed)
+    band = _Band(m, SearchConfig(tau=0.5, set_size=3))
+    assert [len(band.at(level)) for level in (0, 1)] == [16, 32]
+    for seed in range(4):
+        config = SearchConfig(tau=0.5, max_attempts=max_attempts, set_size=3, seed=seed)
+        spec = search_split(m, config)
+        assert spec == reference_search_split(m, config)
+        assert spec.relaxations >= 1 and spec.attempts_total > max_attempts
+
+
+@pytest.mark.parametrize("fetch_size", [lambda left, n: 1, lambda left, n: left // 2 + 1])
+def test_fetches_that_fall_short_of_a_level_change_no_draw(monkeypatch, fetch_size) -> None:
+    # A sized fetch falls short of its level about once in a thousand; here
+    # every one does, and the words are still read in stream order.
+    monkeypatch.setattr(search, "_fetch_size", fetch_size)
+    m = power_of_two_band_matrix(12, 0)
+    for seed in range(4):
+        config = SearchConfig(tau=0.5, max_attempts=200, set_size=3, seed=seed)
+        assert search_split(m, config) == reference_search_split(m, config)
+
+
+def test_a_level_that_spends_1000_draws_takes_at_most_3_fetches(monkeypatch) -> None:
+    # Record each pass's levels (band.at is called once as each one starts)
+    # and the stream-word fetches taken at each level.
+    passes: list[list[list[int]]] = []
+    real_at = _Band.at
+
+    def recording_at(band, level):
+        if level == 0:
+            passes.append([])
+        passes[-1].append([])
+        return real_at(band, level)
+
+    def recording_words(rng, count):
+        passes[-1][-1].append(count)
+        return _stream_words(rng, count)
+
+    monkeypatch.setattr(_Band, "at", recording_at)
+    monkeypatch.setattr(search, "_stream_words", recording_words)
+    for tau in (0.9, 0.5):
+        generate_benchmark(synth_matrix(184, seed=4), SearchConfig(tau=tau, seed=3))
+    generate_benchmark(power_of_two_band_matrix(40, 5), SearchConfig(tau=0.5, set_size=3))
+    fetches = [f for levels in passes for level in levels for f in level]
+    assert max(fetches) <= _MAX_CHUNK
+    # Every level a pass left by relaxing spent max_attempts = 1000 draws,
+    # unless it had no candidates to draw.
+    spent = [level for levels in passes for level in levels[:-1] if level]
+    assert len(spent) >= 50
+    assert max(len(level) for level in spent) <= 3
+
+
 def test_family_limit_keeps_every_candidate_count_below_2_to_the_32() -> None:
     # One 32-bit word per draw holds for n < 2**32 candidates; a band holds
     # at most K * (K - 1), which the limit keeps below that.
@@ -296,7 +378,7 @@ def test_a_one_split_tier_and_its_validation_hold_no_float_grid(monkeypatch, tau
     (bench, validation), peak = traced_peak(tier)
     assert validation.total_flags == 0
     entries = _Band(m, config).at(bench.splits[0].relaxations).nbytes
-    # Beside the band: a chunk of stream words and its draws, and the report.
+    # Beside the band: a fetch of stream words and its draws, and the report.
     bound = m.k * m.k + 2 * entries + BLOCK_BYTES_PER_CELL * 4096 + 65_536
     assert bound < m.values.nbytes
     assert peak <= bound
